@@ -99,31 +99,30 @@ def _build_category(name, doc):
                 f"{path}.identity.{obj}",
                 f"unknown morphism {identity[obj]}",
             )
-    by_id = {m.id: m for m in morphisms}
-    compose = {}
+    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+    compose = cat.compose
     for g, inner in doc.get("compose", {}).items():
-        _require(g in by_id, f"{path}.compose.{g}", "unknown morphism")
+        _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
         _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
-            _require(f in by_id, f"{path}.compose.{g}.{f}", "unknown morphism")
-            _require(isinstance(h, str) and h in by_id, f"{path}.compose.{g}.{f}", "unknown composite")
+            _require(cat.has_morphism(f), f"{path}.compose.{g}.{f}", "unknown morphism")
+            _require(isinstance(h, str) and cat.has_morphism(h), f"{path}.compose.{g}.{f}", "unknown composite")
             compose[(g, f)] = h
     # unit-law completion: composites with an identity are forced
     identities = set(identity.values())
-    for g in by_id.values():
-        for f in by_id.values():
-            if f.tgt != g.src or (g.id, f.id) in compose:
-                continue
-            if f.id in identities:
-                compose[(g.id, f.id)] = g.id
-            elif g.id in identities:
-                compose[(g.id, f.id)] = f.id
-            else:
-                raise SchemaError(
-                    f"{path}.compose",
-                    f"missing composite for ({g.id}, {f.id}) not forced by unit laws",
-                )
-    return FinCat(tuple(objects), tuple(morphisms), identity, compose)
+    for g, f in cat.composable_pairs():
+        if (g, f) in compose:
+            continue
+        if f in identities:
+            compose[(g, f)] = g
+        elif g in identities:
+            compose[(g, f)] = f
+        else:
+            raise SchemaError(
+                f"{path}.compose",
+                f"missing composite for ({g}, {f}) not forced by unit laws",
+            )
+    return cat
 
 
 def _build_functor(name, doc, categories):
@@ -297,7 +296,7 @@ def _compose_doc(c: FinCat):
 
 def _category_name(ws, cat):
     for name, c in ws.categories.items():
-        if c == cat:
+        if c is cat:
             return name
     raise UnknownName("category is not part of the workspace")
 
@@ -331,10 +330,9 @@ def dot_export(ws: Workspace, name) -> str:
         base = p.cod
         lines = ["digraph {", "  rankdir=LR;", "  compound=true;"]
         for i, c in enumerate(base.objects):
-            members = [e for e in p.dom.objects if p.omap[e] == c]
             lines.append(f"  subgraph cluster_{i} {{")
             lines.append(f"    label={_dot_quote(c)};")
-            for e in members:
+            for e in fibre(p, c).elements:
                 lines.append(f"    {_dot_quote(e)};")
             lines.append("  }")
         for m in p.dom.morphisms:

@@ -44,7 +44,8 @@ def _comma_with_point(F: FunctorSpec, d: str):
 
 
 def _pi0_data(F: FunctorSpec):
-    """The covariant functor d -> pi0(F/d) plus the object-to-block map."""
+    """The covariant functor d -> pi0(F/d) plus the block map, keyed by the
+    components (d, c, f: Fc -> d) of each comma object."""
     D = F.cod
     eltset, block_of, commas = {}, {}, {}
     for d in D.objects:
@@ -54,15 +55,15 @@ def _pi0_data(F: FunctorSpec):
         for blk in connected_components(cm.cat):
             names.append(blk[0])
             for oid in blk:
-                block_of[(d, oid)] = blk[0]
+                c, _, f = cm.obj_data[oid]
+                block_of[(d, c, f)] = blk[0]
         eltset[d] = tuple(names)
     action = {}
     for g in D.morphisms:
         table = {}
-        for oid, (c, _, f) in commas[g.src].obj_data.items():
-            image = f"({c}|*|{D.compose[(g.id, f)]})"
-            target_block = block_of[(g.tgt, image)]
-            src_block = block_of[(g.src, oid)]
+        for c, _, f in commas[g.src].obj_data.values():
+            target_block = block_of[(g.tgt, c, D.compose[(g.id, f)])]
+            src_block = block_of[(g.src, c, f)]
             if table.setdefault(src_block, target_block) != target_block:
                 raise WitnessFailure(f"block map not well-defined along {g.id}")
         action[g.id] = table
@@ -91,7 +92,7 @@ def comprehensive_factor_opfib(F: FunctorSpec) -> Factorization:
 
     def unit_block(c):
         d = F.omap[c]
-        return block_of[(d, f"({c}|*|{D.identity[d]})")]
+        return block_of[(d, c, D.identity[d])]
 
     omap = {c: f"({F.omap[c]}|{unit_block(c)})" for c in F.dom.objects}
     mmap = {}

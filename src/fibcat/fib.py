@@ -42,26 +42,19 @@ class CartesianWitness:
 def fibre(p: FunctorSpec, c: str) -> Fibre:
     if not p.cod.has_object(c):
         raise UnknownObject(c)
-    idc = p.cod.identity[c]
+    members, over, _ = p._index
     return Fibre(
         base_object=c,
-        elements=tuple(e for e in p.dom.objects if p.omap[e] == c),
-        over_identity=tuple(m.id for m in p.dom.morphisms if p.mmap[m.id] == idc),
+        elements=tuple(members.get(c, ())),
+        over_identity=tuple(over.get(p.cod.identity[c], ())),
     )
-
-
-def _lifts(p: FunctorSpec, u: str, cod_obj: str):
-    """Total morphisms over u with the given codomain object."""
-    return [m.id for m in p.dom.morphisms if p.mmap[m.id] == u and m.tgt == cod_obj]
 
 
 def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:
     violations = []
     for e in p.dom.objects:
-        for u in p.cod.morphisms:
-            if u.tgt != p.omap[e]:
-                continue
-            n = len(_lifts(p, u.id, e))
+        for u in p.cod.into(p.omap[e]):
+            n = len(p.lifts(u.id, e))
             if n != 1:
                 violations.append(_violation("unique-lift", (e, u.id, n)))
     return ValidationReport.from_violations(violations)
@@ -70,11 +63,12 @@ def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:
 def reindex(p: FunctorSpec, u: str) -> Reindexing:
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("reindexing requires a discrete fibration")
-    m = p.cod.morphism(u)
-    table = {}
-    for x in fibre(p, m.tgt).elements:
-        (h,) = _lifts(p, u, x)
-        table[x] = p.dom.src(h)
+    return _reindex(p, u)
+
+
+def _reindex(p: FunctorSpec, u: str) -> Reindexing:
+    """reindex for a p the caller has already checked to be discrete."""
+    table = {x: p.dom.src(p.lifts(u, x)[0]) for x in fibre(p, p.cod.tgt(u)).elements}
     return Reindexing(along=u, table=table)
 
 
@@ -85,25 +79,18 @@ def is_cartesian(p: FunctorSpec, f: str):
     m = E.morphism(f)
     u = p.mmap[f]
     fillers = {}
-    for g in E.morphisms:
-        if g.tgt != m.tgt:
-            continue
-        for w in C.morphisms:
-            if w.src != p.omap[g.src] or w.tgt != C.src(u):
-                continue
-            if C.compose[(u, w.id)] != p.mmap[g.id]:
+    for g in E.into(m.tgt):
+        for w in C.hom(p.omap[g.src], C.src(u)):
+            if C.compose[(u, w)] != p.mmap[g.id]:
                 continue
             hs = [
-                h.id
-                for h in E.morphisms
-                if h.src == g.src
-                and h.tgt == m.src
-                and p.mmap[h.id] == w.id
-                and E.compose[(f, h.id)] == g.id
+                h
+                for h in p.lifts(w, m.src)
+                if E.src(h) == g.src and E.compose[(f, h)] == g.id
             ]
             if len(hs) != 1:
-                return {"ok": False, "counterexample": (g.id, w.id, len(hs))}
-            fillers[(g.id, w.id)] = hs[0]
+                return {"ok": False, "counterexample": (g.id, w, len(hs))}
+            fillers[(g.id, w)] = hs[0]
     return {
         "ok": True,
         "witness": CartesianWitness(lift=f, over=u, fillers=fillers),
@@ -119,11 +106,9 @@ def is_fibration(p: FunctorSpec):
     cleavage = {}
     violations = []
     for e in p.dom.objects:
-        for u in p.cod.morphisms:
-            if u.tgt != p.omap[e]:
-                continue
+        for u in p.cod.into(p.omap[e]):
             found = None
-            for cand in _lifts(p, u.id, e):
+            for cand in p.lifts(u.id, e):
                 if is_cartesian(p, cand)["ok"]:
                     found = cand
                     break
@@ -161,8 +146,8 @@ def is_fib_morphism(H: FunctorSpec, p: FunctorSpec, q: FunctorSpec) -> Validatio
             violations.append(_violation("triangle-morphism", (m.id,)))
     if is_discrete_fibration(p).ok and is_discrete_fibration(q).ok:
         for u in p.cod.morphisms:
-            rp = reindex(p, u.id)
-            rq = reindex(q, u.id)
+            rp = _reindex(p, u.id)
+            rq = _reindex(q, u.id)
             for x, x_star in rp.table.items():
                 hx = H.omap[x]
                 if hx in rq.table and rq.table[hx] != H.omap[x_star]:

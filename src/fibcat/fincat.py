@@ -10,6 +10,7 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CodMismatch, MalformedSpec
 
@@ -43,7 +44,8 @@ class FinCat:
     objects and morphisms are kept in declaration order; every enumeration
     in the library iterates in that order, so constructions are
     deterministic.  ``compose`` maps (g, f) with tgt(f) = src(g) to the id
-    of g after f.
+    of g after f.  The derived indexes read ``objects`` and ``morphisms``
+    only, so a constructor may fill ``compose`` after building the category.
     """
 
     objects: tuple
@@ -54,6 +56,8 @@ class FinCat:
     # derived lookups, filled in __post_init__
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
     _obj_index: dict = field(default_factory=dict, repr=False, compare=False)
+    _into: dict = field(default_factory=dict, repr=False, compare=False)
+    _hom: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -62,6 +66,12 @@ class FinCat:
         object.__setattr__(
             self, "_obj_index", {c: i for i, c in enumerate(self.objects)}
         )
+        into, hom = {}, {}
+        for m in self.morphisms:
+            into.setdefault(m.tgt, []).append(m)
+            hom.setdefault((m.src, m.tgt), []).append(m.id)
+        object.__setattr__(self, "_into", {c: tuple(ms) for c, ms in into.items()})
+        object.__setattr__(self, "_hom", hom)
 
     def has_object(self, c):
         return c in self._obj_index
@@ -85,14 +95,17 @@ class FinCat:
     def composable(self, g, f):
         return self.tgt(f) == self.src(g)
 
+    def into(self, c):
+        """The morphisms with target c, in declaration order."""
+        return self._into.get(c, ())
+
     def hom(self, a, b):
-        return [m.id for m in self.morphisms if m.src == a and m.tgt == b]
+        return list(self._hom.get((a, b), ()))
 
     def composable_pairs(self):
         for g in self.morphisms:
-            for f in self.morphisms:
-                if f.tgt == g.src:
-                    yield g.id, f.id
+            for f in self.into(g.src):
+                yield g.id, f.id
 
 
 def _check_category_wellformed(c: FinCat):
@@ -147,12 +160,8 @@ def validate_category(c: FinCat) -> ValidationReport:
             violations.append(_violation("left-unit", (lid, m.id)))
     # associativity, only meaningful where the table is total enough
     for h in c.morphisms:
-        for g in c.morphisms:
-            if g.tgt != h.src:
-                continue
-            for f in c.morphisms:
-                if f.tgt != g.src:
-                    continue
+        for g in c.into(h.src):
+            for f in c.into(g.src):
                 gf = c.compose.get((g.id, f.id))
                 hg = c.compose.get((h.id, g.id))
                 if gf is None or hg is None:
@@ -172,6 +181,24 @@ class FunctorSpec:
     cod: FinCat
     omap: dict  # object id -> object id
     mmap: dict  # morphism id -> morphism id
+
+    @cached_property
+    def _index(self):
+        """Fibre members per codomain object, domain morphisms per image,
+        and lifts per (image, domain target), each in declaration order.
+        Built on first use, so omap and mmap must be complete by then."""
+        members, over, lifts = {}, {}, {}
+        for e in self.dom.objects:
+            members.setdefault(self.omap[e], []).append(e)
+        for m in self.dom.morphisms:
+            u = self.mmap[m.id]
+            over.setdefault(u, []).append(m.id)
+            lifts.setdefault((u, m.tgt), []).append(m.id)
+        return members, over, {k: tuple(hs) for k, hs in lifts.items()}
+
+    def lifts(self, u, e):
+        """The domain morphisms over u with target e, in declaration order."""
+        return self._index[2].get((u, e), ())
 
 
 def _check_functor_wellformed(F: FunctorSpec):
@@ -343,20 +370,19 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
     C = F.cod
-    objects, obj_data = [], {}
+    objects, obj_data, by_pair = [], {}, {}
     for a in F.dom.objects:
         for b in G.dom.objects:
             for f in C.hom(F.omap[a], G.omap[b]):
                 oid = _triple_id(a, b, f)
                 objects.append(oid)
                 obj_data[oid] = (a, b, f)
+                by_pair.setdefault((a, b), []).append(oid)
     morphisms, mor_data = [], {}
     for u in F.dom.morphisms:
         for v in G.dom.morphisms:
-            for src_oid in objects:
-                a, b, f = obj_data[src_oid]
-                if u.src != a or v.src != b:
-                    continue
+            for src_oid in by_pair.get((u.src, v.src), ()):
+                f = obj_data[src_oid][2]
                 left = C.compose[(G.mmap[v.id], f)]
                 for f2 in C.hom(F.omap[u.tgt], G.omap[v.tgt]):
                     if C.compose[(f2, F.mmap[u.id])] != left:
@@ -369,17 +395,13 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     for oid in objects:
         a, b, f = obj_data[oid]
         identity[oid] = _square_id(F.dom.identity[a], G.dom.identity[b], f, f)
-    compose = {}
-    for m2 in morphisms:  # g after f
-        for m1 in morphisms:
-            if m1.tgt != m2.src:
-                continue
-            u2, v2, _, f3 = mor_data[m2.id]
-            u1, v1, f1, _ = mor_data[m1.id]
-            compose[(m2.id, m1.id)] = _square_id(
-                F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3
-            )
-    cat = FinCat(tuple(objects), tuple(morphisms), identity, compose)
+    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+    for g, f in cat.composable_pairs():
+        u2, v2, _, f3 = mor_data[g]
+        u1, v1, f1, _ = mor_data[f]
+        cat.compose[(g, f)] = _square_id(
+            F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3
+        )
     projA = FunctorSpec(
         dom=cat,
         cod=F.dom,

@@ -8,10 +8,10 @@ and verify the canonical isomorphism witnesses in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidFunctor, NotDiscreteFibration, WitnessFailure
-from .fib import fibre, is_discrete_fibration, reindex
+from .fib import _reindex, fibre, is_discrete_fibration
 from .fincat import (
     CONTRAVARIANT,
     COVARIANT,
@@ -34,6 +34,10 @@ def _pair(a, b):
 class ElementsResult:
     total: FinCat
     projection: FunctorSpec
+    # object id -> (c, x) and morphism id -> (f, key); kept so callers
+    # recover components without re-parsing encoded ids
+    obj_data: dict = field(default_factory=dict, repr=False, compare=False)
+    mor_data: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def elements(W: SetValuedFunctor) -> ElementsResult:
@@ -47,61 +51,34 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
         raise InvalidFunctor("functoriality laws fail")
     contra = W.variance == CONTRAVARIANT
     base = W.base
-    objects = tuple(_pair(c, x) for c in base.objects for x in W.eltset[c])
-    morphisms = []
+    pairs = [(c, x) for c in base.objects for x in W.eltset[c]]
+    objects = tuple(_pair(c, x) for c, x in pairs)
+    obj_data = dict(zip(objects, pairs))
+    morphisms, mor_data = [], {}
     for f in base.morphisms:
-        for key in W.action[f.id]:
-            val = W.action[f.id][key]
+        for key, val in W.action[f.id].items():
             if contra:
                 src, tgt = _pair(f.src, val), _pair(f.tgt, key)
             else:
                 src, tgt = _pair(f.src, key), _pair(f.tgt, val)
-            morphisms.append(Morphism(_pair(f.id, key), src, tgt))
-    identity = {
-        _pair(c, x): _pair(base.identity[c], x)
-        for c in base.objects
-        for x in W.eltset[c]
-    }
-    compose = {}
-    mor_by_id = {m.id: m for m in morphisms}
+            mid = _pair(f.id, key)
+            morphisms.append(Morphism(mid, src, tgt))
+            mor_data[mid] = (f.id, key)
+    identity = {oid: _pair(base.identity[c], x) for oid, (c, x) in obj_data.items()}
+    total = FinCat(objects, tuple(morphisms), identity, {})
     # the composite over g.f carries the key of the outer (contra) or the
     # inner (covariant) morphism
-    for m2 in morphisms:
-        f2, k2 = _split_pair(m2.id)
-        for m1 in morphisms:
-            if m1.tgt != m2.src:
-                continue
-            f1, k1 = _split_pair(m1.id)
-            h = base.compose[(f2, f1)]
-            key = k2 if contra else k1
-            compose[(m2.id, m1.id)] = _pair(h, key)
-    total = FinCat(objects, tuple(morphisms), identity, compose)
+    for g, f in total.composable_pairs():
+        f2, k2 = mor_data[g]
+        f1, k1 = mor_data[f]
+        total.compose[(g, f)] = _pair(base.compose[(f2, f1)], k2 if contra else k1)
     projection = FunctorSpec(
         dom=total,
         cod=base,
-        omap={_pair(c, x): c for c in base.objects for x in W.eltset[c]},
-        mmap={m.id: _split_pair(m.id)[0] for m in morphisms},
+        omap={oid: c for oid, (c, _) in obj_data.items()},
+        mmap={mid: f for mid, (f, _) in mor_data.items()},
     )
-    return ElementsResult(total=total, projection=projection)
-
-
-def _split_pair(pid):
-    """Inverse of _pair: split "(left|right)" at the top-level separator.
-
-    Components may themselves be encoded pairs; any '|' they carry sits
-    inside their own parentheses, so the first depth-1 separator is the
-    right one.
-    """
-    body = pid[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return [body[:i], body[i + 1 :]]
-    raise ValueError(f"not an encoded pair: {pid}")
+    return ElementsResult(total, projection, obj_data, mor_data)
 
 
 def straighten(p: FunctorSpec) -> SetValuedFunctor:
@@ -110,7 +87,7 @@ def straighten(p: FunctorSpec) -> SetValuedFunctor:
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("straighten requires a discrete fibration")
     eltset = {c: fibre(p, c).elements for c in p.cod.objects}
-    action = {u.id: dict(reindex(p, u.id).table) for u in p.cod.morphisms}
+    action = {u.id: _reindex(p, u.id).table for u in p.cod.morphisms}
     return SetValuedFunctor(
         base=p.cod, variance=CONTRAVARIANT, eltset=eltset, action=action
     )
@@ -144,18 +121,13 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
     elements(straighten(p)) = dom(p)."""
     built = elements(straighten(p))
     E = p.dom
-    fw_omap, fw_mmap = {}, {}
-    for oid in built.total.objects:
-        _, e = _split_pair(oid)
-        fw_omap[oid] = e
-    for m in built.total.morphisms:
-        u, y = _split_pair(m.id)
-        cands = [
-            h.id for h in E.morphisms if p.mmap[h.id] == u and h.tgt == y
-        ]
+    fw_omap = {oid: e for oid, (_, e) in built.obj_data.items()}
+    fw_mmap = {}
+    for mid, (u, y) in built.mor_data.items():
+        cands = p.lifts(u, y)
         if len(cands) != 1:
-            raise WitnessFailure(f"no unique lift for {m.id}")
-        fw_mmap[m.id] = cands[0]
+            raise WitnessFailure(f"no unique lift for {mid}")
+        fw_mmap[mid] = cands[0]
     forward = FunctorSpec(built.total, E, fw_omap, fw_mmap)
     backward = FunctorSpec(
         E,

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDiscreteFibration, NotOverMCG, UnequalFibres, WitnessFailure
-from .fib import fibre, is_discrete_fibration, reindex
+from .fib import _reindex, fibre, is_discrete_fibration
 from .fincat import (
     FinCat,
     FunctorSpec,
@@ -47,12 +47,7 @@ def mcg_on_function(fn: dict, A, B) -> FunctorSpec:
 def is_mcg(c: FinCat) -> bool:
     """Structural recognition: exactly one morphism between every ordered
     pair of objects."""
-    if not c.objects:
-        return True
-    counts = {}
-    for m in c.morphisms:
-        counts[(m.src, m.tgt)] = counts.get((m.src, m.tgt), 0) + 1
-    return all(counts.get((a, b)) == 1 for a in c.objects for b in c.objects)
+    return all(len(c.hom(a, b)) == 1 for a in c.objects for b in c.objects)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     sizes = {a: len(fibre(p, a).elements) for a in base.objects}
     if len(set(sizes.values())) > 1:
         raise UnequalFibres(str(sizes))
-    transports = {a: reindex(p, f"({a0}->{a})").table for a in base.objects}
+    transports = {a: _reindex(p, base.hom(a0, a)[0]).table for a in base.objects}
     transport = {}
     for e in p.dom.objects:
         a = p.omap[e]
@@ -119,19 +114,13 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
         mmap[h.id] = f"({transport[h.src]}|{p.mmap[h.id]})"
     H = FunctorSpec(p.dom, product, omap, mmap)
     inv_omap, inv_mmap = {}, {}
-    back = {a: reindex(p, f"({a}->{a0})").table for a in base.objects}
+    back = {a: _reindex(p, base.hom(a, a0)[0]).table for a in base.objects}
     for x in X:
         for a in base.objects:
             inv_omap[f"({x}|{a})"] = back[a][x]
     for x in X:
         for m in base.morphisms:
-            e_tgt = back[m.tgt][x]
-            lifts = [
-                h.id
-                for h in p.dom.morphisms
-                if p.mmap[h.id] == m.id and h.tgt == e_tgt
-            ]
-            inv_mmap[f"({x}|{m.id})"] = lifts[0]
+            inv_mmap[f"({x}|{m.id})"] = p.lifts(m.id, back[m.tgt][x])[0]
     Hinv = FunctorSpec(product, p.dom, inv_omap, inv_mmap)
     for F in (H, Hinv):
         if not validate_functor(F).ok:

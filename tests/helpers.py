@@ -341,3 +341,31 @@ def count_fibration_morphisms(V, W):
         if validate_functor(H).ok and is_fib_morphism(H, ev.projection, ew.projection).ok:
             count += 1
     return count
+
+
+# --- all-morphisms scans, the oracles for the indexed lookups --------------
+
+
+def scan_into(cat: FinCat, c):
+    return [m for m in cat.morphisms if m.tgt == c]
+
+
+def scan_hom(cat: FinCat, a, b):
+    return [m.id for m in cat.morphisms if m.src == a and m.tgt == b]
+
+
+def scan_composable_pairs(cat: FinCat):
+    return [(g.id, f.id) for g in cat.morphisms for f in cat.morphisms if f.tgt == g.src]
+
+
+def scan_lifts(p: FunctorSpec, u, e):
+    return [m.id for m in p.dom.morphisms if p.mmap[m.id] == u and m.tgt == e]
+
+
+def scan_fibre(p: FunctorSpec, c):
+    """The fibre members over c and the morphisms over its identity."""
+    idc = p.cod.identity[c]
+    return (
+        tuple(e for e in p.dom.objects if p.omap[e] == c),
+        tuple(m.id for m in p.dom.morphisms if p.mmap[m.id] == idc),
+    )

@@ -244,3 +244,55 @@ class TestDot:
         assert code == 0
         assert text.count("subgraph cluster_") == 3
         assert '"base:A" -> "base:B"' in text
+
+
+class TestIdsAndAliases:
+    def test_elements_with_a_separator_in_a_morphism_id(self, tmp_path):
+        doc = {
+            "format": 1,
+            "categories": {
+                "C": {
+                    "objects": ["A", "B"],
+                    "morphisms": [{"id": "f|g", "src": "A", "tgt": "B"}],
+                }
+            },
+            "presheaves": {
+                "W": {
+                    "base": "C",
+                    "eltset": {"A": ["x"], "B": ["y"]},
+                    "action": {"f|g": {"y": "x"}},
+                }
+            },
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, text = run(["elements", str(path), "W"])
+        assert code == 0
+        assert "MORPHISM: (f|g|y) : (A|x) -> (B|y)" in text.splitlines()
+
+    def test_save_load_keeps_equal_categories_apart(self, tmp_path):
+        from fibcat.fincat import SetValuedFunctor, identity_functor
+
+        a, b = mcg("xy"), mcg("xy")
+        assert a == b and a is not b
+        W = SetValuedFunctor(
+            base=b,
+            variance="contravariant",
+            eltset={"x": ("e",), "y": ("e",)},
+            action={m.id: {"e": "e"} for m in b.morphisms},
+        )
+        ws = cli.Workspace(
+            categories={"a": a, "b": b},
+            functors={"F": identity_functor(b)},
+            presheaves={"W": W},
+        )
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        cli.save(ws, str(first))
+        doc = json.loads(first.read_text())
+        assert (doc["functors"]["F"]["dom"], doc["functors"]["F"]["cod"]) == ("b", "b")
+        assert doc["presheaves"]["W"]["base"] == "b"
+        back = cli.load(str(first))
+        assert back.functors["F"].dom is back.categories["b"]
+        assert back.presheaves["W"].base is back.categories["b"]
+        cli.save(back, str(second))
+        assert first.read_bytes() == second.read_bytes()

@@ -108,3 +108,12 @@ class TestClassification:
         p = FunctorSpec(empty, empty, {}, {})
         cls = classify_over_mcg(p)
         assert cls.fibre_set == ()
+
+
+def test_classify_over_a_one_object_category_with_its_own_ids():
+    from fibcat.fincat import terminal_category
+
+    _, proj = product_with_mcg(("x0", "x1"), terminal_category())
+    cls = classify_over_mcg(proj)
+    assert cls.fibre_set == ("(x0|*)", "(x1|*)")
+    assert cls.iso.omap["(x1|*)"] == "((x1|*)|*)"
