@@ -4,8 +4,8 @@ A workspace is a single JSON document with named categories, functors,
 presheaves, lexicons and corpora.  Identity morphisms may be omitted in
 files and are synthesized on load (named "id:<object>"), together with the
 composition entries forced by the unit laws; any other missing composite
-is a SchemaError.  ``save`` emits a canonical form so save . load is
-byte-stable.
+is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  ``save``
+emits a canonical form so save . load is byte-stable.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .errors import (
     IoError,
     MalformedSpec,
     SchemaError,
+    TypeSyntaxError,
+    UnknownMorphism,
     UnknownName,
     ValidationError,
 )
@@ -41,6 +43,8 @@ from .fincat import (
     SetValuedFunctor,
     ValidationReport,
     comma,
+    complete_units,
+    is_plain_id,
     pullback,
     validate_category,
     validate_functor,
@@ -64,27 +68,55 @@ def _require(cond, path, message):
         raise SchemaError(path, message)
 
 
+# Workspace ids must pass is_plain_id, so the ids built from them never collide.
+_ID_RULE = "brackets must nest and '|' may appear only inside them"
+
+
+def _require_ids(ids, path):
+    for i, s in enumerate(ids):
+        if not is_plain_id(s):
+            raise SchemaError(f"{path}[{i}]", _ID_RULE)
+
+
+def _object(doc, key, path):
+    value = doc.get(key, {})
+    _require(isinstance(value, dict), path, "expected an object")
+    return value
+
+
+def _str_map(value, path):
+    ok = isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+    _require(ok, path, "expected an object of strings")
+    return dict(value)
+
+
+def _str_list(value, path):
+    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    _require(ok, path, "expected a list of strings")
+    return value
+
+
 def _build_category(name, doc):
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
     _require("morphisms" in doc, f"{path}.morphisms", "missing 'morphisms'")
-    objects = doc["objects"]
-    _require(
-        isinstance(objects, list) and all(isinstance(o, str) for o in objects),
-        f"{path}.objects",
-        "expected a list of strings",
-    )
+    objects = _str_list(doc["objects"], f"{path}.objects")
+    _require_ids(objects, f"{path}.objects")
+    _require(isinstance(doc["morphisms"], list), f"{path}.morphisms", "expected a list")
+    known = set(objects)
     morphisms = []
     for i, rec in enumerate(doc["morphisms"]):
         mp = f"{path}.morphisms[{i}]"
         _require(isinstance(rec, dict), mp, "expected an object")
         for key in ("id", "src", "tgt"):
             _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
-        _require(rec["src"] in objects, f"{mp}.src", f"unknown object {rec['src']}")
-        _require(rec["tgt"] in objects, f"{mp}.tgt", f"unknown object {rec['tgt']}")
+        if not is_plain_id(rec["id"]):
+            raise SchemaError(f"{mp}.id", _ID_RULE)
+        _require(rec["src"] in known, f"{mp}.src", f"unknown object {rec['src']}")
+        _require(rec["tgt"] in known, f"{mp}.tgt", f"unknown object {rec['tgt']}")
         morphisms.append(Morphism(rec["id"], rec["src"], rec["tgt"]))
-    identity = dict(doc.get("identity", {}))
+    identity = _str_map(doc.get("identity", {}), f"{path}.identity")
     declared = {m.id for m in morphisms}
     for obj in objects:
         if obj not in identity:
@@ -101,27 +133,19 @@ def _build_category(name, doc):
             )
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     compose = cat.compose
-    for g, inner in doc.get("compose", {}).items():
+    for g, inner in _object(doc, "compose", f"{path}.compose").items():
         _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
         _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
             _require(cat.has_morphism(f), f"{path}.compose.{g}.{f}", "unknown morphism")
             _require(isinstance(h, str) and cat.has_morphism(h), f"{path}.compose.{g}.{f}", "unknown composite")
             compose[(g, f)] = h
-    # unit-law completion: composites with an identity are forced
-    identities = set(identity.values())
-    for g, f in cat.composable_pairs():
-        if (g, f) in compose:
-            continue
-        if f in identities:
-            compose[(g, f)] = g
-        elif g in identities:
-            compose[(g, f)] = f
-        else:
-            raise SchemaError(
-                f"{path}.compose",
-                f"missing composite for ({g}, {f}) not forced by unit laws",
-            )
+    missing = complete_units(cat)
+    if missing is not None:
+        raise SchemaError(
+            f"{path}.compose",
+            "missing composite for ({}, {}) not forced by unit laws".format(*missing),
+        )
     return cat
 
 
@@ -130,11 +154,13 @@ def _build_functor(name, doc, categories):
     _require(isinstance(doc, dict), path, "expected an object")
     for key in ("dom", "cod", "omap", "mmap"):
         _require(key in doc, f"{path}.{key}", "missing")
-    _require(doc["dom"] in categories, f"{path}.dom", f"unknown category {doc['dom']}")
-    _require(doc["cod"] in categories, f"{path}.cod", f"unknown category {doc['cod']}")
+    for key in ("dom", "cod"):
+        cname = doc[key]
+        ok = isinstance(cname, str) and cname in categories
+        _require(ok, f"{path}.{key}", f"unknown category {cname}")
     dom, cod = categories[doc["dom"]], categories[doc["cod"]]
-    omap = dict(doc["omap"])
-    mmap = dict(doc["mmap"])
+    omap = _str_map(doc["omap"], f"{path}.omap")
+    mmap = _str_map(doc["mmap"], f"{path}.mmap")
     for c in dom.objects:
         _require(c in omap, f"{path}.omap.{c}", "missing object image")
         _require(cod.has_object(omap[c]), f"{path}.omap.{c}", f"unknown object {omap[c]}")
@@ -153,27 +179,73 @@ def _build_functor(name, doc, categories):
 def _build_presheaf(name, doc, categories):
     path = f"presheaves.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
-    _require(doc.get("base") in categories, f"{path}.base", "unknown category")
-    base = categories[doc["base"]]
+    base_name = doc.get("base")
+    ok = isinstance(base_name, str) and base_name in categories
+    _require(ok, f"{path}.base", "unknown category")
+    base = categories[base_name]
     variance = doc.get("variance", CONTRAVARIANT)
     _require(
         variance in (CONTRAVARIANT, COVARIANT), f"{path}.variance", "bad variance"
     )
     eltset = {}
-    for c, elts in doc.get("eltset", {}).items():
-        _require(base.has_object(c), f"{path}.eltset.{c}", "unknown object")
+    for c, elts in _object(doc, "eltset", f"{path}.eltset").items():
+        epath = f"{path}.eltset.{c}"
+        _require(base.has_object(c), epath, "unknown object")
+        _require_ids(_str_list(elts, epath), epath)
+        _require(len(set(elts)) == len(elts), epath, "duplicate elements")
         eltset[c] = tuple(elts)
     for c in base.objects:
         _require(c in eltset, f"{path}.eltset.{c}", "missing element set")
     action = {}
-    for mid, table in doc.get("action", {}).items():
+    for mid, table in _object(doc, "action", f"{path}.action").items():
         _require(base.has_morphism(mid), f"{path}.action.{mid}", "unknown morphism")
-        action[mid] = dict(table)
+        action[mid] = _str_map(table, f"{path}.action.{mid}")
     for m in base.morphisms:
         if m.id not in action and base.is_identity(m.id):
             action[m.id] = {x: x for x in eltset[m.src]}
         _require(m.id in action, f"{path}.action.{m.id}", "missing action")
     return SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
+
+
+def _build_lexicon(name, entries):
+    """(phrase, type text) pairs; each type must parse, each phrase occurs
+    once and is non-empty."""
+    lpath = f"lexicons.{name}"
+    _require(isinstance(entries, list), lpath, "expected a list")
+    pairs, phrases = [], set()
+    for i, rec in enumerate(entries):
+        epath = f"{lpath}[{i}]"
+        ok = isinstance(rec, dict) and "phrase" in rec and "type" in rec
+        _require(ok, epath, "expected {phrase, type}")
+        phrase, text = rec["phrase"], rec["type"]
+        tokens = tuple(phrase.split()) if isinstance(phrase, str) else ()
+        if not tokens or tokens in phrases or not all(map(is_plain_id, tokens)):
+            problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
+            raise SchemaError(f"{epath}.phrase", problem)
+        phrases.add(tokens)
+        if not (isinstance(text, str) and is_plain_id(text)):
+            raise SchemaError(f"{epath}.type", f"expected a string in which {_ID_RULE}")
+        try:
+            pregroup.parse_type(text)
+        except TypeSyntaxError as exc:
+            raise SchemaError(f"{epath}.type", str(exc)) from exc
+        pairs.append((phrase, text))
+    return pairs
+
+
+def _build_corpus(name, sentences):
+    cpath = f"corpora.{name}"
+    _require(isinstance(sentences, list), cpath, "expected a list")
+    toks = []
+    for i, s in enumerate(sentences):
+        if isinstance(s, str):
+            toks.append(s.split())
+        elif isinstance(s, list) and all(isinstance(t, str) for t in s):
+            toks.append(list(s))
+        else:
+            raise SchemaError(f"{cpath}[{i}]", "expected a string or token list")
+        _require_ids(toks[-1], f"{cpath}[{i}]")
+    return toks
 
 
 def load(path) -> Workspace:
@@ -187,36 +259,16 @@ def load(path) -> Workspace:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require(doc.get("format") == FORMAT_VERSION, "format", "expected format 1")
     ws = Workspace()
-    for name, cdoc in doc.get("categories", {}).items():
+    for name, cdoc in _object(doc, "categories", "categories").items():
         ws.categories[name] = _build_category(name, cdoc)
-    for name, fdoc in doc.get("functors", {}).items():
+    for name, fdoc in _object(doc, "functors", "functors").items():
         ws.functors[name] = _build_functor(name, fdoc, ws.categories)
-    for name, pdoc in doc.get("presheaves", {}).items():
+    for name, pdoc in _object(doc, "presheaves", "presheaves").items():
         ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories)
-    for name, entries in doc.get("lexicons", {}).items():
-        lpath = f"lexicons.{name}"
-        _require(isinstance(entries, list), lpath, "expected a list")
-        pairs = []
-        for i, rec in enumerate(entries):
-            _require(
-                isinstance(rec, dict) and "phrase" in rec and "type" in rec,
-                f"{lpath}[{i}]",
-                "expected {phrase, type}",
-            )
-            pairs.append((rec["phrase"], rec["type"]))
-        ws.lexicons[name] = pairs
-    for name, sentences in doc.get("corpora", {}).items():
-        cpath = f"corpora.{name}"
-        _require(isinstance(sentences, list), cpath, "expected a list")
-        toks = []
-        for i, s in enumerate(sentences):
-            if isinstance(s, str):
-                toks.append(s.split())
-            elif isinstance(s, list) and all(isinstance(t, str) for t in s):
-                toks.append(list(s))
-            else:
-                raise SchemaError(f"{cpath}[{i}]", "expected a string or token list")
-        ws.corpora[name] = toks
+    for name, entries in _object(doc, "lexicons", "lexicons").items():
+        ws.lexicons[name] = _build_lexicon(name, entries)
+    for name, sentences in _object(doc, "corpora", "corpora").items():
+        ws.corpora[name] = _build_corpus(name, sentences)
     _validate_workspace(ws)
     return ws
 
@@ -235,8 +287,6 @@ def _validate_workspace(ws: Workspace):
             collect(validate_functor(F), f"functors.{name}")
         for name, W in ws.presheaves.items():
             collect(validate_set_valued(W), f"presheaves.{name}")
-        for name, pairs in ws.lexicons.items():
-            pregroup.make_lexicon(pairs)
     except MalformedSpec as exc:
         raise SchemaError("$", str(exc)) from exc
     if violations:
@@ -308,6 +358,16 @@ def _dot_quote(s):
     return '"' + s.replace('"', '\\"') + '"'
 
 
+def _dot_edges(cat, label, prefix=""):
+    """One labelled edge per non-identity morphism of cat."""
+    return [
+        f"  {_dot_quote(prefix + m.src)} -> {_dot_quote(prefix + m.tgt)}"
+        f" [label={_dot_quote(label(m.id))}];"
+        for m in cat.morphisms
+        if not cat.is_identity(m.id)
+    ]
+
+
 def dot_export(ws: Workspace, name) -> str:
     """DOT text for a named category, or for a named functor rendered as a
     fibration: fibres as clusters over base nodes, reindexing edges
@@ -315,43 +375,23 @@ def dot_export(ws: Workspace, name) -> str:
     if name in ws.categories:
         c = ws.categories[name]
         lines = ["digraph {", "  rankdir=LR;"]
-        for o in c.objects:
-            lines.append(f"  {_dot_quote(o)};")
-        for m in c.morphisms:
-            if not c.is_identity(m.id):
-                lines.append(
-                    f"  {_dot_quote(m.src)} -> {_dot_quote(m.tgt)}"
-                    f" [label={_dot_quote(m.id)}];"
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if name in ws.functors:
+        lines += [f"  {_dot_quote(o)};" for o in c.objects]
+        lines += _dot_edges(c, str)
+    elif name in ws.functors:
         p = ws.functors[name]
         base = p.cod
         lines = ["digraph {", "  rankdir=LR;", "  compound=true;"]
         for i, c in enumerate(base.objects):
             lines.append(f"  subgraph cluster_{i} {{")
             lines.append(f"    label={_dot_quote(c)};")
-            for e in fibre(p, c).elements:
-                lines.append(f"    {_dot_quote(e)};")
+            lines += [f"    {_dot_quote(e)};" for e in fibre(p, c).elements]
             lines.append("  }")
-        for m in p.dom.morphisms:
-            if not p.dom.is_identity(m.id):
-                lines.append(
-                    f"  {_dot_quote(m.src)} -> {_dot_quote(m.tgt)}"
-                    f" [label={_dot_quote(p.mmap[m.id])}];"
-                )
-        for c in base.objects:
-            lines.append(f"  {_dot_quote('base:' + c)} [shape=box];")
-        for m in base.morphisms:
-            if not base.is_identity(m.id):
-                lines.append(
-                    f"  {_dot_quote('base:' + m.src)} -> {_dot_quote('base:' + m.tgt)}"
-                    f" [label={_dot_quote(m.id)}];"
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise UnknownName(name)
+        lines += _dot_edges(p.dom, lambda mid: p.mmap[mid])
+        lines += [f"  {_dot_quote('base:' + c)} [shape=box];" for c in base.objects]
+        lines += _dot_edges(base, str, "base:")
+    else:
+        raise UnknownName(name)
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 # --- command implementations ---------------------------------------------
@@ -361,15 +401,36 @@ def _emit(out, key, value):
     print(f"{key}: {value}", file=out)
 
 
-def _report_lines(out, report):
-    for v in report.violations:
+def _report_lines(out, violations):
+    for v in violations:
         _emit(out, "VIOLATION", f"{v['law']} {v['witness']}")
+
+
+def _verdict(out, report, ok_text, fail_text):
+    if report.ok:
+        _emit(out, "OK", ok_text)
+        return 0
+    _emit(out, "FAIL", fail_text)
+    _report_lines(out, report.violations)
+    return 1
 
 
 def _get(ws_map, name, kind):
     if name not in ws_map:
         raise UnknownName(f"no {kind} named {name!r}")
     return ws_map[name]
+
+
+def _functor(args):
+    return _get(load(args.workspace).functors, args.functor, "functor")
+
+
+def _print_category(cat, out):
+    for o in cat.objects:
+        _emit(out, "OBJECT", o)
+    for m in cat.morphisms:
+        if not cat.is_identity(m.id):
+            _emit(out, "MORPHISM", f"{m.id} : {m.src} -> {m.tgt}")
 
 
 def cmd_validate(args, out):
@@ -379,62 +440,43 @@ def cmd_validate(args, out):
 
 
 def cmd_fibres(args, out):
-    ws = load(args.workspace)
-    p = _get(ws.functors, args.functor, "functor")
+    p = _functor(args)
     for c in p.cod.objects:
-        fb = fibre(p, c)
-        _emit(out, c, " ".join(fb.elements))
+        _emit(out, c, " ".join(fibre(p, c).elements))
     return 0
 
 
 def cmd_reindex(args, out):
-    ws = load(args.workspace)
-    p = _get(ws.functors, args.functor, "functor")
-    r = reindex(p, args.morphism)
+    r = reindex(_functor(args), args.morphism)
     for x, y in r.table.items():
         print(f"{x} -> {y}", file=out)
     return 0
 
 
 def cmd_check_fib(args, out):
-    ws = load(args.workspace)
-    p = _get(ws.functors, args.functor, "functor")
-    if args.cloven:
-        result = is_fibration(p)
-        if result["ok"]:
-            _emit(out, "OK", "cloven fibration")
-            for (e, u), lift in result["cleavage"].items():
-                _emit(out, "LIFT", f"({e}, {u}) -> {lift}")
-            return 0
+    p = _functor(args)
+    if args.discrete:
+        report = is_discrete_fibration(p)
+        return _verdict(out, report, "discrete fibration", "not a discrete fibration")
+    result = is_fibration(p)
+    if not result["ok"]:
         _emit(out, "FAIL", "not a fibration")
-        for v in result["violations"]:
-            _emit(out, "VIOLATION", f"{v['law']} {v['witness']}")
+        _report_lines(out, result["violations"])
         return 1
-    report = is_discrete_fibration(p)
-    if report.ok:
-        _emit(out, "OK", "discrete fibration")
-        return 0
-    _emit(out, "FAIL", "not a discrete fibration")
-    _report_lines(out, report)
-    return 1
+    _emit(out, "OK", "cloven fibration")
+    for (e, u), lift in result["cleavage"].items():
+        _emit(out, "LIFT", f"({e}, {u}) -> {lift}")
+    return 0
 
 
 def cmd_elements(args, out):
-    ws = load(args.workspace)
-    W = _get(ws.presheaves, args.presheaf, "presheaf")
-    built = groth.elements(W)
-    for o in built.total.objects:
-        _emit(out, "OBJECT", o)
-    for m in built.total.morphisms:
-        if not built.total.is_identity(m.id):
-            _emit(out, "MORPHISM", f"{m.id} : {m.src} -> {m.tgt}")
+    W = _get(load(args.workspace).presheaves, args.presheaf, "presheaf")
+    _print_category(groth.elements(W).total, out)
     return 0
 
 
 def cmd_straighten(args, out):
-    ws = load(args.workspace)
-    p = _get(ws.functors, args.functor, "functor")
-    W = groth.straighten(p)
+    W = groth.straighten(_functor(args))
     for c in W.base.objects:
         _emit(out, c, " ".join(W.eltset[c]))
     for m in W.base.morphisms:
@@ -457,8 +499,7 @@ def cmd_roundtrip(args, out):
 
 
 def cmd_factorize(args, out):
-    ws = load(args.workspace)
-    F = _get(ws.functors, args.functor, "functor")
+    F = _functor(args)
     if args.fib:
         fac = factor_mod.comprehensive_factor_fib(F)
     else:
@@ -470,51 +511,17 @@ def cmd_factorize(args, out):
     return 0
 
 
-def cmd_check_initial(args, out):
-    ws = load(args.workspace)
-    s = _get(ws.functors, args.functor, "functor")
-    report = factor_mod.is_initial(s)
-    if report.ok:
-        _emit(out, "OK", "initial functor")
-        return 0
-    _emit(out, "FAIL", "not initial")
-    _report_lines(out, report)
-    return 1
-
-
-def cmd_check_final(args, out):
-    ws = load(args.workspace)
-    s = _get(ws.functors, args.functor, "functor")
-    report = factor_mod.is_final(s)
-    if report.ok:
-        _emit(out, "OK", "final functor")
-        return 0
-    _emit(out, "FAIL", "not final")
-    _report_lines(out, report)
-    return 1
-
-
-def _print_category(cat, out):
-    for o in cat.objects:
-        _emit(out, "OBJECT", o)
-    for m in cat.morphisms:
-        if not cat.is_identity(m.id):
-            _emit(out, "MORPHISM", f"{m.id} : {m.src} -> {m.tgt}")
+def cmd_check_comma(args, out):
+    """check-initial and check-final: args.check is the library check."""
+    return _verdict(out, args.check(_functor(args)), *args.wording)
 
 
 def cmd_comma(args, out):
+    """comma and pullback: args.construct builds the category."""
     ws = load(args.workspace)
     F = _get(ws.functors, args.F, "functor")
     G = _get(ws.functors, args.G, "functor")
-    _print_category(comma(F, G).cat, out)
-    return 0
-
-
-def cmd_pullback(args, out):
-    ws = load(args.workspace)
-    F = _get(ws.functors, args.F, "functor")
-    G = _get(ws.functors, args.G, "functor")
-    _print_category(pullback(F, G).cat, out)
+    _print_category(args.construct(F, G).cat, out)
     return 0
 
 
@@ -527,18 +534,25 @@ def cmd_mcg(args, out):
             ids = [args.objects] if args.objects else []
         else:
             ids = [str(i) for i in range(n)]
+    if len(set(ids)) != len(ids):
+        raise SchemaError("objects", "duplicate object names")
     _print_category(make_mcg(ids), out)
     return 0
 
 
 def cmd_classify_mcg(args, out):
-    ws = load(args.workspace)
-    p = _get(ws.functors, args.functor, "functor")
+    p = _functor(args)
     cls = classify_over_mcg(p)
     _emit(out, "FIBRE-SET", " ".join(cls.fibre_set))
     for e in p.dom.objects:
         _emit(out, "H", f"{e} -> {cls.iso.omap[e]}")
     return 0
+
+
+def _grammar(pairs, args):
+    """The lexicon and the target type, read in the convention args ask for."""
+    conv = args.convention
+    return pregroup.make_lexicon(pairs, conv), pregroup.parse_type(args.target, conv)
 
 
 def cmd_parse(args, out):
@@ -549,9 +563,7 @@ def cmd_parse(args, out):
         pairs = next(iter(ws.lexicons.values()))
     else:
         raise UnknownName("workspace has several lexicons; pass --lexicon-name")
-    lex = pregroup.make_lexicon(pairs, args.convention)
-    target = pregroup.parse_type(args.target, args.convention)
-    result = pregroup.parse_sentence(args.sentence.split(), lex, target)
+    result = pregroup.parse_sentence(args.sentence.split(), *_grammar(pairs, args))
     if isinstance(result, pregroup.ParseFailure):
         _emit(out, "FAIL", result.kind)
         _emit(out, "DETAIL", result.detail)
@@ -569,9 +581,7 @@ def cmd_semantics(args, out):
     ws = load(args.workspace)
     pairs = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
-    lex = pregroup.make_lexicon(pairs, args.convention)
-    target = pregroup.parse_type(args.target, args.convention)
-    sem = pregroup.build_semantics(corpus, lex, target, args.convention)
+    sem = pregroup.build_semantics(corpus, *_grammar(pairs, args), args.convention)
     for oid in sem.base.objects:
         _emit(out, "FIBRE-SIZE", f"{oid} = {len(sem.presheaf.eltset[oid])}")
     ok = is_discrete_fibration(sem.fibration.projection).ok
@@ -592,92 +602,61 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def cmd(name, fn, *positionals, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for arg in positionals:
+            p.add_argument(arg)
         return p
 
-    p = cmd("validate", cmd_validate, help="validate a workspace file")
-    p.add_argument("workspace")
+    def choice(p, *flags):
+        group = p.add_mutually_exclusive_group(required=True)
+        for flag in flags:
+            group.add_argument(flag, action="store_true")
 
-    p = cmd("fibres", cmd_fibres, help="list fibres of a functor")
-    p.add_argument("workspace")
-    p.add_argument("functor")
+    def grammar(p):
+        p.add_argument("--target", default="s")
+        p.add_argument("--convention", choices=("paper", "lambek"), default="paper")
 
-    p = cmd("reindex", cmd_reindex, help="reindexing table along a base morphism")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-    p.add_argument("morphism")
-
-    p = cmd("check-fib", cmd_check_fib, help="discrete or cloven fibration check")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--discrete", action="store_true")
-    group.add_argument("--cloven", action="store_true")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-
-    p = cmd("elements", cmd_elements, help="category of elements of a presheaf")
-    p.add_argument("workspace")
-    p.add_argument("presheaf")
-
-    p = cmd("straighten", cmd_straighten, help="presheaf of fibres of a discrete fibration")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-
-    p = cmd("roundtrip", cmd_roundtrip, help="verify the equivalence witnesses")
-    p.add_argument("workspace")
-    p.add_argument("name")
-
-    p = cmd("factorize", cmd_factorize, help="comprehensive factorization")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fib", action="store_true")
-    group.add_argument("--opfib", action="store_true")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-
-    p = cmd("check-initial", cmd_check_initial, help="initial-functor check")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-
-    p = cmd("check-final", cmd_check_final, help="final-functor check")
-    p.add_argument("workspace")
-    p.add_argument("functor")
-
-    p = cmd("comma", cmd_comma, help="comma category of two functors")
-    p.add_argument("workspace")
-    p.add_argument("F")
-    p.add_argument("G")
-
-    p = cmd("pullback", cmd_pullback, help="strict pullback of two functors")
-    p.add_argument("workspace")
-    p.add_argument("F")
-    p.add_argument("G")
-
+    ws_f = ("workspace", "functor")
+    cmd("validate", cmd_validate, "workspace", help="validate a workspace file")
+    cmd("fibres", cmd_fibres, *ws_f, help="list fibres of a functor")
+    cmd(
+        "reindex", cmd_reindex, *ws_f, "morphism", help="reindexing table along a base morphism"
+    )
+    p = cmd("check-fib", cmd_check_fib, *ws_f, help="discrete or cloven fibration check")
+    choice(p, "--discrete", "--cloven")
+    cmd(
+        "elements", cmd_elements, "workspace", "presheaf", help="category of elements of a presheaf"
+    )
+    cmd("straighten", cmd_straighten, *ws_f, help="presheaf of fibres of a discrete fibration")
+    cmd("roundtrip", cmd_roundtrip, "workspace", "name", help="verify the equivalence witnesses")
+    p = cmd("factorize", cmd_factorize, *ws_f, help="comprehensive factorization")
+    choice(p, "--fib", "--opfib")
+    p = cmd("check-initial", cmd_check_comma, *ws_f, help="initial-functor check")
+    p.set_defaults(check=factor_mod.is_initial, wording=("initial functor", "not initial"))
+    p = cmd("check-final", cmd_check_comma, *ws_f, help="final-functor check")
+    p.set_defaults(check=factor_mod.is_final, wording=("final functor", "not final"))
+    p = cmd("comma", cmd_comma, "workspace", "F", "G", help="comma category of two functors")
+    p.set_defaults(construct=comma)
+    p = cmd("pullback", cmd_comma, "workspace", "F", "G", help="strict pullback of two functors")
+    p.set_defaults(construct=pullback)
     p = cmd("mcg", cmd_mcg, help="maximally connected groupoid on a set")
     p.add_argument("objects", help="a count or a comma-separated object list")
-
-    p = cmd("classify-mcg", cmd_classify_mcg, help="classify a fibration over an MCG")
-    p.add_argument("workspace")
-    p.add_argument("functor")
+    cmd("classify-mcg", cmd_classify_mcg, *ws_f, help="classify a fibration over an MCG")
 
     p = cmd("parse", cmd_parse, help="pregroup parse of a sentence")
     p.add_argument("--lexicon", required=True, help="workspace file holding the lexicon")
     p.add_argument("--lexicon-name", default=None)
-    p.add_argument("--target", default="s")
-    p.add_argument("--convention", choices=("paper", "lambek"), default="paper")
+    grammar(p)
     p.add_argument("sentence")
 
-    p = cmd("semantics", cmd_semantics, help="build the toy semantics from a corpus")
-    p.add_argument("workspace")
+    p = cmd("semantics", cmd_semantics, "workspace", help="build the toy semantics from a corpus")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--target", default="s")
-    p.add_argument("--convention", choices=("paper", "lambek"), default="paper")
+    grammar(p)
 
-    p = cmd("dot", cmd_dot, help="DOT export of a category or fibration")
-    p.add_argument("workspace")
-    p.add_argument("name")
-
+    cmd("dot", cmd_dot, "workspace", "name", help="DOT export of a category or fibration")
     return parser
 
 
@@ -692,9 +671,9 @@ def main(argv=None, out=None):
         return args.fn(args, out)
     except ValidationError as exc:
         _emit(out, "FAIL", "validation")
-        _report_lines(out, exc.report)
+        _report_lines(out, exc.report.violations)
         return 1
-    except (IoError, SchemaError, UnknownName) as exc:
+    except (IoError, SchemaError, UnknownName, UnknownMorphism) as exc:
         _emit(out, "ERROR", str(exc))
         return 2
     except FibcatError as exc:

@@ -38,9 +38,10 @@ class Factorization:
     variant: str  # "opfibration" | "fibration"
 
 
-def _comma_with_point(F: FunctorSpec, d: str):
-    point = terminal_category()
-    return comma(F, constant_functor(point, F.cod, d))
+def _comma_with_point(F: FunctorSpec, d: str, final=False):
+    """(F/d), or (d/F) if final."""
+    at_d = constant_functor(terminal_category(), F.cod, d)
+    return comma(at_d, F) if final else comma(F, at_d)
 
 
 def _pi0_data(F: FunctorSpec):
@@ -89,15 +90,15 @@ def comprehensive_factor_opfib(F: FunctorSpec) -> Factorization:
     K, block_of = _pi0_data(F)
     built = elements(K)
     mid, p = built.total, built.projection
+    obj_id = {data: o for o, data in built.obj_data.items()}
+    mor_id = {data: m for m, data in built.mor_data.items()}
 
     def unit_block(c):
         d = F.omap[c]
         return block_of[(d, c, D.identity[d])]
 
-    omap = {c: f"({F.omap[c]}|{unit_block(c)})" for c in F.dom.objects}
-    mmap = {}
-    for u in F.dom.morphisms:
-        mmap[u.id] = f"({F.mmap[u.id]}|{unit_block(u.src)})"
+    omap = {c: obj_id[F.omap[c], unit_block(c)] for c in F.dom.objects}
+    mmap = {u.id: mor_id[F.mmap[u.id], unit_block(u.src)] for u in F.dom.morphisms}
     s = FunctorSpec(F.dom, mid, omap, mmap)
     _verify_factorization(s, p, F, "opfibration")
     return Factorization(s=s, mid=mid, p=p, variant="opfibration")
@@ -132,22 +133,18 @@ def _verify_factorization(s, p, F, variant):
 
 def is_initial(s: FunctorSpec) -> ValidationReport:
     """s is initial iff every (s/e) is nonempty and connected."""
-    violations = []
-    for e in s.cod.objects:
-        cm = _comma_with_point(s, e)
-        blocks = connected_components(cm.cat)
-        if len(blocks) != 1:
-            violations.append(_violation("comma-connected", (e, len(blocks))))
-    return ValidationReport.from_violations(violations)
+    return _commas_connected(s, final=False)
 
 
 def is_final(s: FunctorSpec) -> ValidationReport:
     """s is final iff every (e/s) is nonempty and connected."""
-    point = terminal_category()
+    return _commas_connected(s, final=True)
+
+
+def _commas_connected(s: FunctorSpec, final):
     violations = []
     for e in s.cod.objects:
-        cm = comma(constant_functor(point, s.cod, e), s)
-        blocks = connected_components(cm.cat)
+        blocks = connected_components(_comma_with_point(s, e, final).cat)
         if len(blocks) != 1:
             violations.append(_violation("comma-connected", (e, len(blocks))))
     return ValidationReport.from_violations(violations)

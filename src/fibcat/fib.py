@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiscreteFibration, ShapeMismatch, UnknownObject
+from .errors import NotDiscreteFibration, ShapeMismatch, UnknownMorphism, UnknownObject
 from .fincat import (
     FunctorSpec,
     ValidationReport,
@@ -61,6 +61,8 @@ def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:
 
 
 def reindex(p: FunctorSpec, u: str) -> Reindexing:
+    if not p.cod.has_morphism(u):
+        raise UnknownMorphism(f"no base morphism named {u!r}")
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("reindexing requires a discrete fibration")
     return _reindex(p, u)

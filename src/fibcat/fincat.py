@@ -92,9 +92,6 @@ class FinCat:
         m = self._by_id[mid]
         return self.identity.get(m.src) == mid and m.src == m.tgt
 
-    def composable(self, g, f):
-        return self.tgt(f) == self.src(g)
-
     def into(self, c):
         """The morphisms with target c, in declaration order."""
         return self._into.get(c, ())
@@ -106,6 +103,52 @@ class FinCat:
         for g in self.morphisms:
             for f in self.into(g.src):
                 yield g.id, f.id
+
+
+def tuple_id(*parts):
+    """The id of a tuple of component ids, "(a|b|...)".
+
+    Injective on ids that pass ``is_plain_id``, and its result passes
+    again, so ids built from plain ids never collide.
+    """
+    return "(" + "|".join(parts) + ")"
+
+
+def is_plain_id(s):
+    """True if the brackets in s nest properly and no "|" is outside them."""
+    if "(" not in s and ")" not in s and "|" not in s:
+        return True
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif ch == "|" and depth == 0:
+            return False
+    return depth == 0
+
+
+def complete_units(cat: FinCat):
+    """Fill in, in place, the composites the unit laws force.
+
+    Returns the first composable pair whose composite is still missing, or
+    None when the table is total.
+    """
+    identities = set(cat.identity.values())
+    compose = cat.compose
+    for g, f in cat.composable_pairs():
+        if (g, f) in compose:
+            continue
+        if f in identities:
+            compose[(g, f)] = g
+        elif g in identities:
+            compose[(g, f)] = f
+        else:
+            return g, f
+    return None
 
 
 def _check_category_wellformed(c: FinCat):
@@ -341,14 +384,6 @@ def opposite_functor(F: FunctorSpec) -> FunctorSpec:
     return FunctorSpec(opposite(F.dom), opposite(F.cod), dict(F.omap), dict(F.mmap))
 
 
-def _triple_id(a, b, f):
-    return f"({a}|{b}|{f})"
-
-
-def _square_id(u, v, f, f2):
-    return f"({u}|{v}|{f}|{f2})"
-
-
 @dataclass(frozen=True)
 class CommaResult:
     cat: FinCat
@@ -370,15 +405,16 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
     C = F.cod
-    objects, obj_data, by_pair = [], {}, {}
+    # each id is rendered once; the inverse maps find it again from its parts
+    obj_data, obj_id, by_pair = {}, {}, {}
     for a in F.dom.objects:
         for b in G.dom.objects:
             for f in C.hom(F.omap[a], G.omap[b]):
-                oid = _triple_id(a, b, f)
-                objects.append(oid)
+                oid = tuple_id(a, b, f)
                 obj_data[oid] = (a, b, f)
+                obj_id[a, b, f] = oid
                 by_pair.setdefault((a, b), []).append(oid)
-    morphisms, mor_data = [], {}
+    morphisms, mor_data, mor_id = [], {}, {}
     for u in F.dom.morphisms:
         for v in G.dom.morphisms:
             for src_oid in by_pair.get((u.src, v.src), ()):
@@ -387,35 +423,25 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
                 for f2 in C.hom(F.omap[u.tgt], G.omap[v.tgt]):
                     if C.compose[(f2, F.mmap[u.id])] != left:
                         continue
-                    mid = _square_id(u.id, v.id, f, f2)
-                    tgt_oid = _triple_id(u.tgt, v.tgt, f2)
-                    morphisms.append(Morphism(mid, src_oid, tgt_oid))
+                    mid = tuple_id(u.id, v.id, f, f2)
+                    morphisms.append(Morphism(mid, src_oid, obj_id[u.tgt, v.tgt, f2]))
                     mor_data[mid] = (u.id, v.id, f, f2)
-    identity = {}
-    for oid in objects:
-        a, b, f = obj_data[oid]
-        identity[oid] = _square_id(F.dom.identity[a], G.dom.identity[b], f, f)
-    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+                    mor_id[u.id, v.id, f, f2] = mid
+    identity = {
+        oid: mor_id[F.dom.identity[a], G.dom.identity[b], f, f]
+        for oid, (a, b, f) in obj_data.items()
+    }
+    cat = FinCat(tuple(obj_data), tuple(morphisms), identity, {})
     for g, f in cat.composable_pairs():
         u2, v2, _, f3 = mor_data[g]
         u1, v1, f1, _ = mor_data[f]
-        cat.compose[(g, f)] = _square_id(
-            F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3
-        )
-    projA = FunctorSpec(
-        dom=cat,
-        cod=F.dom,
-        omap={oid: obj_data[oid][0] for oid in objects},
-        mmap={mid: mor_data[mid][0] for mid in mor_data}
-        | {identity[oid]: F.dom.identity[obj_data[oid][0]] for oid in objects},
-    )
-    projB = FunctorSpec(
-        dom=cat,
-        cod=G.dom,
-        omap={oid: obj_data[oid][1] for oid in objects},
-        mmap={mid: mor_data[mid][1] for mid in mor_data}
-        | {identity[oid]: G.dom.identity[obj_data[oid][1]] for oid in objects},
-    )
+        cat.compose[(g, f)] = mor_id[F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3]
+
+    def projection(i, D):
+        omap = {oid: data[i] for oid, data in obj_data.items()}
+        return FunctorSpec(cat, D, omap, {mid: data[i] for mid, data in mor_data.items()})
+
+    projA, projB = projection(0, F.dom), projection(1, G.dom)
     return CommaResult(cat=cat, projA=projA, projB=projB, obj_data=obj_data)
 
 

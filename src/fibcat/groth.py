@@ -21,13 +21,10 @@ from .fincat import (
     SetValuedFunctor,
     compose_functors,
     identity_functor,
+    tuple_id,
     validate_functor,
     validate_set_valued,
 )
-
-
-def _pair(a, b):
-    return f"({a}|{b})"
 
 
 @dataclass(frozen=True)
@@ -51,27 +48,28 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
         raise InvalidFunctor("functoriality laws fail")
     contra = W.variance == CONTRAVARIANT
     base = W.base
-    pairs = [(c, x) for c in base.objects for x in W.eltset[c]]
-    objects = tuple(_pair(c, x) for c, x in pairs)
-    obj_data = dict(zip(objects, pairs))
-    morphisms, mor_data = [], {}
+    # each id is rendered once; the inverse maps find it again from its parts
+    obj_id = {(c, x): tuple_id(c, x) for c in base.objects for x in W.eltset[c]}
+    obj_data = {oid: pair for pair, oid in obj_id.items()}
+    morphisms, mor_data, mor_id = [], {}, {}
     for f in base.morphisms:
         for key, val in W.action[f.id].items():
             if contra:
-                src, tgt = _pair(f.src, val), _pair(f.tgt, key)
+                src, tgt = obj_id[f.src, val], obj_id[f.tgt, key]
             else:
-                src, tgt = _pair(f.src, key), _pair(f.tgt, val)
-            mid = _pair(f.id, key)
+                src, tgt = obj_id[f.src, key], obj_id[f.tgt, val]
+            mid = tuple_id(f.id, key)
             morphisms.append(Morphism(mid, src, tgt))
             mor_data[mid] = (f.id, key)
-    identity = {oid: _pair(base.identity[c], x) for oid, (c, x) in obj_data.items()}
-    total = FinCat(objects, tuple(morphisms), identity, {})
+            mor_id[f.id, key] = mid
+    identity = {oid: mor_id[base.identity[c], x] for oid, (c, x) in obj_data.items()}
+    total = FinCat(tuple(obj_data), tuple(morphisms), identity, {})
     # the composite over g.f carries the key of the outer (contra) or the
     # inner (covariant) morphism
     for g, f in total.composable_pairs():
         f2, k2 = mor_data[g]
         f1, k1 = mor_data[f]
-        total.compose[(g, f)] = _pair(base.compose[(f2, f1)], k2 if contra else k1)
+        total.compose[(g, f)] = mor_id[base.compose[(f2, f1)], k2 if contra else k1]
     projection = FunctorSpec(
         dom=total,
         cod=base,
@@ -104,7 +102,7 @@ def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
     """Natural isomorphism W = straighten(elements(W)), componentwise
     x -> (c|x)."""
     W2 = straighten(elements(W).projection)
-    forward = {c: {x: _pair(c, x) for x in W.eltset[c]} for c in W.base.objects}
+    forward = {c: {x: tuple_id(c, x) for x in W.eltset[c]} for c in W.base.objects}
     backward = {c: {v: k for k, v in forward[c].items()} for c in W.base.objects}
     for c in W.base.objects:
         if sorted(forward[c].values()) != sorted(W2.eltset[c]):
@@ -132,8 +130,8 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
     backward = FunctorSpec(
         E,
         built.total,
-        omap={e: _pair(p.omap[e], e) for e in E.objects},
-        mmap={m.id: _pair(p.mmap[m.id], m.tgt) for m in E.morphisms},
+        omap={e: tuple_id(p.omap[e], e) for e in E.objects},
+        mmap={m.id: tuple_id(p.mmap[m.id], m.tgt) for m in E.morphisms},
     )
     for F in (forward, backward):
         if not validate_functor(F).ok:

@@ -13,6 +13,7 @@ from .fincat import (
     Morphism,
     compose_functors,
     identity_functor,
+    tuple_id,
     validate_functor,
 )
 
@@ -21,15 +22,12 @@ def mcg(A) -> FinCat:
     """The groupoid with object set A and exactly one morphism per ordered
     pair; n objects give n^2 morphisms."""
     A = tuple(A)
-    morphisms = tuple(
-        Morphism(f"({a}->{b})", a, b) for a in A for b in A
-    )
-    identity = {a: f"({a}->{a})" for a in A}
-    compose = {}
-    for a in A:
-        for b in A:
-            for c in A:
-                compose[(f"({b}->{c})", f"({a}->{b})")] = f"({a}->{c})"
+    arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
+    morphisms = tuple(Morphism(mid, a, b) for (a, b), mid in arrow.items())
+    identity = {a: arrow[a, a] for a in A}
+    compose = {
+        (arrow[b, c], arrow[a, b]): arrow[a, c] for a in A for b in A for c in A
+    }
     return FinCat(objects=A, morphisms=morphisms, identity=identity, compose=compose)
 
 
@@ -40,7 +38,7 @@ def mcg_on_function(fn: dict, A, B) -> FunctorSpec:
         dom=dom,
         cod=cod,
         omap=dict(fn),
-        mmap={m.id: f"({fn[m.src]}->{fn[m.tgt]})" for m in dom.morphisms},
+        mmap={m.id: cod.hom(fn[m.src], fn[m.tgt])[0] for m in dom.morphisms},
     )
 
 
@@ -60,23 +58,18 @@ class MCGClassification:
 
 def product_with_mcg(X, base: FinCat):
     """The category X x G with X a discrete set, plus its projection."""
-    objects = tuple(f"({x}|{a})" for x in X for a in base.objects)
-    morphisms = []
-    for x in X:
-        for m in base.morphisms:
-            morphisms.append(Morphism(f"({x}|{m.id})", f"({x}|{m.src})", f"({x}|{m.tgt})"))
-    identity = {f"({x}|{a})": f"({x}|{base.identity[a]})" for x in X for a in base.objects}
-    compose = {}
-    for x in X:
-        for (g, f), h in base.compose.items():
-            compose[(f"({x}|{g})", f"({x}|{f})")] = f"({x}|{h})"
-    cat = FinCat(objects, tuple(morphisms), identity, compose)
-    projection = FunctorSpec(
-        dom=cat,
-        cod=base,
-        omap={f"({x}|{a})": a for x in X for a in base.objects},
-        mmap={f"({x}|{m.id})": m.id for x in X for m in base.morphisms},
+    obj = {(x, a): tuple_id(x, a) for x in X for a in base.objects}
+    mor = {(x, m.id): tuple_id(x, m.id) for x in X for m in base.morphisms}
+    morphisms = tuple(
+        Morphism(mor[x, m.id], obj[x, m.src], obj[x, m.tgt]) for x in X for m in base.morphisms
     )
+    identity = {oid: mor[x, base.identity[a]] for (x, a), oid in obj.items()}
+    compose = {
+        (mor[x, g], mor[x, f]): mor[x, h] for x in X for (g, f), h in base.compose.items()
+    }
+    cat = FinCat(tuple(obj.values()), morphisms, identity, compose)
+    omap = {oid: a for (_, a), oid in obj.items()}
+    projection = FunctorSpec(cat, base, omap, {mid: m for (_, m), mid in mor.items()})
     return cat, projection
 
 
@@ -108,19 +101,16 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
         a = p.omap[e]
         transport[e] = transports[a][e]
     product, projection = product_with_mcg(X, base)
-    omap = {e: f"({transport[e]}|{p.omap[e]})" for e in p.dom.objects}
-    mmap = {}
-    for h in p.dom.morphisms:
-        mmap[h.id] = f"({transport[h.src]}|{p.mmap[h.id]})"
+    omap = {e: tuple_id(transport[e], p.omap[e]) for e in p.dom.objects}
+    mmap = {h.id: tuple_id(transport[h.src], p.mmap[h.id]) for h in p.dom.morphisms}
     H = FunctorSpec(p.dom, product, omap, mmap)
-    inv_omap, inv_mmap = {}, {}
     back = {a: _reindex(p, base.hom(a, a0)[0]).table for a in base.objects}
-    for x in X:
-        for a in base.objects:
-            inv_omap[f"({x}|{a})"] = back[a][x]
-    for x in X:
-        for m in base.morphisms:
-            inv_mmap[f"({x}|{m.id})"] = p.lifts(m.id, back[m.tgt][x])[0]
+    inv_omap = {tuple_id(x, a): back[a][x] for x in X for a in base.objects}
+    inv_mmap = {
+        tuple_id(x, m.id): p.lifts(m.id, back[m.tgt][x])[0]
+        for x in X
+        for m in base.morphisms
+    }
     Hinv = FunctorSpec(product, p.dom, inv_omap, inv_mmap)
     for F in (H, Hinv):
         if not validate_functor(F).ok:

@@ -25,6 +25,8 @@ from .fincat import (
     FinCat,
     Morphism,
     SetValuedFunctor,
+    complete_units,
+    tuple_id,
     validate_set_valued,
 )
 
@@ -243,12 +245,8 @@ def _constituent_id(phrase, ptype, convention):
     return f"({' '.join(phrase)}, {format_type(ptype, convention)})"
 
 
-def _tensor_id(part_ids):
-    return "⊗".join(part_ids)
-
-
 def _tuple_elt(parts):
-    return "(" + "|".join(parts) + ")" if len(parts) > 1 else parts[0]
+    return tuple_id(*parts) if len(parts) > 1 else parts[0]
 
 
 def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SpeakerFibration:
@@ -258,18 +256,12 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     diagonal."""
     from .groth import elements
 
-    corpus = [tuple(s) for s in corpus]
-    parses = []
-    seen_sids = set()
+    parses = {}  # sentence id -> the parse of its first occurrence
     for i, tokens in enumerate(corpus):
         result = parse_sentence(tokens, lex, target)
         if isinstance(result, ParseFailure):
             raise UnparsedSentence(i, result)
-        sid = " ".join(tokens)
-        if sid in seen_sids:
-            continue
-        seen_sids.add(sid)
-        parses.append((sid, result))
+        parses.setdefault(" ".join(tokens), result)
 
     objects, eltset = [], {}
 
@@ -278,32 +270,25 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
             objects.append(oid)
             eltset[oid] = tuple(elts)
 
-    sentence_ids = [sid for sid, _ in parses]
+    # per parse: sentence id, sentence object, phrases, constituent ids, tensor id
+    shapes = []
+    for sid, result in parses.items():
+        phrases = result.segmentation
+        part_ids = tuple(
+            _constituent_id(ph, ty, convention) for ph, ty in zip(phrases, result.types)
+        )
+        sent_obj = _constituent_id((sid,), result.witness.end, convention)
+        shapes.append((sid, sent_obj, phrases, part_ids, "⊗".join(part_ids)))
     # sentence objects first: they win when a lexicon phrase is itself a
     # full corpus sentence of the target type
-    for sid, result in parses:
-        add_object(f"({sid}, {format_type(result.witness.end, convention)})", (sid,))
-    constituent_sets = {}
-    for sid, result in parses:
-        for phrase, ptype in zip(result.segmentation, result.types):
-            cid = _constituent_id(phrase, ptype, convention)
-            occurs = tuple(s for s in sentence_ids if _contains(s.split(), phrase))
-            add_object(cid, occurs)
-            constituent_sets[cid] = eltset[cid]
-    tensor_parts = {}
-    for sid, result in parses:
-        part_ids = tuple(
-            _constituent_id(ph, ty, convention)
-            for ph, ty in zip(result.segmentation, result.types)
-        )
-        tid = _tensor_id(part_ids)
-        if tid not in eltset:
-            prod = tuple(
-                _tuple_elt(combo)
-                for combo in iproduct(*(eltset[pid] for pid in part_ids))
-            )
-            add_object(tid, prod)
-        tensor_parts[tid] = part_ids
+    for sid, sent_obj, _, _, _ in shapes:
+        add_object(sent_obj, (sid,))
+    for _, _, phrases, part_ids, _ in shapes:
+        for phrase, cid in zip(phrases, part_ids):
+            add_object(cid, (s for s in parses if _contains(s.split(), phrase)))
+    for _, _, _, part_ids, tid in shapes:
+        combos = iproduct(*(eltset[pid] for pid in part_ids))
+        add_object(tid, (_tuple_elt(combo) for combo in combos))
 
     morphisms, identity = [], {}
     for oid in objects:
@@ -311,31 +296,21 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         morphisms.append(Morphism(mid, oid, oid))
         identity[oid] = mid
     action = {identity[oid]: {x: x for x in eltset[oid]} for oid in objects}
-    for sid, result in parses:
-        sent_obj = f"({sid}, {format_type(result.witness.end, convention)})"
-        part_ids = tuple(
-            _constituent_id(ph, ty, convention)
-            for ph, ty in zip(result.segmentation, result.types)
-        )
-        tid = _tensor_id(part_ids)
+    for sid, sent_obj, _, part_ids, tid in shapes:
         if tid == sent_obj:
             continue  # zero-step reduction collapses to the identity
         mid = f"reduce:({sid})"
         morphisms.append(Morphism(mid, tid, sent_obj))
-        diag = _tuple_elt((sid,) * len(part_ids))
-        action[mid] = {sid: diag}
+        action[mid] = {sid: _tuple_elt((sid,) * len(part_ids))}
     # reductions run tensor -> sentence and nothing leaves a sentence
     # object, so the only composites involve identities
-    compose = {}
-    for m in morphisms:
-        compose[(identity[m.tgt], m.id)] = m.id
-        compose[(m.id, identity[m.src])] = m.id
-    cat = FinCat(tuple(objects), tuple(morphisms), identity, compose)
-    for g, f in cat.composable_pairs():
-        if (g, f) not in compose:
-            raise ValueError(
-                f"corpus induces a non-identity composite {g} . {f}; unsupported"
-            )
+    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+    missing = complete_units(cat)
+    if missing is not None:
+        g, f = missing
+        raise ValueError(
+            f"corpus induces a non-identity composite {g} . {f}; unsupported"
+        )
     presheaf = SetValuedFunctor(
         base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action
     )
@@ -346,5 +321,5 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         base=cat,
         presheaf=presheaf,
         fibration=elements(presheaf),
-        parses=tuple(parses),
+        parses=tuple(parses.items()),
     )

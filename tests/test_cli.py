@@ -267,8 +267,8 @@ class TestIdsAndAliases:
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(doc))
         code, text = run(["elements", str(path), "W"])
-        assert code == 0
-        assert "MORPHISM: (f|g|y) : (A|x) -> (B|y)" in text.splitlines()
+        assert code == 2
+        assert text.startswith("ERROR: categories.C.morphisms[0].id: ")
 
     def test_save_load_keeps_equal_categories_apart(self, tmp_path):
         from fibcat.fincat import SetValuedFunctor, identity_functor
@@ -296,3 +296,105 @@ class TestIdsAndAliases:
         assert back.presheaves["W"].base is back.categories["b"]
         cli.save(back, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_colliding_element_ids_are_rejected_at_load(self, tmp_path):
+        # objects A|x and A with elements y and x|y would both give (A|x|y)
+        doc = {
+            "format": 1,
+            "categories": {"C": {"objects": ["A|x", "A"], "morphisms": []}},
+            "presheaves": {
+                "W": {"base": "C", "eltset": {"A|x": ["y"], "A": ["x|y"]}, "action": {}}
+            },
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["elements", str(path), "W"], ["roundtrip", str(path), "W"]):
+            code, text = run(argv)
+            assert code == 2
+            assert text.startswith("ERROR: categories.C.objects[0]: ")
+
+    def test_bracketed_ids_that_nest_are_accepted(self, tmp_path):
+        doc = {
+            "format": 1,
+            "categories": {"C": {"objects": ["(a|b)", "x:(y)"], "morphisms": []}},
+            "presheaves": {
+                "W": {"base": "C", "eltset": {"(a|b)": ["(p|(q))"], "x:(y)": []}}
+            },
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, text = run(["elements", str(path), "W"])
+        assert code == 0
+        assert text.splitlines() == ["OBJECT: ((a|b)|(p|(q)))"]
+
+
+class TestUnknownNames:
+    def test_reindex_along_an_unknown_morphism(self, fig2):
+        from fibcat.errors import UnknownMorphism
+        from fibcat.fib import reindex
+
+        with pytest.raises(UnknownMorphism):
+            reindex(cli.load(fig2).functors["p"], "nope")
+        code, text = run(["reindex", fig2, "p", "nope"])
+        assert code == 2
+        assert text == "ERROR: no base morphism named 'nope'\n"
+
+    def test_mcg_rejects_duplicate_objects(self):
+        code, text = run(["mcg", "a,b,a"])
+        assert code == 2
+        assert text.startswith("ERROR: ")
+
+
+def _typed_doc():
+    return {
+        "format": 1,
+        "categories": {
+            "C": {"objects": ["A", "B"], "morphisms": [{"id": "f", "src": "A", "tgt": "B"}]}
+        },
+        "functors": {"F": {"dom": "C", "cod": "C", "omap": {"A": "A", "B": "B"}, "mmap": {"f": "f"}}},
+        "presheaves": {
+            "W": {"base": "C", "eltset": {"A": ["x"], "B": ["y"]}, "action": {"f": {"y": "x"}}}
+        },
+        "lexicons": {"toy": [{"phrase": "cats", "type": "n"}, {"phrase": "sleep", "type": "n^r.s"}]},
+    }
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (("categories", "C", "identity"), ["id:A"], "categories.C.identity"),
+        (("categories", "C", "morphisms"), {"f": "A"}, "categories.C.morphisms"),
+        (("categories", "C", "compose"), [], "categories.C.compose"),
+        (("functors", "F", "omap"), ["A", "B"], "functors.F.omap"),
+        (("functors", "F", "mmap", "f"), ["f"], "functors.F.mmap"),
+        (("functors", "F", "dom"), ["C"], "functors.F.dom"),
+        (("presheaves", "W", "eltset", "A"), 1, "presheaves.W.eltset.A"),
+        (("presheaves", "W", "eltset", "A"), ["x", "x"], "presheaves.W.eltset.A"),
+        (("presheaves", "W", "action", "f"), [["y", "x"]], "presheaves.W.action.f"),
+        (("presheaves", "W", "base"), ["C"], "presheaves.W.base"),
+        (("categories",), [], "categories"),
+        (("lexicons", "toy", 0, "phrase"), 7, "lexicons.toy[0].phrase"),
+        (("lexicons", "toy", 0, "phrase"), "  ", "lexicons.toy[0].phrase"),
+        (("lexicons", "toy", 0, "type"), ["n"], "lexicons.toy[0].type"),
+        (("lexicons", "toy", 1, "phrase"), "cats", "lexicons.toy[1].phrase"),
+        (("lexicons", "toy", 1, "type"), "n^x", "lexicons.toy[1].type"),
+        (("corpora",), {"K": [["cats", "a|b"]]}, "corpora.K[0][1]"),
+    ],
+)
+def test_wrongly_typed_json_is_a_schema_error(tmp_path, keys, value, path):
+    doc = _typed_doc()
+    _set(doc, keys, value)
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        cli.load(str(ws))
+    assert exc.value.path == path
+    code, text = run(["validate", str(ws)])
+    assert code == 2
+    assert text.startswith(f"ERROR: {path}: ")

@@ -1,0 +1,113 @@
+"""Hypothesis properties over small generated workspaces whose ids are drawn
+from an alphabet with the characters fibcat itself uses in generated ids.
+
+Every generated workspace holds a category that obeys the laws by
+construction (no two non-identity morphisms compose), a presheaf on it, its
+identity functor and a functor to the terminal category.  Only the ids are
+adversarial.
+"""
+
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibcat import cli
+from fibcat.errors import SchemaError
+from fibcat.fincat import is_plain_id, tuple_id
+from fibcat.groth import elements
+
+# Each workspace draws its ids from two atoms joined by "|", sometimes in
+# brackets, so that distinct (object, element) pairs often render alike
+# when they are joined naively.
+ATOMS = ["a", "b", "(", ")", "->", ":*"]
+
+
+@st.composite
+def workspaces(draw):
+    atom = st.sampled_from(draw(st.lists(st.sampled_from(ATOMS), min_size=2, max_size=2)))
+    joined = st.builds("{}|{}".format, atom, atom)
+    ids = st.one_of(atom, joined, joined.map("({})".format))
+    objects = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    # morphisms run from the first k objects to the others only
+    k = draw(st.integers(0, len(objects)))
+    ends = st.tuples(st.sampled_from(objects[:k]), st.sampled_from(objects[k:]))
+    pairs = draw(st.lists(ends, max_size=3)) if 0 < k < len(objects) else []
+    mids = draw(st.lists(ids, min_size=len(pairs), max_size=len(pairs), unique=True))
+    morphisms = [{"id": m, "src": a, "tgt": b} for m, (a, b) in zip(mids, pairs)]
+    eltset = {o: draw(st.lists(ids, min_size=1, max_size=3, unique=True)) for o in objects}
+    action = {
+        m["id"]: {y: draw(st.sampled_from(eltset[m["src"]])) for y in eltset[m["tgt"]]}
+        for m in morphisms
+    }
+    return {
+        "format": 1,
+        "categories": {
+            "C": {"objects": objects, "morphisms": morphisms},
+            "T": {"objects": ["*"], "morphisms": []},
+        },
+        "functors": {
+            "p": {
+                "dom": "C", "cod": "C",
+                "omap": {o: o for o in objects}, "mmap": {m: m for m in mids},
+            },
+            "k": {
+                "dom": "C", "cod": "T",
+                "omap": {o: "*" for o in objects}, "mmap": {m: "id:*" for m in mids},
+            },
+        },
+        "presheaves": {"W": {"base": "C", "eltset": eltset, "action": action}},
+    }
+
+
+plain_ids = st.text("ab()|->:*", max_size=5).filter(is_plain_id)
+
+
+@given(st.lists(plain_ids, min_size=1, max_size=3), st.lists(plain_ids, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_tuple_id_is_injective_on_plain_ids_and_plain_again(a, b):
+    assert is_plain_id(tuple_id(*a))
+    assert (tuple_id(*a) == tuple_id(*b)) == (a == b)
+
+
+def _saved(doc, tmp):
+    path = os.path.join(tmp, "ws.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@given(workspaces())
+@settings(max_examples=150, deadline=None)
+def test_load_rejects_or_element_ids_are_distinct(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            ws = cli.load(_saved(doc, tmp))
+        except SchemaError:  # exit 2
+            return
+    built = elements(ws.presheaves["W"])
+    for names in (built.total.objects, [m.id for m in built.total.morphisms]):
+        assert len(set(names)) == len(names)
+
+
+@given(workspaces())
+@settings(max_examples=12, deadline=None)
+def test_no_command_raises(doc):
+    morphisms = [m["id"] for m in doc["categories"]["C"]["morphisms"]]
+    argvs = [["validate", "WS"], ["elements", "WS", "W"], ["roundtrip", "WS", "W"]]
+    argvs += [["dot", "WS", name] for name in ("C", "T", "p", "W")]
+    for p in ("p", "k"):
+        argvs += [
+            ["fibres", "WS", p], ["check-fib", "--discrete", "WS", p],
+            ["check-fib", "--cloven", "WS", p], ["straighten", "WS", p],
+            ["roundtrip", "WS", p], ["reindex", "WS", p, "nope"],
+        ]
+        argvs += [["reindex", "WS", p, m] for m in morphisms + ["id:*"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _saved(doc, tmp)
+        for argv in argvs:
+            argv = [path if a == "WS" else a for a in argv]
+            assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
