@@ -4,8 +4,10 @@ A workspace is a single JSON document with named categories, functors,
 presheaves, lexicons and corpora.  Identity morphisms may be omitted in
 files and are synthesized on load (named "id:<object>"), together with the
 composition entries forced by the unit laws; any other missing composite
-is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  ``save``
-emits a canonical form so save . load is byte-stable.
+is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  Whether
+references resolve is checked by the fincat validators only; ``load``
+prefixes the path of their MalformedSpec with the structure's place in the
+workspace.  ``save`` emits a canonical form so save . load is byte-stable.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from .fib import (
 )
 from .fincat import (
     CONTRAVARIANT,
-    COVARIANT,
     FinCat,
     FunctorSpec,
     Morphism,
     SetValuedFunctor,
     ValidationReport,
+    _check_category_wellformed,
     comma,
     complete_units,
     is_plain_id,
@@ -104,7 +106,6 @@ def _build_category(name, doc):
     objects = _str_list(doc["objects"], f"{path}.objects")
     _require_ids(objects, f"{path}.objects")
     _require(isinstance(doc["morphisms"], list), f"{path}.morphisms", "expected a list")
-    known = set(objects)
     morphisms = []
     for i, rec in enumerate(doc["morphisms"]):
         mp = f"{path}.morphisms[{i}]"
@@ -113,8 +114,6 @@ def _build_category(name, doc):
             _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
         if not is_plain_id(rec["id"]):
             raise SchemaError(f"{mp}.id", _ID_RULE)
-        _require(rec["src"] in known, f"{mp}.src", f"unknown object {rec['src']}")
-        _require(rec["tgt"] in known, f"{mp}.tgt", f"unknown object {rec['tgt']}")
         morphisms.append(Morphism(rec["id"], rec["src"], rec["tgt"]))
     identity = _str_map(doc.get("identity", {}), f"{path}.identity")
     declared = {m.id for m in morphisms}
@@ -125,21 +124,16 @@ def _build_category(name, doc):
             morphisms.append(Morphism(mid, obj, obj))
             declared.add(mid)
             identity[obj] = mid
-        else:
-            _require(
-                identity[obj] in declared,
-                f"{path}.identity.{obj}",
-                f"unknown morphism {identity[obj]}",
-            )
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     compose = cat.compose
     for g, inner in _object(doc, "compose", f"{path}.compose").items():
         _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
         _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
-            _require(cat.has_morphism(f), f"{path}.compose.{g}.{f}", "unknown morphism")
-            _require(isinstance(h, str) and cat.has_morphism(h), f"{path}.compose.{g}.{f}", "unknown composite")
+            _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
             compose[(g, f)] = h
+    # references first, so that a dangling end is not reported as a missing composite
+    _located(path, _check_category_wellformed, cat)
     missing = complete_units(cat)
     if missing is not None:
         raise SchemaError(
@@ -161,18 +155,9 @@ def _build_functor(name, doc, categories):
     dom, cod = categories[doc["dom"]], categories[doc["cod"]]
     omap = _str_map(doc["omap"], f"{path}.omap")
     mmap = _str_map(doc["mmap"], f"{path}.mmap")
-    for c in dom.objects:
-        _require(c in omap, f"{path}.omap.{c}", "missing object image")
-        _require(cod.has_object(omap[c]), f"{path}.omap.{c}", f"unknown object {omap[c]}")
     for m in dom.morphisms:
-        if m.id not in mmap and dom.is_identity(m.id):
+        if m.id not in mmap and dom.is_identity(m.id) and omap.get(m.src) in cod.identity:
             mmap[m.id] = cod.identity[omap[m.src]]
-        _require(m.id in mmap, f"{path}.mmap.{m.id}", "missing morphism image")
-        _require(
-            cod.has_morphism(mmap[m.id]),
-            f"{path}.mmap.{m.id}",
-            f"unknown morphism {mmap[m.id]}",
-        )
     return FunctorSpec(dom, cod, omap, mmap)
 
 
@@ -184,27 +169,28 @@ def _build_presheaf(name, doc, categories):
     _require(ok, f"{path}.base", "unknown category")
     base = categories[base_name]
     variance = doc.get("variance", CONTRAVARIANT)
-    _require(
-        variance in (CONTRAVARIANT, COVARIANT), f"{path}.variance", "bad variance"
-    )
     eltset = {}
     for c, elts in _object(doc, "eltset", f"{path}.eltset").items():
         epath = f"{path}.eltset.{c}"
-        _require(base.has_object(c), epath, "unknown object")
         _require_ids(_str_list(elts, epath), epath)
-        _require(len(set(elts)) == len(elts), epath, "duplicate elements")
         eltset[c] = tuple(elts)
-    for c in base.objects:
-        _require(c in eltset, f"{path}.eltset.{c}", "missing element set")
     action = {}
     for mid, table in _object(doc, "action", f"{path}.action").items():
-        _require(base.has_morphism(mid), f"{path}.action.{mid}", "unknown morphism")
         action[mid] = _str_map(table, f"{path}.action.{mid}")
     for m in base.morphisms:
-        if m.id not in action and base.is_identity(m.id):
+        if m.id not in action and base.is_identity(m.id) and m.src in eltset:
             action[m.id] = {x: x for x in eltset[m.src]}
-        _require(m.id in action, f"{path}.action.{m.id}", "missing action")
     return SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
+
+
+def _type(text, path, convention="paper"):
+    """The parsed type text, which must also pass the id rule."""
+    if not (isinstance(text, str) and is_plain_id(text)):
+        raise SchemaError(path, f"expected a string in which {_ID_RULE}")
+    try:
+        return pregroup.parse_type(text, convention)
+    except TypeSyntaxError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _build_lexicon(name, entries):
@@ -223,12 +209,7 @@ def _build_lexicon(name, entries):
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
             raise SchemaError(f"{epath}.phrase", problem)
         phrases.add(tokens)
-        if not (isinstance(text, str) and is_plain_id(text)):
-            raise SchemaError(f"{epath}.type", f"expected a string in which {_ID_RULE}")
-        try:
-            pregroup.parse_type(text)
-        except TypeSyntaxError as exc:
-            raise SchemaError(f"{epath}.type", str(exc)) from exc
+        _type(text, f"{epath}.type")
         pairs.append((phrase, text))
     return pairs
 
@@ -273,22 +254,25 @@ def load(path) -> Workspace:
     return ws
 
 
+def _located(prefix, check, x):
+    """check(x), with a MalformedSpec located in the workspace by prefix."""
+    try:
+        return check(x)
+    except MalformedSpec as exc:
+        raise SchemaError(f"{prefix}.{exc.path}", exc.message) from exc
+
+
 def _validate_workspace(ws: Workspace):
     violations = []
-
-    def collect(report, where):
-        for v in report.violations:
-            violations.append({"law": f"{where}: {v['law']}", "witness": v["witness"]})
-
-    try:
-        for name, cat in ws.categories.items():
-            collect(validate_category(cat), f"categories.{name}")
-        for name, F in ws.functors.items():
-            collect(validate_functor(F), f"functors.{name}")
-        for name, W in ws.presheaves.items():
-            collect(validate_set_valued(W), f"presheaves.{name}")
-    except MalformedSpec as exc:
-        raise SchemaError("$", str(exc)) from exc
+    for kind, validate in (
+        ("categories", validate_category),
+        ("functors", validate_functor),
+        ("presheaves", validate_set_valued),
+    ):
+        for name, x in getattr(ws, kind).items():
+            where = f"{kind}.{name}"
+            for v in _located(where, validate, x).violations:
+                violations.append({"law": f"{where}: {v['law']}", "witness": v["witness"]})
     if violations:
         raise ValidationError(ValidationReport.from_violations(violations))
 
@@ -552,7 +536,7 @@ def cmd_classify_mcg(args, out):
 def _grammar(pairs, args):
     """The lexicon and the target type, read in the convention args ask for."""
     conv = args.convention
-    return pregroup.make_lexicon(pairs, conv), pregroup.parse_type(args.target, conv)
+    return pregroup.make_lexicon(pairs, conv), _type(args.target, "--target", conv)
 
 
 def cmd_parse(args, out):

@@ -6,7 +6,13 @@ class FibcatError(Exception):
 
 
 class MalformedSpec(FibcatError):
-    """An id is referenced but never declared."""
+    """A reference does not resolve; path locates it within the structure,
+    e.g. "morphisms[3].src" or "eltset.A"."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
 
 
 class CodMismatch(FibcatError):
@@ -65,10 +71,8 @@ class IoError(FibcatError):
     pass
 
 
-class SchemaError(FibcatError):
-    def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+class SchemaError(MalformedSpec):
+    """A workspace file is malformed; path is a JSON path into it."""
 
 
 class ValidationError(FibcatError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CodMismatch, MalformedSpec
+from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
 
 @dataclass(frozen=True)
@@ -151,25 +151,33 @@ def complete_units(cat: FinCat):
     return None
 
 
+def _check_distinct(ids, path, what):
+    if len(set(ids)) != len(ids):
+        i = next(i for i, x in enumerate(ids) if x in ids[:i])
+        raise MalformedSpec(path.format(i), f"duplicate {what} id")
+
+
 def _check_category_wellformed(c: FinCat):
-    declared = {m.id for m in c.morphisms}
-    if len(declared) != len(c.morphisms):
-        raise MalformedSpec("duplicate morphism ids")
-    if len(set(c.objects)) != len(c.objects):
-        raise MalformedSpec("duplicate object ids")
-    for m in c.morphisms:
-        for end in (m.src, m.tgt):
+    """Raise MalformedSpec, with a path, at the first id that is repeated or
+    does not resolve."""
+    for i, m in enumerate(c.morphisms):
+        for end, at in ((m.src, "src"), (m.tgt, "tgt")):
             if not c.has_object(end):
-                raise MalformedSpec(f"morphism {m.id} references unknown object {end}")
+                raise MalformedSpec(f"morphisms[{i}].{at}", f"unknown object {end}")
     for obj, mid in c.identity.items():
         if not c.has_object(obj):
-            raise MalformedSpec(f"identity map references unknown object {obj}")
-        if mid not in declared:
-            raise MalformedSpec(f"identity of {obj} references unknown morphism {mid}")
+            raise MalformedSpec(f"identity.{obj}", "unknown object")
+        if not c.has_morphism(mid):
+            raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
     for (g, f), h in c.compose.items():
-        for mid in (g, f, h):
-            if mid not in declared:
-                raise MalformedSpec(f"compose table references unknown morphism {mid}")
+        if not c.has_morphism(g):
+            raise MalformedSpec(f"compose.{g}", "unknown morphism")
+        if not c.has_morphism(f):
+            raise MalformedSpec(f"compose.{g}.{f}", "unknown morphism")
+        if not c.has_morphism(h):
+            raise MalformedSpec(f"compose.{g}.{f}", "unknown composite")
+    _check_distinct([m.id for m in c.morphisms], "morphisms[{}].id", "morphism")
+    _check_distinct(c.objects, "objects[{}]", "object")
 
 
 def validate_category(c: FinCat) -> ValidationReport:
@@ -247,14 +255,14 @@ class FunctorSpec:
 def _check_functor_wellformed(F: FunctorSpec):
     for c in F.dom.objects:
         if c not in F.omap:
-            raise MalformedSpec(f"omap missing object {c}")
+            raise MalformedSpec(f"omap.{c}", "missing object image")
         if not F.cod.has_object(F.omap[c]):
-            raise MalformedSpec(f"omap({c}) = {F.omap[c]} is not a codomain object")
+            raise MalformedSpec(f"omap.{c}", f"unknown object {F.omap[c]}")
     for m in F.dom.morphisms:
         if m.id not in F.mmap:
-            raise MalformedSpec(f"mmap missing morphism {m.id}")
+            raise MalformedSpec(f"mmap.{m.id}", "missing morphism image")
         if not F.cod.has_morphism(F.mmap[m.id]):
-            raise MalformedSpec(f"mmap({m.id}) = {F.mmap[m.id]} is not a codomain morphism")
+            raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {F.mmap[m.id]}")
 
 
 def validate_functor(F: FunctorSpec) -> ValidationReport:
@@ -294,6 +302,20 @@ def compose_functors(G: FunctorSpec, F: FunctorSpec) -> FunctorSpec:
         omap={c: G.omap[F.omap[c]] for c in F.dom.objects},
         mmap={m.id: G.mmap[F.mmap[m.id]] for m in F.dom.morphisms},
     )
+
+
+def check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: FunctorSpec):
+    """Raise WitnessFailure unless H: dom(p) -> dom(q) and Hinv are inverse
+    functors over the base: q . H = p and p . Hinv = q."""
+    for F in (H, Hinv):
+        if not validate_functor(F).ok:
+            raise WitnessFailure("witness map is not a functor")
+    if compose_functors(Hinv, H) != identity_functor(p.dom):
+        raise WitnessFailure("H has no left inverse")
+    if compose_functors(H, Hinv) != identity_functor(q.dom):
+        raise WitnessFailure("H has no right inverse")
+    if compose_functors(q, H) != p or compose_functors(p, Hinv) != q:
+        raise WitnessFailure("triangle over the base fails")
 
 
 def constant_functor(dom: FinCat, cod: FinCat, at: str) -> FunctorSpec:
@@ -342,15 +364,23 @@ class SetValuedFunctor:
 
 def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
     if W.variance not in (CONTRAVARIANT, COVARIANT):
-        raise MalformedSpec(f"unknown variance {W.variance}")
+        raise MalformedSpec("variance", "bad variance")
+    for c, elts in W.eltset.items():
+        if not W.base.has_object(c):
+            raise MalformedSpec(f"eltset.{c}", "unknown object")
+        if len(set(elts)) != len(elts):
+            raise MalformedSpec(f"eltset.{c}", "duplicate elements")
     for c in W.base.objects:
         if c not in W.eltset:
-            raise MalformedSpec(f"eltset missing object {c}")
+            raise MalformedSpec(f"eltset.{c}", "missing element set")
+    for mid in W.action:
+        if not W.base.has_morphism(mid):
+            raise MalformedSpec(f"action.{mid}", "unknown morphism")
     violations = []
     for m in W.base.morphisms:
         table = W.action.get(m.id)
         if table is None:
-            raise MalformedSpec(f"action missing morphism {m.id}")
+            raise MalformedSpec(f"action.{m.id}", "missing action")
         dom_set, cod_set = set(W.src_set(m.id)), set(W.tgt_set(m.id))
         if set(table) != dom_set or not set(table.values()) <= cod_set:
             violations.append(_violation("action-endpoints", (m.id,)))

@@ -19,10 +19,9 @@ from .fincat import (
     FunctorSpec,
     Morphism,
     SetValuedFunctor,
-    compose_functors,
-    identity_functor,
+    check_iso_over,
+    opposite,
     tuple_id,
-    validate_functor,
     validate_set_valued,
 )
 
@@ -100,7 +99,10 @@ class IsoWitness:
 
 def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
     """Natural isomorphism W = straighten(elements(W)), componentwise
-    x -> (c|x)."""
+    x -> (c|x).  A covariant W is read as the contravariant presheaf on the
+    opposite base, with the same element sets and actions."""
+    if W.variance == COVARIANT:
+        W = SetValuedFunctor(opposite(W.base), CONTRAVARIANT, W.eltset, W.action)
     W2 = straighten(elements(W).projection)
     forward = {c: {x: tuple_id(c, x) for x in W.eltset[c]} for c in W.base.objects}
     backward = {c: {v: k for k, v in forward[c].items()} for c in W.base.objects}
@@ -133,15 +135,5 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
         omap={e: tuple_id(p.omap[e], e) for e in E.objects},
         mmap={m.id: tuple_id(p.mmap[m.id], m.tgt) for m in E.morphisms},
     )
-    for F in (forward, backward):
-        if not validate_functor(F).ok:
-            raise WitnessFailure("witness map is not a functor")
-    fb = compose_functors(forward, backward)
-    bf = compose_functors(backward, forward)
-    if fb != identity_functor(E) or bf != identity_functor(built.total):
-        raise WitnessFailure("composites are not identities")
-    if compose_functors(p, forward) != built.projection:
-        raise WitnessFailure("forward triangle over the base fails")
-    if compose_functors(built.projection, backward) != p:
-        raise WitnessFailure("backward triangle over the base fails")
+    check_iso_over(backward, forward, p, built.projection)
     return IsoWitness(forward=forward, backward=backward, checked=True)

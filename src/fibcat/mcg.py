@@ -5,17 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiscreteFibration, NotOverMCG, UnequalFibres, WitnessFailure
+from .errors import NotDiscreteFibration, NotOverMCG, UnequalFibres
 from .fib import _reindex, fibre, is_discrete_fibration
-from .fincat import (
-    FinCat,
-    FunctorSpec,
-    Morphism,
-    compose_functors,
-    identity_functor,
-    tuple_id,
-    validate_functor,
-)
+from .fincat import FinCat, FunctorSpec, Morphism, check_iso_over, tuple_id
 
 
 def mcg(A) -> FinCat:
@@ -112,15 +104,7 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
         for m in base.morphisms
     }
     Hinv = FunctorSpec(product, p.dom, inv_omap, inv_mmap)
-    for F in (H, Hinv):
-        if not validate_functor(F).ok:
-            raise WitnessFailure("classification map is not a functor")
-    if compose_functors(Hinv, H) != identity_functor(p.dom):
-        raise WitnessFailure("H has no left inverse")
-    if compose_functors(H, Hinv) != identity_functor(product):
-        raise WitnessFailure("H has no right inverse")
-    if compose_functors(projection, H) != p:
-        raise WitnessFailure("triangle over the base fails")
+    check_iso_over(H, Hinv, p, projection)
     return MCGClassification(
         fibre_set=tuple(X), iso=H, inverse=Hinv, product_projection=projection
     )

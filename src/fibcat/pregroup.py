@@ -27,7 +27,6 @@ from .fincat import (
     SetValuedFunctor,
     complete_units,
     tuple_id,
-    validate_set_valued,
 )
 
 CONVENTIONS = {
@@ -314,9 +313,6 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     presheaf = SetValuedFunctor(
         base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action
     )
-    report = validate_set_valued(presheaf)
-    if not report.ok:
-        raise ValueError(f"semantics presheaf invalid: {report.violations}")
     return SpeakerFibration(
         base=cat,
         presheaf=presheaf,

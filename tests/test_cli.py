@@ -398,3 +398,75 @@ def test_wrongly_typed_json_is_a_schema_error(tmp_path, keys, value, path):
     code, text = run(["validate", str(ws)])
     assert code == 2
     assert text.startswith(f"ERROR: {path}: ")
+
+
+# One single-error mutation of _typed_doc() per workspace reference rule,
+# with the exact line `validate` prints.
+@pytest.mark.parametrize(
+    "keys, value, line",
+    [
+        (("categories", "C", "morphisms", 0, "src"), "Z",
+         "categories.C.morphisms[0].src: unknown object Z"),
+        (("categories", "C", "morphisms", 0, "tgt"), "Z",
+         "categories.C.morphisms[0].tgt: unknown object Z"),
+        (("categories", "C", "identity"), {"A": "g"},
+         "categories.C.identity.A: unknown morphism g"),
+        (("categories", "C", "compose"), {"g": {}}, "categories.C.compose.g: unknown morphism"),
+        (("categories", "C", "compose"), {"f": {"g": "f"}},
+         "categories.C.compose.f.g: unknown morphism"),
+        (("categories", "C", "compose"), {"f": {"id:A": "g"}},
+         "categories.C.compose.f.id:A: unknown composite"),
+        (("functors", "F", "omap"), {"A": "A"}, "functors.F.omap.B: missing object image"),
+        (("functors", "F", "omap", "B"), "Z", "functors.F.omap.B: unknown object Z"),
+        (("functors", "F", "mmap"), {}, "functors.F.mmap.f: missing morphism image"),
+        (("functors", "F", "mmap", "f"), "g", "functors.F.mmap.f: unknown morphism g"),
+        (("presheaves", "W", "variance"), "both", "presheaves.W.variance: bad variance"),
+        (("presheaves", "W", "eltset", "Z"), ["z"], "presheaves.W.eltset.Z: unknown object"),
+        (("presheaves", "W", "eltset", "A"), ["x", "x"],
+         "presheaves.W.eltset.A: duplicate elements"),
+        (("presheaves", "W", "eltset"), {"A": ["x"]},
+         "presheaves.W.eltset.B: missing element set"),
+        (("presheaves", "W", "action", "g"), {}, "presheaves.W.action.g: unknown morphism"),
+        (("presheaves", "W", "action"), {}, "presheaves.W.action.f: missing action"),
+        # reported at "$" before the validators reported paths
+        (("categories", "C", "objects"), ["A", "B", "A"],
+         "categories.C.objects[2]: duplicate object id"),
+        (("categories", "C", "morphisms"), [{"id": "f", "src": "A", "tgt": "B"}] * 2,
+         "categories.C.morphisms[1].id: duplicate morphism id"),
+        (("categories", "C", "identity"), {"Z": "f"}, "categories.C.identity.Z: unknown object"),
+    ],
+)
+def test_each_reference_rule_prints_its_path(tmp_path, keys, value, line):
+    doc = _typed_doc()
+    _set(doc, keys, value)
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    assert run(["validate", str(ws)]) == (2, f"ERROR: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("n^x", "bad simple type 'n^x' (column 0)"),
+        ("s)", "expected a string in which brackets must nest and '|' may appear only inside them"),
+    ],
+)
+def test_a_bad_target_is_a_schema_error(fig2, target, message):
+    for argv in (
+        ["parse", "--lexicon", fig2, "--target", target, "the cat sleeps"],
+        ["semantics", fig2, "--lexicon", "toy", "--corpus", "toy", "--target", target],
+    ):
+        assert run(argv) == (2, f"ERROR: --target: {message}\n")
+
+
+def test_roundtrip_of_a_covariant_presheaf(tmp_path):
+    doc = _typed_doc()
+    doc["presheaves"]["K"] = {
+        "base": "C",
+        "variance": "covariant",
+        "eltset": {"A": ["x", "y"], "B": ["z"]},
+        "action": {"f": {"x": "z", "y": "z"}},
+    }
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    assert run(["roundtrip", str(ws), "K"]) == (0, "CHECKED: true\n")

@@ -1,10 +1,13 @@
 import pytest
 
-from fibcat.errors import CodMismatch, MalformedSpec
+from fibcat.errors import CodMismatch, MalformedSpec, WitnessFailure
 from fibcat.fincat import (
+    CONTRAVARIANT,
     FinCat,
     FunctorSpec,
     Morphism,
+    SetValuedFunctor,
+    check_iso_over,
     comma,
     compose_functors,
     connected_components,
@@ -14,6 +17,7 @@ from fibcat.fincat import (
     terminal_category,
     validate_category,
     validate_functor,
+    validate_set_valued,
 )
 from fibcat.mcg import mcg
 
@@ -99,6 +103,41 @@ class TestValidateFunctor:
                 G, FunctorSpec(A.cat, B.cat, F.omap, F.mmap)
             )
             assert validate_functor(GF).ok
+
+
+class TestReferencePaths:
+    def test_dangling_morphism_end(self):
+        cat = FinCat(("a",), (Morphism("m", "a", "ghost"),), {"a": "m"}, {})
+        with pytest.raises(MalformedSpec) as exc:
+            validate_category(cat)
+        assert (exc.value.path, exc.value.message) == ("morphisms[0].tgt", "unknown object ghost")
+
+    def test_duplicate_elements(self):
+        W = SetValuedFunctor(mcg("A"), CONTRAVARIANT, {"A": ("x", "x")}, {"(A->A)": {"x": "x"}})
+        with pytest.raises(MalformedSpec) as exc:
+            validate_set_valued(W)
+        assert (exc.value.path, exc.value.message) == ("eltset.A", "duplicate elements")
+
+    def test_unknown_object_image(self):
+        c = chain_base()
+        F = FunctorSpec(c, c, {**identity_functor(c).omap, "B": "Z"}, identity_functor(c).mmap)
+        with pytest.raises(MalformedSpec) as exc:
+            validate_functor(F)
+        assert exc.value.path == "omap.B"
+
+
+class TestCheckIsoOver:
+    def test_identity_is_an_iso_over_the_base(self):
+        p = fig2_fibration()
+        one = identity_functor(p.dom)
+        check_iso_over(one, one, p, p)
+
+    def test_a_broken_triangle_is_refused(self):
+        p = fig2_fibration()
+        one = identity_functor(p.dom)
+        q = FunctorSpec(p.dom, p.cod, {**p.omap, "A0": "B"}, p.mmap)
+        with pytest.raises(WitnessFailure):
+            check_iso_over(one, one, p, q)
 
 
 class TestOpposite:

@@ -4,8 +4,10 @@ from fibcat.errors import NotDiscreteFibration
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.fincat import (
     CONTRAVARIANT,
+    COVARIANT,
     SetValuedFunctor,
     identity_functor,
+    opposite,
     terminal_category,
 )
 from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf, straighten
@@ -112,6 +114,12 @@ class TestRoundtrips:
             W = rand_presheaf(rng, base, max_elts=4)
             assert roundtrip_presheaf(W).checked
             assert roundtrip_fibration(elements(W).projection).checked
+
+    def test_random_covariant_presheaves(self, rng):
+        for _ in range(100):
+            W = rand_presheaf(rng, rand_dag_category(rng, 5, 4), max_elts=4)
+            K = SetValuedFunctor(opposite(W.base), COVARIANT, W.eltset, W.action)
+            assert roundtrip_presheaf(K).checked
 
 
 class TestFullFaithfulness:

@@ -7,6 +7,7 @@ identity functor and a functor to the terminal category.  Only the ids are
 adversarial.
 """
 
+import copy
 import io
 import json
 import os
@@ -106,8 +107,41 @@ def test_no_command_raises(doc):
             ["roundtrip", "WS", p], ["reindex", "WS", p, "nope"],
         ]
         argvs += [["reindex", "WS", p, m] for m in morphisms + ["id:*"]]
+        argvs += [
+            ["factorize", "--opfib", "WS", p], ["factorize", "--fib", "WS", p],
+            ["check-initial", "WS", p], ["check-final", "WS", p], ["classify-mcg", "WS", p],
+        ]
+        argvs += [[cmd, "WS", p, q] for cmd in ("comma", "pullback") for q in ("p", "k")]
     with tempfile.TemporaryDirectory() as tmp:
         path = _saved(doc, tmp)
         for argv in argvs:
             argv = [path if a == "WS" else a for a in argv]
             assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
+
+
+@given(workspaces(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_save_load_keeps_the_names_of_equal_categories(doc, data):
+    # D and U are structurally equal to C and T; each reference picks one
+    cats = doc["categories"]
+    cats["D"], cats["U"] = copy.deepcopy(cats["C"]), copy.deepcopy(cats["T"])
+    pick = lambda *names: data.draw(st.sampled_from(names))
+    for F in doc["functors"].values():
+        F["dom"] = pick("C", "D")
+        F["cod"] = pick("C", "D") if F["cod"] == "C" else pick("T", "U")
+    doc["presheaves"]["W"]["base"] = pick("C", "D")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            ws = cli.load(_saved(doc, tmp))
+        except SchemaError:
+            return
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        cli.save(ws, first)
+        cli.save(cli.load(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            text = a.read()
+            assert text == b.read()
+    saved = json.loads(text)
+    for name, F in doc["functors"].items():
+        assert (saved["functors"][name]["dom"], saved["functors"][name]["cod"]) == (F["dom"], F["cod"])
+    assert saved["presheaves"]["W"]["base"] == doc["presheaves"]["W"]["base"]
