@@ -5,9 +5,11 @@ presheaves, lexicons and corpora.  Identity morphisms may be omitted in
 files and are synthesized on load (named "id:<object>"), together with the
 composition entries forced by the unit laws; any other missing composite
 is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  Whether
-references resolve is checked by the fincat validators only; ``load``
-prefixes the path of their MalformedSpec with the structure's place in the
-workspace.  ``save`` emits a canonical form so save . load is byte-stable.
+references resolve is checked by the fincat validators only; ``load`` runs
+them on each category, functor and presheaf as it builds it, prefixes the
+path of their MalformedSpec with the structure's place in the workspace,
+and raises the law violations of all of them in one ValidationError.
+``save`` emits a canonical form so save . load is byte-stable.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .fincat import (
     Morphism,
     SetValuedFunctor,
     ValidationReport,
-    _check_category_wellformed,
     comma,
     complete_units,
     is_plain_id,
@@ -98,7 +99,20 @@ def _str_list(value, path):
     return value
 
 
-def _build_category(name, doc):
+def _validated(where, validate, x, violations):
+    """x, after appending the law violations of validate(x), prefixed by
+    where, to violations; a MalformedSpec becomes a SchemaError at where."""
+    try:
+        report = validate(x)
+    except MalformedSpec as exc:
+        raise SchemaError(f"{where}.{exc.path}", exc.message) from exc
+    violations.extend(
+        {"law": f"{where}: {v['law']}", "witness": v["witness"]} for v in report.violations
+    )
+    return x
+
+
+def _build_category(name, doc, violations):
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
@@ -132,9 +146,10 @@ def _build_category(name, doc):
         for f, h in inner.items():
             _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
             compose[(g, f)] = h
-    # references first, so that a dangling end is not reported as a missing composite
-    _located(path, _check_category_wellformed, cat)
     missing = complete_units(cat)
+    # validate_category checks references before laws, so a dangling end
+    # is reported as such, not as a missing composite
+    _validated(path, validate_category, cat, violations)
     if missing is not None:
         raise SchemaError(
             f"{path}.compose",
@@ -143,7 +158,7 @@ def _build_category(name, doc):
     return cat
 
 
-def _build_functor(name, doc, categories):
+def _build_functor(name, doc, categories, violations):
     path = f"functors.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     for key in ("dom", "cod", "omap", "mmap"):
@@ -158,10 +173,10 @@ def _build_functor(name, doc, categories):
     for m in dom.morphisms:
         if m.id not in mmap and dom.is_identity(m.id) and omap.get(m.src) in cod.identity:
             mmap[m.id] = cod.identity[omap[m.src]]
-    return FunctorSpec(dom, cod, omap, mmap)
+    return _validated(path, validate_functor, FunctorSpec(dom, cod, omap, mmap), violations)
 
 
-def _build_presheaf(name, doc, categories):
+def _build_presheaf(name, doc, categories, violations):
     path = f"presheaves.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     base_name = doc.get("base")
@@ -180,7 +195,8 @@ def _build_presheaf(name, doc, categories):
     for m in base.morphisms:
         if m.id not in action and base.is_identity(m.id) and m.src in eltset:
             action[m.id] = {x: x for x in eltset[m.src]}
-    return SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
+    W = SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
+    return _validated(path, validate_set_valued, W, violations)
 
 
 def _type(text, path, convention="paper"):
@@ -239,42 +255,20 @@ def load(path) -> Workspace:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require(doc.get("format") == FORMAT_VERSION, "format", "expected format 1")
-    ws = Workspace()
+    ws, violations = Workspace(), []
     for name, cdoc in _object(doc, "categories", "categories").items():
-        ws.categories[name] = _build_category(name, cdoc)
+        ws.categories[name] = _build_category(name, cdoc, violations)
     for name, fdoc in _object(doc, "functors", "functors").items():
-        ws.functors[name] = _build_functor(name, fdoc, ws.categories)
+        ws.functors[name] = _build_functor(name, fdoc, ws.categories, violations)
     for name, pdoc in _object(doc, "presheaves", "presheaves").items():
-        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories)
+        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations)
     for name, entries in _object(doc, "lexicons", "lexicons").items():
         ws.lexicons[name] = _build_lexicon(name, entries)
     for name, sentences in _object(doc, "corpora", "corpora").items():
         ws.corpora[name] = _build_corpus(name, sentences)
-    _validate_workspace(ws)
-    return ws
-
-
-def _located(prefix, check, x):
-    """check(x), with a MalformedSpec located in the workspace by prefix."""
-    try:
-        return check(x)
-    except MalformedSpec as exc:
-        raise SchemaError(f"{prefix}.{exc.path}", exc.message) from exc
-
-
-def _validate_workspace(ws: Workspace):
-    violations = []
-    for kind, validate in (
-        ("categories", validate_category),
-        ("functors", validate_functor),
-        ("presheaves", validate_set_valued),
-    ):
-        for name, x in getattr(ws, kind).items():
-            where = f"{kind}.{name}"
-            for v in _located(where, validate, x).violations:
-                violations.append({"law": f"{where}: {v['law']}", "witness": v["witness"]})
     if violations:
         raise ValidationError(ValidationReport.from_violations(violations))
+    return ws
 
 
 def save(ws: Workspace, path):

@@ -38,10 +38,9 @@ class Factorization:
     variant: str  # "opfibration" | "fibration"
 
 
-def _comma_with_point(F: FunctorSpec, d: str, final=False):
-    """(F/d), or (d/F) if final."""
-    at_d = constant_functor(terminal_category(), F.cod, d)
-    return comma(at_d, F) if final else comma(F, at_d)
+def _comma_with_point(F: FunctorSpec, d: str):
+    """(F/d)."""
+    return comma(F, constant_functor(terminal_category(), F.cod, d))
 
 
 def _pi0_data(F: FunctorSpec):
@@ -133,18 +132,16 @@ def _verify_factorization(s, p, F, variant):
 
 def is_initial(s: FunctorSpec) -> ValidationReport:
     """s is initial iff every (s/e) is nonempty and connected."""
-    return _commas_connected(s, final=False)
-
-
-def is_final(s: FunctorSpec) -> ValidationReport:
-    """s is final iff every (e/s) is nonempty and connected."""
-    return _commas_connected(s, final=True)
-
-
-def _commas_connected(s: FunctorSpec, final):
     violations = []
     for e in s.cod.objects:
-        blocks = connected_components(_comma_with_point(s, e, final).cat)
+        blocks = connected_components(_comma_with_point(s, e).cat)
         if len(blocks) != 1:
             violations.append(_violation("comma-connected", (e, len(blocks))))
     return ValidationReport.from_violations(violations)
+
+
+def is_final(s: FunctorSpec) -> ValidationReport:
+    """s is final iff every (e/s) is nonempty and connected, that is iff
+    its opposite is initial: (e/s) is the opposite of (s^op/e), and
+    connected components ignore direction."""
+    return is_initial(opposite_functor(s))

@@ -391,10 +391,11 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         if any(table[x] != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
     for (g, f), h in W.base.compose.items():
-        if W.variance == CONTRAVARIANT:
-            composite = {x: W.action[f][W.action[g][x]] for x in W.action[h]}
-        else:
-            composite = {x: W.action[g][W.action[f][x]] for x in W.action[h]}
+        if W.base.tgt(f) != W.base.src(g):
+            continue  # validate_category reports the pair
+        # over the domain of the action applied first: h may have wrong endpoints
+        first, then = (g, f) if W.variance == CONTRAVARIANT else (f, g)
+        composite = {x: W.action[then][W.action[first][x]] for x in W.action[first]}
         if composite != W.action[h]:
             violations.append(_violation("composition-action", (g, f)))
     return ValidationReport.from_violations(violations)

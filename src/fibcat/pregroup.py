@@ -169,6 +169,8 @@ class Lexicon:
 
     def __post_init__(self):
         phrases = [p for p, _ in self.entries]
+        if () in phrases:
+            raise ValueError("empty phrase in lexicon")
         if len(set(phrases)) != len(phrases):
             raise ValueError("duplicate phrases in lexicon")
 
@@ -255,23 +257,24 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     diagonal."""
     from .groth import elements
 
-    parses = {}  # sentence id -> the parse of its first occurrence
+    sentences = {}  # tokens -> (sentence id, parse), once per distinct sentence
     for i, tokens in enumerate(corpus):
-        result = parse_sentence(tokens, lex, target)
-        if isinstance(result, ParseFailure):
-            raise UnparsedSentence(i, result)
-        parses.setdefault(" ".join(tokens), result)
+        tokens = tuple(tokens)
+        if tokens not in sentences:
+            result = parse_sentence(tokens, lex, target)
+            if isinstance(result, ParseFailure):
+                raise UnparsedSentence(i, result)
+            sentences[tokens] = (" ".join(tokens), result)
 
-    objects, eltset = [], {}
+    eltset = {}  # in insertion order, which is the order of the objects
 
     def add_object(oid, elts):
         if oid not in eltset:
-            objects.append(oid)
             eltset[oid] = tuple(elts)
 
     # per parse: sentence id, sentence object, phrases, constituent ids, tensor id
     shapes = []
-    for sid, result in parses.items():
+    for sid, result in sentences.values():
         phrases = result.segmentation
         part_ids = tuple(
             _constituent_id(ph, ty, convention) for ph, ty in zip(phrases, result.types)
@@ -284,17 +287,17 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         add_object(sent_obj, (sid,))
     for _, _, phrases, part_ids, _ in shapes:
         for phrase, cid in zip(phrases, part_ids):
-            add_object(cid, (s for s in parses if _contains(s.split(), phrase)))
+            add_object(cid, (sid for t, (sid, _) in sentences.items() if _contains(t, phrase)))
     for _, _, _, part_ids, tid in shapes:
         combos = iproduct(*(eltset[pid] for pid in part_ids))
         add_object(tid, (_tuple_elt(combo) for combo in combos))
 
     morphisms, identity = [], {}
-    for oid in objects:
+    for oid in eltset:
         mid = f"id:{oid}"
         morphisms.append(Morphism(mid, oid, oid))
         identity[oid] = mid
-    action = {identity[oid]: {x: x for x in eltset[oid]} for oid in objects}
+    action = {identity[oid]: {x: x for x in elts} for oid, elts in eltset.items()}
     for sid, sent_obj, _, part_ids, tid in shapes:
         if tid == sent_obj:
             continue  # zero-step reduction collapses to the identity
@@ -303,7 +306,7 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         action[mid] = {sid: _tuple_elt((sid,) * len(part_ids))}
     # reductions run tensor -> sentence and nothing leaves a sentence
     # object, so the only composites involve identities
-    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+    cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})
     missing = complete_units(cat)
     if missing is not None:
         g, f = missing
@@ -317,5 +320,5 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         base=cat,
         presheaf=presheaf,
         fibration=elements(presheaf),
-        parses=tuple(parses.items()),
+        parses=tuple(sentences.values()),
     )

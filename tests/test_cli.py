@@ -1,3 +1,4 @@
+import glob
 import io
 import json
 import os
@@ -470,3 +471,62 @@ def test_roundtrip_of_a_covariant_presheaf(tmp_path):
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps(doc))
     assert run(["roundtrip", str(ws), "K"]) == (0, "CHECKED: true\n")
+
+
+@pytest.mark.parametrize(
+    "compose, violations",
+    [
+        (
+            {"g": {"f": "f"}},
+            [
+                "categories.ABC: endpoint-coherence ('g', 'f', 'f')",
+                "functors.p: composition-preservation ('g:C0', 'f:B2')",
+                "functors.p: composition-preservation ('g:C1', 'f:B0')",
+                "presheaves.W: composition-action ('g', 'f')",
+            ],
+        ),
+        (
+            {"g": {"f": "gf", "g": "g"}},
+            ["categories.ABC: composition-composability ('g', 'g')"],
+        ),
+    ],
+    ids=["wrong-endpoints", "not-composable"],
+)
+def test_a_lawless_base_composite_is_reported(fig2, tmp_path, compose, violations):
+    with open(fig2) as fh:
+        doc = json.load(fh)
+    doc["categories"]["ABC"]["compose"] = compose
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    expected = "".join(f"VIOLATION: {v}\n" for v in violations)
+    assert run(["validate", str(ws)]) == (1, "FAIL: validation\n" + expected)
+
+
+def test_every_composite_of_the_fixtures_can_be_swapped(fixtures_dir, tmp_path):
+    """Set each composite of each fixture category to each morphism id:
+    validate answers with an exit code, never a traceback."""
+    ws = tmp_path / "ws.json"
+    swaps = 0
+    for path in sorted(glob.glob(os.path.join(fixtures_dir, "**", "*.json"), recursive=True)):
+        with open(path) as fh:
+            doc = json.load(fh)
+        for cat in doc["categories"].values():
+            ids = [m["id"] for m in cat["morphisms"]]
+            for inner in cat.get("compose", {}).values():
+                for f, h in inner.items():
+                    for mid in ids:
+                        inner[f] = mid
+                        ws.write_text(json.dumps(doc))
+                        assert run(["validate", str(ws)])[0] in (0, 1, 2), (path, f, mid)
+                        swaps += 1
+                    inner[f] = h
+    assert swaps == 51
+
+
+def test_each_structure_is_checked_before_the_next_is_built(tmp_path):
+    doc = _typed_doc()
+    doc["functors"]["F"]["omap"]["B"] = "Z"
+    doc["presheaves"]["W"]["eltset"]["A"] = 1
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    assert run(["validate", str(ws)]) == (2, "ERROR: functors.F.omap.B: unknown object Z\n")

@@ -6,6 +6,7 @@ from fibcat.factor import (
     pi0_functor,
 )
 from fibcat.fincat import (
+    comma,
     compose_functors,
     connected_components,
     constant_functor,
@@ -66,6 +67,25 @@ class TestInitialFinal:
         assert not is_initial(at_y).ok
         assert is_initial(at_x).ok
         assert not is_final(at_x).ok
+
+
+    def test_final_matches_an_oracle_built_on_the_comma_under_each_point(self, rng):
+        # is_final reads (e/s) as the opposite of (s^op/e); the oracle
+        # builds each (e/s) itself and counts its components by BFS
+        not_final = 0
+        for _ in range(150):
+            C = rand_dag_category(rng, 3, 2)
+            D = rand_dag_category(rng, 3, 3)
+            s = rand_functor(rng, C, D.cat)
+            expected = []
+            for e in D.cat.objects:
+                under_e = comma(constant_functor(terminal_category(), D.cat, e), s)
+                n = len(bfs_components(under_e.cat))
+                if n != 1:
+                    expected.append({"law": "comma-connected", "witness": (e, n)})
+            assert list(is_final(s).violations) == expected
+            not_final += bool(expected)
+        assert 0 < not_final < 150
 
 
 class TestComprehensiveFactorization:

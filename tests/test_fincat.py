@@ -9,6 +9,7 @@ from fibcat.fincat import (
     SetValuedFunctor,
     check_iso_over,
     comma,
+    complete_units,
     compose_functors,
     connected_components,
     identity_functor,
@@ -103,6 +104,100 @@ class TestValidateFunctor:
                 G, FunctorSpec(A.cat, B.cat, F.omap, F.mmap)
             )
             assert validate_functor(GF).ok
+
+
+def with_units(objects, arrows, composites=()):
+    """A category on objects with identities id:<o>, the arrows (id, src,
+    tgt), the composites (g, f, g.f), and those the unit laws force."""
+    cat = FinCat(
+        objects,
+        [Morphism(f"id:{o}", o, o) for o in objects] + [Morphism(*a) for a in arrows],
+        {o: f"id:{o}" for o in objects},
+        {(g, f): h for g, f, h in composites},
+    )
+    complete_units(cat)
+    return cat
+
+
+def parallel_pair(*composites):
+    return with_units("ab", [("u", "a", "b"), ("v", "a", "b")], composites)
+
+
+def chain_with_gf(h):
+    """A -> B -> C whose composite g.f is h."""
+    arrows = [("f", "A", "B"), ("g", "B", "C"), ("gf", "A", "C")]
+    return with_units("ABC", arrows, [("g", "f", h)])
+
+
+def idempotent():
+    """One object a and e: a -> a with e.e = e."""
+    return with_units("a", [("e", "a", "a")], [("e", "e", "e")])
+
+
+def on_the_point(*elts, action):
+    return SetValuedFunctor(terminal_category(), CONTRAVARIANT, {"*": elts}, {"id:*": action})
+
+
+# One minimal structure per law that breaks that law alone.
+LAW_CASES = [
+    (validate_category, FinCat(("a",), (), {}, {}), [("identity-totality", ("a",))]),
+    (
+        validate_category,
+        FinCat(
+            ("a", "b"),
+            (Morphism("u", "a", "b"), Morphism("id:b", "b", "b")),
+            {"a": "u", "b": "id:b"},
+            {("id:b", "u"): "u", ("id:b", "id:b"): "id:b"},
+        ),
+        [("identity-endpoints", ("a", "u"))],
+    ),
+    (
+        validate_category,
+        with_units("ab", [("u", "a", "b")], [("u", "u", "u")]),
+        [("composition-composability", ("u", "u"))],
+    ),
+    (validate_category, chain_with_gf("f"), [("endpoint-coherence", ("g", "f", "f"))]),
+    (validate_category, parallel_pair(("u", "id:a", "v")), [("right-unit", ("u", "id:a"))]),
+    (validate_category, parallel_pair(("id:b", "u", "v")), [("left-unit", ("id:b", "u"))]),
+    (
+        validate_functor,
+        FunctorSpec(terminal_category(), idempotent(), {"*": "a"}, {"id:*": "e"}),
+        [("identity-preservation", ("*",))],
+    ),
+    (
+        validate_set_valued,
+        on_the_point("x", action={"x": "y"}),
+        [("action-endpoints", ("id:*",))],
+    ),
+    (
+        validate_set_valued,
+        on_the_point("x", "y", action={"x": "x", "y": "x"}),
+        [("identity-action", ("*",))],
+    ),
+    (
+        # the base breaks endpoint-coherence: g.f is f
+        validate_set_valued,
+        SetValuedFunctor(
+            chain_with_gf("f"),
+            CONTRAVARIANT,
+            {"A": ("a",), "B": ("b",), "C": ("c",)},
+            {
+                "f": {"b": "a"},
+                "g": {"c": "b"},
+                "gf": {"c": "a"},
+                **{f"id:{o}": {o.lower(): o.lower()} for o in "ABC"},
+            },
+        ),
+        [("composition-action", ("g", "f"))],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "validate, x, violations", LAW_CASES, ids=[vs[0][0] for _, _, vs in LAW_CASES]
+)
+def test_each_law_reports_its_witness(validate, x, violations):
+    assert [(v["law"], v["witness"]) for v in validate(x).violations] == violations
 
 
 class TestReferencePaths:

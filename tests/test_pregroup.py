@@ -139,6 +139,12 @@ class TestParseSentence:
         result = parse_sentence(["the", "cat", "sleeps"], lex, parse_type("s"))
         assert result.segmentation[0] == ("the", "cat")
 
+    def test_an_empty_phrase_is_refused(self):
+        # parse_sentence is not called: it never returns on such a lexicon
+        # when it is accepted
+        with pytest.raises(ValueError, match="empty phrase"):
+            make_lexicon([("", "n"), ("cat", "n")])
+
 
 class TestSemantics:
     @pytest.fixture
@@ -175,6 +181,25 @@ class TestSemantics:
                 "((the cat, n)⊗(sleeps, n^l.s)|(the cat sleeps|the cat sleeps))"
             )
         }
+
+    def test_each_distinct_sentence_is_parsed_once(self, model, monkeypatch):
+        from fibcat import pregroup
+
+        calls = []
+
+        def counted(tokens, lex, target):
+            calls.append(tuple(tokens))
+            return parse_sentence(tokens, lex, target)
+
+        monkeypatch.setattr(pregroup, "parse_sentence", counted)
+        lex = make_lexicon(TOY_LEXICON)
+        again = build_semantics(TOY_CORPUS * 3, lex, parse_type("s"))
+        assert sorted(calls) == sorted(map(tuple, TOY_CORPUS))
+        assert again.presheaf == model.presheaf
+        assert again.parses == model.parses
+        with pytest.raises(UnparsedSentence) as exc:
+            build_semantics(TOY_CORPUS * 2 + [["cat"]] * 2, lex, parse_type("s"))
+        assert exc.value.index == 4
 
     def test_unparsable_corpus_raises(self):
         with pytest.raises(UnparsedSentence) as exc:
