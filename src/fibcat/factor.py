@@ -3,7 +3,7 @@
 Any functor factors as an initial functor followed by a discrete
 opfibration; dually as a final functor after a discrete fibration.  The
 middle category is the category of elements of the connected-components
-functor d -> pi0(F/d), computed by union-find over each comma category.
+functor d -> pi0(F/d), computed by one union-find over all the (F/d).
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ from .fincat import (
     COVARIANT,
     FinCat,
     FunctorSpec,
+    Morphism,
     SetValuedFunctor,
     ValidationReport,
     _violation,
-    comma,
     compose_functors,
     connected_components,
-    constant_functor,
     opposite,
     opposite_functor,
-    terminal_category,
+    tuple_id,
     validate_functor,
 )
 
@@ -38,34 +37,45 @@ class Factorization:
     variant: str  # "opfibration" | "fibration"
 
 
-def _comma_with_point(F: FunctorSpec, d: str):
-    """(F/d)."""
-    return comma(F, constant_functor(terminal_category(), F.cod, d))
+def _comma_blocks(F: FunctorSpec):
+    """{d: the blocks of (F/d)}, each a list of its objects (c, f: Fc -> d),
+    in declaration order.  The only comma morphisms are (u, id), so each
+    u: c -> c' and f' out of Fc' join (c, f'.Fu) to (c', f')."""
+    D = F.cod
+    out = {}
+    for m in D.morphisms:
+        out.setdefault(m.src, []).append(m.id)
+    pairs = [(c, f) for c in F.dom.objects for f in out.get(F.omap[c], ())]
+    edges = [
+        Morphism((u.id, f2), (u.src, D.compose[(f2, F.mmap[u.id])]), (u.tgt, f2))
+        for u in F.dom.morphisms
+        for f2 in out.get(F.omap[u.tgt], ())
+    ]
+    blocks = {d: [] for d in D.objects}
+    # a bare graph: connected_components reads only objects and morphisms
+    for blk in connected_components(FinCat(pairs, edges, {}, {})):
+        blocks[D.tgt(blk[0][1])].append(blk)
+    return blocks
 
 
 def _pi0_data(F: FunctorSpec):
-    """The covariant functor d -> pi0(F/d) plus the block map, keyed by the
-    components (d, c, f: Fc -> d) of each comma object."""
+    """The covariant functor d -> pi0(F/d) plus the block of each comma
+    object (c, f: Fc -> d)."""
     D = F.cod
-    eltset, block_of, commas = {}, {}, {}
-    for d in D.objects:
-        cm = _comma_with_point(F, d)
-        commas[d] = cm
-        names = []
-        for blk in connected_components(cm.cat):
-            names.append(blk[0])
-            for oid in blk:
-                c, _, f = cm.obj_data[oid]
-                block_of[(d, c, f)] = blk[0]
-        eltset[d] = tuple(names)
+    blocks = _comma_blocks(F)
+    eltset, block_of = {}, {}
+    for d, blks in blocks.items():
+        eltset[d] = tuple(tuple_id(blk[0][0], "*", blk[0][1]) for blk in blks)
+        for blk, name in zip(blks, eltset[d]):
+            block_of.update(dict.fromkeys(blk, name))
     action = {}
     for g in D.morphisms:
         table = {}
-        for c, _, f in commas[g.src].obj_data.values():
-            target_block = block_of[(g.tgt, c, D.compose[(g.id, f)])]
-            src_block = block_of[(g.src, c, f)]
-            if table.setdefault(src_block, target_block) != target_block:
-                raise WitnessFailure(f"block map not well-defined along {g.id}")
+        for blk, src_block in zip(blocks[g.src], eltset[g.src]):
+            for c, f in blk:
+                target_block = block_of[(c, D.compose[(g.id, f)])]
+                if table.setdefault(src_block, target_block) != target_block:
+                    raise WitnessFailure(f"block map not well-defined along {g.id}")
         action[g.id] = table
     K = SetValuedFunctor(base=D, variance=COVARIANT, eltset=eltset, action=action)
     return K, block_of
@@ -74,8 +84,8 @@ def _pi0_data(F: FunctorSpec):
 def pi0_functor(F: FunctorSpec) -> SetValuedFunctor:
     """d -> connected components of (F/d), as a covariant set-valued functor.
 
-    Blocks are named by their least member in declaration order; the action
-    of g: d -> d' post-composes comparison arrows and passes to blocks.
+    Blocks are named "(c|*|f)" after their least member (c, f: Fc -> d);
+    the action of g: d -> d' post-composes f and passes to blocks.
     """
     return _pi0_data(F)[0]
 
@@ -93,8 +103,7 @@ def comprehensive_factor_opfib(F: FunctorSpec) -> Factorization:
     mor_id = {data: m for m, data in built.mor_data.items()}
 
     def unit_block(c):
-        d = F.omap[c]
-        return block_of[(d, c, D.identity[d])]
+        return block_of[(c, D.identity[F.omap[c]])]
 
     omap = {c: obj_id[F.omap[c], unit_block(c)] for c in F.dom.objects}
     mmap = {u.id: mor_id[F.mmap[u.id], unit_block(u.src)] for u in F.dom.morphisms}
@@ -132,11 +141,11 @@ def _verify_factorization(s, p, F, variant):
 
 def is_initial(s: FunctorSpec) -> ValidationReport:
     """s is initial iff every (s/e) is nonempty and connected."""
-    violations = []
-    for e in s.cod.objects:
-        blocks = connected_components(_comma_with_point(s, e).cat)
-        if len(blocks) != 1:
-            violations.append(_violation("comma-connected", (e, len(blocks))))
+    violations = [
+        _violation("comma-connected", (e, len(blks)))
+        for e, blks in _comma_blocks(s).items()
+        if len(blks) != 1
+    ]
     return ValidationReport.from_violations(violations)
 
 

@@ -420,9 +420,6 @@ class CommaResult:
     cat: FinCat
     projA: FunctorSpec
     projB: FunctorSpec
-    # object id -> (a, b, f); kept so pullback and the factorization can
-    # recover components without re-parsing encoded ids
-    obj_data: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
@@ -433,6 +430,19 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     record both comparison arrows because the pair (u, v) alone does not
     determine its endpoints in a non-thin codomain.
     """
+    return _comma(F, G, F.cod.hom)
+
+
+def pullback(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
+    """Strict pullback: the full subcategory of (F/G) on the objects whose
+    comparison arrow is an identity, with the same ids and order."""
+    identity = F.cod.identity
+    return _comma(F, G, lambda x, y: [identity[x]] if x == y else [])
+
+
+def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
+    """The full subcategory of (F/G) on the objects whose comparison arrow
+    Fa -> Gb is one of arrows(Fa, Gb)."""
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
     C = F.cod
@@ -440,7 +450,7 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     obj_data, obj_id, by_pair = {}, {}, {}
     for a in F.dom.objects:
         for b in G.dom.objects:
-            for f in C.hom(F.omap[a], G.omap[b]):
+            for f in arrows(F.omap[a], G.omap[b]):
                 oid = tuple_id(a, b, f)
                 obj_data[oid] = (a, b, f)
                 obj_id[a, b, f] = oid
@@ -451,7 +461,7 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
             for src_oid in by_pair.get((u.src, v.src), ()):
                 f = obj_data[src_oid][2]
                 left = C.compose[(G.mmap[v.id], f)]
-                for f2 in C.hom(F.omap[u.tgt], G.omap[v.tgt]):
+                for f2 in arrows(F.omap[u.tgt], G.omap[v.tgt]):
                     if C.compose[(f2, F.mmap[u.id])] != left:
                         continue
                     mid = tuple_id(u.id, v.id, f, f2)
@@ -472,44 +482,7 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
         omap = {oid: data[i] for oid, data in obj_data.items()}
         return FunctorSpec(cat, D, omap, {mid: data[i] for mid, data in mor_data.items()})
 
-    projA, projB = projection(0, F.dom), projection(1, G.dom)
-    return CommaResult(cat=cat, projA=projA, projB=projB, obj_data=obj_data)
-
-
-def full_subcategory(c: FinCat, keep) -> FinCat:
-    keep = set(keep)
-    objects = tuple(o for o in c.objects if o in keep)
-    morphisms = tuple(m for m in c.morphisms if m.src in keep and m.tgt in keep)
-    kept_ids = {m.id for m in morphisms}
-    return FinCat(
-        objects=objects,
-        morphisms=morphisms,
-        identity={o: c.identity[o] for o in objects},
-        compose={k: v for k, v in c.compose.items() if k[0] in kept_ids and k[1] in kept_ids},
-    )
-
-
-def _restrict_functor(F: FunctorSpec, sub: FinCat) -> FunctorSpec:
-    return FunctorSpec(
-        dom=sub,
-        cod=F.cod,
-        omap={o: F.omap[o] for o in sub.objects},
-        mmap={m.id: F.mmap[m.id] for m in sub.morphisms},
-    )
-
-
-def pullback(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
-    """Strict pullback: the comma objects whose comparison arrow is an identity."""
-    cm = comma(F, G)
-    C = F.cod
-    keep = [oid for oid in cm.cat.objects if C.is_identity(cm.obj_data[oid][2])]
-    sub = full_subcategory(cm.cat, keep)
-    return CommaResult(
-        cat=sub,
-        projA=_restrict_functor(cm.projA, sub),
-        projB=_restrict_functor(cm.projB, sub),
-        obj_data={oid: cm.obj_data[oid] for oid in keep},
-    )
+    return CommaResult(cat=cat, projA=projection(0, F.dom), projB=projection(1, G.dom))
 
 
 def connected_components(c: FinCat):

@@ -5,10 +5,15 @@ from itertools import product as iproduct
 
 from fibcat.fincat import (
     CONTRAVARIANT,
+    CommaResult,
     FinCat,
     FunctorSpec,
     Morphism,
     SetValuedFunctor,
+    comma,
+    constant_functor,
+    terminal_category,
+    tuple_id,
 )
 from fibcat.groth import elements
 from fibcat.fib import is_fib_morphism
@@ -282,6 +287,39 @@ def bfs_components(cat: FinCat):
                     queue.append(nxt)
         blocks.append(sorted(blk, key=cat.objects.index))
     return sorted(blocks, key=lambda blk: cat.objects.index(blk[0]))
+
+
+def comma_under(F: FunctorSpec, d):
+    """(F/d), built as the comma category of F and the point at d."""
+    return comma(F, constant_functor(terminal_category(), F.cod, d))
+
+
+def strict_pullback(F: FunctorSpec, G: FunctorSpec):
+    """The full subcategory of comma(F, G) on its objects (a, b, id), with
+    the projections restricted to it."""
+    cm = comma(F, G)
+    keep = {
+        tuple_id(a, b, F.cod.identity[F.omap[a]])
+        for a in F.dom.objects
+        for b in G.dom.objects
+        if F.omap[a] == G.omap[b]
+    }
+    c = cm.cat
+    objects = tuple(o for o in c.objects if o in keep)
+    morphisms = tuple(m for m in c.morphisms if m.src in keep and m.tgt in keep)
+    kept_ids = {m.id for m in morphisms}
+    sub = FinCat(
+        objects=objects,
+        morphisms=morphisms,
+        identity={o: c.identity[o] for o in objects},
+        compose={k: v for k, v in c.compose.items() if k[0] in kept_ids and k[1] in kept_ids},
+    )
+
+    def restrict(P):
+        omap = {o: P.omap[o] for o in sub.objects}
+        return FunctorSpec(sub, P.cod, omap, {m.id: P.mmap[m.id] for m in sub.morphisms})
+
+    return CommaResult(cat=sub, projA=restrict(cm.projA), projB=restrict(cm.projB))
 
 
 def count_natural_transformations(V, W):

@@ -12,7 +12,6 @@ import pytest
 from fibcat import cli
 from fibcat.errors import SchemaError, ValidationError
 from fibcat.factor import (
-    _comma_with_point,
     comprehensive_factor_fib,
     comprehensive_factor_opfib,
 )
@@ -32,6 +31,7 @@ from fibcat.pregroup import (
 from conftest import FIXTURES, SEED
 from helpers import (
     bfs_components,
+    comma_under as _comma_with_point,
     count_fibration_morphisms,
     count_natural_transformations,
     fig2_fibration,

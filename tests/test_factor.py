@@ -6,16 +6,60 @@ from fibcat.factor import (
     pi0_functor,
 )
 from fibcat.fincat import (
+    FinCat,
+    FunctorSpec,
+    Morphism,
     comma,
+    complete_units,
     compose_functors,
     connected_components,
     constant_functor,
     identity_functor,
     terminal_category,
+    tuple_id,
     validate_set_valued,
 )
 
-from helpers import bfs_components, chain_base, rand_dag_category, rand_functor
+from helpers import (
+    bfs_components,
+    chain_base,
+    comma_under,
+    rand_dag_category,
+    rand_functor,
+)
+
+
+def pi0_read_off_each_comma(F):
+    """The eltset and action of pi0_functor(F), from the components of
+    (F/d) built as a comma category for each d."""
+    D = F.cod
+    eltset, block = {}, {}
+    for d in D.objects:
+        blocks = connected_components(comma_under(F, d).cat)
+        eltset[d] = tuple(blk[0] for blk in blocks)
+        block.update((oid, blk[0]) for blk in blocks for oid in blk)
+    action = {
+        g.id: {
+            block[tuple_id(c, "*", f)]: block[tuple_id(c, "*", D.compose[(g.id, f)])]
+            for c in F.dom.objects
+            for f in D.hom(F.omap[c], g.src)
+        }
+        for g in D.morphisms
+    }
+    return eltset, action
+
+
+def category(objects, arrows, composites=()):
+    """The morphisms (id, src, tgt) in this order, the identities "id:<o>"
+    among them, with the composites (g, f, g.f) and the unit composites."""
+    cat = FinCat(
+        objects,
+        [Morphism(*a) for a in arrows],
+        {o: f"id:{o}" for o in objects},
+        {(g, f): h for g, f, h in composites},
+    )
+    complete_units(cat)
+    return cat
 
 
 class TestPi0Functor:
@@ -37,7 +81,7 @@ class TestPi0Functor:
         assert len(K.eltset["y"]) == 1
 
     def test_block_counts_match_the_bfs_oracle(self, rng):
-        from fibcat.factor import _comma_with_point
+        from helpers import comma_under as _comma_with_point
 
         for _ in range(40):
             C = rand_dag_category(rng, 3, 2)
@@ -48,6 +92,34 @@ class TestPi0Functor:
             for d in D.cat.objects:
                 cm = _comma_with_point(F, d)
                 assert len(K.eltset[d]) == len(bfs_components(cm.cat))
+
+    def test_block_map_matches_the_components_of_each_comma(self, rng):
+        for _ in range(100):
+            C = rand_dag_category(rng, 3, 2)
+            D = rand_dag_category(rng, 3, 3)
+            F = rand_functor(rng, C, D.cat)
+            K = pi0_functor(F)
+            assert (K.eltset, K.action) == pi0_read_off_each_comma(F)
+
+    def test_block_map_over_parallel_arrows(self):
+        two = category(
+            "ab", [("u", "a", "b"), ("w", "a", "b"), ("id:a", "a", "a"), ("id:b", "b", "b")]
+        )
+        at_a = FunctorSpec(terminal_category(), two, {"*": "a"}, {"id:*": "id:a"})
+        for F in (at_a, identity_functor(two)):
+            K = pi0_functor(F)
+            assert (K.eltset, K.action) == pi0_read_off_each_comma(F)
+        # u and w are different objects of (at_a/b), and nothing joins them
+        assert pi0_functor(at_a).eltset["b"] == ("(*|*|u)", "(*|*|w)")
+
+    def test_block_map_over_an_idempotent_declared_before_its_identity(self):
+        # e.e = e joins (a, e) to (a, id:a), and e comes first
+        loop = category("a", [("e", "a", "a"), ("id:a", "a", "a")], [("e", "e", "e")])
+        F = identity_functor(loop)
+        K = pi0_functor(F)
+        assert K.eltset == {"a": ("(a|*|e)",)}
+        assert K.action == {"e": {"(a|*|e)": "(a|*|e)"}, "id:a": {"(a|*|e)": "(a|*|e)"}}
+        assert (K.eltset, K.action) == pi0_read_off_each_comma(F)
 
 
 class TestInitialFinal:
@@ -68,6 +140,20 @@ class TestInitialFinal:
         assert is_initial(at_x).ok
         assert not is_final(at_x).ok
 
+    def test_initial_matches_an_oracle_built_on_the_comma_over_each_point(self, rng):
+        not_initial = 0
+        for _ in range(150):
+            C = rand_dag_category(rng, 3, 2)
+            D = rand_dag_category(rng, 3, 3)
+            s = rand_functor(rng, C, D.cat)
+            expected = []
+            for e in D.cat.objects:
+                n = len(bfs_components(comma_under(s, e).cat))
+                if n != 1:
+                    expected.append({"law": "comma-connected", "witness": (e, n)})
+            assert list(is_initial(s).violations) == expected
+            not_initial += bool(expected)
+        assert 0 < not_initial < 150
 
     def test_final_matches_an_oracle_built_on_the_comma_under_each_point(self, rng):
         # is_final reads (e/s) as the opposite of (s^op/e); the oracle
@@ -116,7 +202,7 @@ class TestComprehensiveFactorization:
             assert fac.variant == "fibration"
 
     def test_fibre_sizes_are_the_component_counts(self, rng):
-        from fibcat.factor import _comma_with_point
+        from helpers import comma_under as _comma_with_point
         from fibcat.fib import fibre
 
         for _ in range(20):

@@ -28,6 +28,7 @@ from helpers import (
     fig2_fibration,
     rand_dag_category,
     rand_functor,
+    strict_pullback,
 )
 
 
@@ -314,6 +315,19 @@ class TestPullback:
             G = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
             pb = pullback(F, G)
             assert compose_functors(F, pb.projA) == compose_functors(G, pb.projB)
+
+    def test_matches_the_full_subcategory_of_the_comma(self, rng):
+        for _ in range(100):
+            C = rand_dag_category(rng, 3, 3)
+            F = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
+            G = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
+            for A, B in ((F, G), (F, F), (F, identity_functor(C.cat))):
+                pb, oracle = pullback(A, B), strict_pullback(A, B)
+                assert pb.cat.objects == oracle.cat.objects
+                assert pb.cat.morphisms == oracle.cat.morphisms
+                assert pb.cat.identity == oracle.cat.identity
+                assert pb.cat.compose == oracle.cat.compose
+                assert (pb.projA, pb.projB) == (oracle.projA, oracle.projB)
 
 
 class TestConnectedComponents:
