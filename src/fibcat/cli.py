@@ -511,7 +511,13 @@ def cmd_mcg(args, out):
         except ValueError:
             ids = [args.objects] if args.objects else []
         else:
+            _require(n >= 0, "objects", "negative count")
             ids = [str(i) for i in range(n)]
+    # mcg's arrow ids "(a->b)" are distinct only if no name contains "->"
+    for i, a in enumerate(ids):
+        _require(a, f"objects[{i}]", "empty object name")
+        _require("->" not in a, f"objects[{i}]", "an object name may not contain '->'")
+    _require_ids(ids, "objects")
     if len(set(ids)) != len(ids):
         raise SchemaError("objects", "duplicate object names")
     _print_category(make_mcg(ids), out)

@@ -3,7 +3,8 @@
 Any functor factors as an initial functor followed by a discrete
 opfibration; dually as a final functor after a discrete fibration.  The
 middle category is the category of elements of the connected-components
-functor d -> pi0(F/d), computed by one union-find over all the (F/d).
+functor d -> pi0(F/d), or of d -> pi0(d/F), computed by one union-find
+over all the (F/d) or all the (d/F).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from .errors import WitnessFailure
 from .fib import is_discrete_fibration, is_discrete_opfibration
 from .fincat import (
+    CONTRAVARIANT,
     COVARIANT,
     FinCat,
     FunctorSpec,
@@ -22,11 +24,10 @@ from .fincat import (
     _violation,
     compose_functors,
     connected_components,
-    opposite,
-    opposite_functor,
     tuple_id,
     validate_functor,
 )
+from .groth import elements
 
 
 @dataclass(frozen=True)
@@ -37,32 +38,39 @@ class Factorization:
     variant: str  # "opfibration" | "fibration"
 
 
-def _comma_blocks(F: FunctorSpec):
+def _op(pair, contra):
+    """A pair of ends or of composable arrows, read in the opposite with contra."""
+    return pair[::-1] if contra else pair
+
+
+def _comma_blocks(F: FunctorSpec, contra=False):
     """{d: the blocks of (F/d)}, each a list of its objects (c, f: Fc -> d),
     in declaration order.  The only comma morphisms are (u, id), so each
-    u: c -> c' and f' out of Fc' join (c, f'.Fu) to (c', f')."""
+    u: c -> c' and f' out of Fc' join (c, f'.Fu) to (c', f').  With contra
+    F is read as its opposite in place, which gives the blocks of (d/F)."""
     D = F.cod
     out = {}
     for m in D.morphisms:
-        out.setdefault(m.src, []).append(m.id)
+        out.setdefault(m.tgt if contra else m.src, []).append(m.id)
     pairs = [(c, f) for c in F.dom.objects for f in out.get(F.omap[c], ())]
     edges = [
-        Morphism((u.id, f2), (u.src, D.compose[(f2, F.mmap[u.id])]), (u.tgt, f2))
+        Morphism((u.id, f2), (a, D.compose[_op((f2, F.mmap[u.id]), contra)]), (b, f2))
         for u in F.dom.morphisms
-        for f2 in out.get(F.omap[u.tgt], ())
+        for a, b in [_op((u.src, u.tgt), contra)]
+        for f2 in out.get(F.omap[b], ())
     ]
     blocks = {d: [] for d in D.objects}
     # a bare graph: connected_components reads only objects and morphisms
     for blk in connected_components(FinCat(pairs, edges, {}, {})):
-        blocks[D.tgt(blk[0][1])].append(blk)
+        blocks[(D.src if contra else D.tgt)(blk[0][1])].append(blk)
     return blocks
 
 
-def _pi0_data(F: FunctorSpec):
-    """The covariant functor d -> pi0(F/d) plus the block of each comma
-    object (c, f: Fc -> d)."""
+def _pi0_data(F: FunctorSpec, contra=False):
+    """The covariant functor d -> pi0(F/d), or with contra the contravariant
+    d -> pi0(d/F), plus the block of each comma object (c, f)."""
     D = F.cod
-    blocks = _comma_blocks(F)
+    blocks = _comma_blocks(F, contra)
     eltset, block_of = {}, {}
     for d, blks in blocks.items():
         eltset[d] = tuple(tuple_id(blk[0][0], "*", blk[0][1]) for blk in blks)
@@ -70,14 +78,14 @@ def _pi0_data(F: FunctorSpec):
             block_of.update(dict.fromkeys(blk, name))
     action = {}
     for g in D.morphisms:
-        table = {}
-        for blk, src_block in zip(blocks[g.src], eltset[g.src]):
+        table, d = {}, g.tgt if contra else g.src
+        for blk, src_block in zip(blocks[d], eltset[d]):
             for c, f in blk:
-                target_block = block_of[(c, D.compose[(g.id, f)])]
+                target_block = block_of[(c, D.compose[_op((g.id, f), contra)])]
                 if table.setdefault(src_block, target_block) != target_block:
                     raise WitnessFailure(f"block map not well-defined along {g.id}")
         action[g.id] = table
-    K = SetValuedFunctor(base=D, variance=COVARIANT, eltset=eltset, action=action)
+    K = SetValuedFunctor(D, CONTRAVARIANT if contra else COVARIANT, eltset, action)
     return K, block_of
 
 
@@ -93,64 +101,54 @@ def pi0_functor(F: FunctorSpec) -> SetValuedFunctor:
 def comprehensive_factor_opfib(F: FunctorSpec) -> Factorization:
     """Initial functor followed by a discrete opfibration; all invariants
     are verified before returning."""
-    from .groth import elements
+    return _factor(F, contra=False)
 
-    D = F.cod
-    K, block_of = _pi0_data(F)
+
+def comprehensive_factor_fib(F: FunctorSpec) -> Factorization:
+    """Final functor followed by a discrete fibration, the elements of
+    d -> pi0(d/F); all invariants are verified before returning."""
+    return _factor(F, contra=True)
+
+
+def _factor(F: FunctorSpec, contra):
+    K, block_of = _pi0_data(F, contra)
     built = elements(K)
     mid, p = built.total, built.projection
     obj_id = {data: o for o, data in built.obj_data.items()}
     mor_id = {data: m for m, data in built.mor_data.items()}
-
-    def unit_block(c):
-        return block_of[(c, D.identity[F.omap[c]])]
-
-    omap = {c: obj_id[F.omap[c], unit_block(c)] for c in F.dom.objects}
-    mmap = {u.id: mor_id[F.mmap[u.id], unit_block(u.src)] for u in F.dom.morphisms}
+    unit = {c: block_of[(c, F.cod.identity[F.omap[c]])] for c in F.dom.objects}
+    omap = {c: obj_id[F.omap[c], unit[c]] for c in F.dom.objects}
+    # elements keys each arrow by its source's element (its target's with contra)
+    mmap = {
+        u.id: mor_id[F.mmap[u.id], unit[u.tgt if contra else u.src]]
+        for u in F.dom.morphisms
+    }
     s = FunctorSpec(F.dom, mid, omap, mmap)
-    _verify_factorization(s, p, F, "opfibration")
-    return Factorization(s=s, mid=mid, p=p, variant="opfibration")
-
-
-def comprehensive_factor_fib(F: FunctorSpec) -> Factorization:
-    """Dual construction: factor the opposite, transport back."""
-    opf = comprehensive_factor_opfib(opposite_functor(F))
-    s = opposite_functor(opf.s)
-    p = opposite_functor(opf.p)
-    fac = Factorization(s=s, mid=opposite(opf.mid), p=p, variant="fibration")
-    _verify_factorization(s, p, F, "fibration")
-    return fac
-
-
-def _verify_factorization(s, p, F, variant):
     if compose_functors(p, s) != F:
         raise WitnessFailure("p . s != F")
     if not validate_functor(s).ok or not validate_functor(p).ok:
         raise WitnessFailure("factor is not a functor")
-    if variant == "opfibration":
-        if not is_discrete_opfibration(p).ok:
-            raise WitnessFailure("middle projection is not a discrete opfibration")
-        if not is_initial(s).ok:
-            raise WitnessFailure("first factor is not initial")
+    if contra:
+        variant, check_p, check_s = "fibration", is_discrete_fibration, is_final
     else:
-        if not is_discrete_fibration(p).ok:
-            raise WitnessFailure("middle projection is not a discrete fibration")
-        if not is_final(s).ok:
-            raise WitnessFailure("first factor is not final")
+        variant, check_p, check_s = "opfibration", is_discrete_opfibration, is_initial
+    if not check_p(p).ok:
+        raise WitnessFailure(f"middle projection is not a discrete {variant}")
+    if not check_s(s).ok:
+        raise WitnessFailure(f"first factor is not {'final' if contra else 'initial'}")
+    return Factorization(s=s, mid=mid, p=p, variant=variant)
 
 
 def is_initial(s: FunctorSpec) -> ValidationReport:
     """s is initial iff every (s/e) is nonempty and connected."""
-    violations = [
-        _violation("comma-connected", (e, len(blks)))
-        for e, blks in _comma_blocks(s).items()
-        if len(blks) != 1
-    ]
-    return ValidationReport.from_violations(violations)
+    return _connected(_comma_blocks(s))
 
 
 def is_final(s: FunctorSpec) -> ValidationReport:
-    """s is final iff every (e/s) is nonempty and connected, that is iff
-    its opposite is initial: (e/s) is the opposite of (s^op/e), and
-    connected components ignore direction."""
-    return is_initial(opposite_functor(s))
+    """s is final iff every (e/s) is nonempty and connected."""
+    return _connected(_comma_blocks(s, contra=True))
+
+
+def _connected(blocks):
+    bad = [(e, len(blks)) for e, blks in blocks.items() if len(blks) != 1]
+    return ValidationReport.from_violations(_violation("comma-connected", w) for w in bad)

@@ -12,7 +12,11 @@ from .fincat import FinCat, FunctorSpec, Morphism, check_iso_over, tuple_id
 
 def mcg(A) -> FinCat:
     """The groupoid with object set A and exactly one morphism per ordered
-    pair; n objects give n^2 morphisms."""
+    pair; n objects give n^2 morphisms.
+
+    The morphism from a to b is named "(a->b)", so the names of A must be
+    distinct and none may contain "->"; otherwise two arrows share an id.
+    """
     A = tuple(A)
     arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
     morphisms = tuple(Morphism(mid, a, b) for (a, b), mid in arrow.items())

@@ -12,9 +12,12 @@ from fibcat.fincat import (
     SetValuedFunctor,
     comma,
     constant_functor,
+    opposite,
+    opposite_functor,
     terminal_category,
     tuple_id,
 )
+from fibcat.factor import Factorization, comprehensive_factor_opfib
 from fibcat.groth import elements
 from fibcat.fib import is_fib_morphism
 from fibcat.fincat import validate_functor
@@ -292,6 +295,14 @@ def bfs_components(cat: FinCat):
 def comma_under(F: FunctorSpec, d):
     """(F/d), built as the comma category of F and the point at d."""
     return comma(F, constant_functor(terminal_category(), F.cod, d))
+
+
+def factor_fib_via_opposite(F: FunctorSpec):
+    """The final / discrete fibration factorization of F built the long
+    way: factor the opposite functor, then transport every piece back."""
+    opf = comprehensive_factor_opfib(opposite_functor(F))
+    s, p = opposite_functor(opf.s), opposite_functor(opf.p)
+    return Factorization(s=s, mid=opposite(opf.mid), p=p, variant="fibration")
 
 
 def strict_pullback(F: FunctorSpec, G: FunctorSpec):

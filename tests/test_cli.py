@@ -345,6 +345,22 @@ class TestUnknownNames:
         assert code == 2
         assert text.startswith("ERROR: ")
 
+    @pytest.mark.parametrize(
+        "objects, error",
+        [
+            # "(a->b->c)" would name both a -> b->c and a->b -> c
+            ("a,b->c,a->b,c", "objects[1]: an object name may not contain '->'"),
+            ("a->b", "objects[0]: an object name may not contain '->'"),
+            ("a,", "objects[1]: empty object name"),
+            (",a", "objects[0]: empty object name"),
+            ("-1", "objects: negative count"),
+            ("a,(b", "objects[1]: brackets must nest and '|' may appear only inside them"),
+            ("x|y", "objects[0]: brackets must nest and '|' may appear only inside them"),
+        ],
+    )
+    def test_mcg_rejects_names_that_make_arrow_ids_collide(self, objects, error):
+        assert run(["mcg", objects]) == (2, f"ERROR: {error}\n")
+
 
 def _typed_doc():
     return {

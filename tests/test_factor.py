@@ -1,3 +1,5 @@
+import pytest
+
 from fibcat.factor import (
     comprehensive_factor_fib,
     comprehensive_factor_opfib,
@@ -5,6 +7,7 @@ from fibcat.factor import (
     is_initial,
     pi0_functor,
 )
+from fibcat.fib import fibre
 from fibcat.fincat import (
     FinCat,
     FunctorSpec,
@@ -19,11 +22,13 @@ from fibcat.fincat import (
     tuple_id,
     validate_set_valued,
 )
+from fibcat.mcg import mcg
 
 from helpers import (
     bfs_components,
     chain_base,
     comma_under,
+    factor_fib_via_opposite,
     rand_dag_category,
     rand_functor,
 )
@@ -156,8 +161,8 @@ class TestInitialFinal:
         assert 0 < not_initial < 150
 
     def test_final_matches_an_oracle_built_on_the_comma_under_each_point(self, rng):
-        # is_final reads (e/s) as the opposite of (s^op/e); the oracle
-        # builds each (e/s) itself and counts its components by BFS
+        # the oracle builds each (e/s) as a comma category and counts its
+        # components by BFS
         not_final = 0
         for _ in range(150):
             C = rand_dag_category(rng, 3, 2)
@@ -201,16 +206,34 @@ class TestComprehensiveFactorization:
             assert opfac.variant == "opfibration"
             assert fac.variant == "fibration"
 
-    def test_fibre_sizes_are_the_component_counts(self, rng):
-        from helpers import comma_under as _comma_with_point
-        from fibcat.fib import fibre
+    def test_fibration_form_matches_the_transported_opposite(self, rng):
+        idem = category("a", [("e", "a", "a"), ("id:a", "a", "a")], [("e", "e", "e")])
+        codomains = [mcg("xyz"), mcg("xy"), idem]
+        for i in range(150):
+            C = rand_dag_category(rng, 3, 3)
+            D = rand_dag_category(rng, 3, 3).cat if i % 4 == 0 else codomains[i % 4 - 1]
+            F = rand_functor(rng, C, D)
+            fac, oracle = comprehensive_factor_fib(F), factor_fib_via_opposite(F)
+            assert fac == oracle
+            assert fac.mid.morphisms == oracle.mid.morphisms
 
+    @pytest.mark.parametrize(
+        "factorize, comma_at",
+        [
+            (comprehensive_factor_opfib, comma_under),  # (F/d)
+            (
+                comprehensive_factor_fib,  # (d/F)
+                lambda F, d: comma(constant_functor(terminal_category(), F.cod, d), F),
+            ),
+        ],
+        ids=["opfib", "fib"],
+    )
+    def test_fibre_sizes_are_the_component_counts(self, rng, factorize, comma_at):
         for _ in range(20):
             C = rand_dag_category(rng, 3, 2)
             D = rand_dag_category(rng, 3, 3)
             F = rand_functor(rng, C, D.cat)
-            fac = comprehensive_factor_opfib(F)
+            fac = factorize(F)
             for d in D.cat.objects:
-                cm = _comma_with_point(F, d)
-                expected = len(connected_components(cm.cat))
+                expected = len(connected_components(comma_at(F, d).cat))
                 assert len(fibre(fac.p, d).elements) == expected

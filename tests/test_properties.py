@@ -74,6 +74,27 @@ def test_tuple_id_is_injective_on_plain_ids_and_plain_again(a, b):
     assert (tuple_id(*a) == tuple_id(*b)) == (a == b)
 
 
+# Up to four names of up to two atoms each, so that "->" often lands at a
+# name's edge.  No name is all digits, since a count n builds n^2 arrows and
+# n^3 composites.
+mcg_atoms = st.sampled_from(["a", "b", "->", "-", ">", "|", "(", ")"])
+mcg_names = st.lists(st.lists(mcg_atoms, max_size=2).map("".join), max_size=4).map(",".join)
+
+
+@given(mcg_names)
+@settings(max_examples=150, deadline=None)
+def test_mcg_rejects_or_arrow_ids_are_distinct(objects):
+    out = io.StringIO()
+    code = cli.main(["mcg", objects], out=out)
+    if code == 2:
+        return
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    n = sum(line.startswith("OBJECT: ") for line in lines)
+    arrows = [line.split(" : ")[0] for line in lines if line.startswith("MORPHISM: ")]
+    assert len(set(arrows)) == len(arrows) == n * (n - 1)
+
+
 def _saved(doc, tmp):
     path = os.path.join(tmp, "ws.json")
     with open(path, "w", encoding="utf-8") as fh:
