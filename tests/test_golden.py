@@ -57,13 +57,15 @@ def cases():
             argvs += [["elements", ws, w], ["roundtrip", ws, w], ["dot", ws, w]]
         for lex in doc.get("lexicons", {}):
             for corpus, sentences in doc.get("corpora", {}).items():
-                argvs.append(["semantics", ws, "--lexicon", lex, "--corpus", corpus])
-                for s in sentences:
-                    words = s.split() if isinstance(s, str) else s
-                    for sentence in (words, words[::-1]):
-                        argvs.append(
-                            ["parse", "--lexicon", ws, "--lexicon-name", lex, " ".join(sentence)]
-                        )
+                for conv in ([], ["--convention", "lambek"]):
+                    argvs.append(["semantics", ws, "--lexicon", lex, "--corpus", corpus, *conv])
+                    for s in sentences:
+                        words = s.split() if isinstance(s, str) else s
+                        for sentence in (words, words[::-1]):
+                            argvs.append(
+                                ["parse", "--lexicon", ws, "--lexicon-name", lex, *conv,
+                                 " ".join(sentence)]
+                            )
     return argvs
 
 
