@@ -62,7 +62,7 @@ class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
     presheaves: dict = field(default_factory=dict)
-    lexicons: dict = field(default_factory=dict)  # name -> list of (phrase, type text)
+    lexicons: dict = field(default_factory=dict)  # name -> [(phrase, type text, paper type)]
     corpora: dict = field(default_factory=dict)  # name -> list of token lists
 
 
@@ -210,11 +210,11 @@ def _type(text, path, convention="paper"):
 
 
 def _build_lexicon(name, entries):
-    """(phrase, type text) pairs; each type must parse, each phrase occurs
-    once and is non-empty."""
+    """(phrase, type text, paper-convention type) triples; each type must
+    parse, each phrase occurs once and is non-empty."""
     lpath = f"lexicons.{name}"
     _require(isinstance(entries, list), lpath, "expected a list")
-    pairs, phrases = [], set()
+    triples, phrases = [], set()
     for i, rec in enumerate(entries):
         epath = f"{lpath}[{i}]"
         ok = isinstance(rec, dict) and "phrase" in rec and "type" in rec
@@ -225,9 +225,8 @@ def _build_lexicon(name, entries):
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
             raise SchemaError(f"{epath}.phrase", problem)
         phrases.add(tokens)
-        _type(text, f"{epath}.type")
-        pairs.append((phrase, text))
-    return pairs
+        triples.append((phrase, text, _type(text, f"{epath}.type")))
+    return triples
 
 
 def _build_corpus(name, sentences):
@@ -303,7 +302,7 @@ def save(ws: Workspace, path):
         }
     for name in sorted(ws.lexicons):
         doc["lexicons"][name] = [
-            {"phrase": phrase, "type": text} for phrase, text in ws.lexicons[name]
+            {"phrase": phrase, "type": text} for phrase, text, _ in ws.lexicons[name]
         ]
     for name in sorted(ws.corpora):
         doc["corpora"][name] = [list(s) for s in ws.corpora[name]]
@@ -533,21 +532,20 @@ def cmd_classify_mcg(args, out):
     return 0
 
 
-def _grammar(pairs, args):
+def _grammar(entries, args):
     """The lexicon and the target type, read in the convention args ask for."""
     conv = args.convention
-    return pregroup.make_lexicon(pairs, conv), _type(args.target, "--target", conv)
+    lex = tuple((tuple(p.split()), pregroup.in_convention(t, conv)) for p, _, t in entries)
+    return pregroup.Lexicon(lex), _type(args.target, "--target", conv)
 
 
 def cmd_parse(args, out):
     ws = load(args.lexicon)
-    if args.lexicon_name:
-        pairs = _get(ws.lexicons, args.lexicon_name, "lexicon")
-    elif len(ws.lexicons) == 1:
-        pairs = next(iter(ws.lexicons.values()))
-    else:
-        raise UnknownName("workspace has several lexicons; pass --lexicon-name")
-    result = pregroup.parse_sentence(args.sentence.split(), *_grammar(pairs, args))
+    if not args.lexicon_name and len(ws.lexicons) != 1:
+        what = "several lexicons; pass --lexicon-name" if ws.lexicons else "no lexicon"
+        raise UnknownName(f"workspace has {what}")
+    entries = _get(ws.lexicons, args.lexicon_name or next(iter(ws.lexicons)), "lexicon")
+    result = pregroup.parse_sentence(args.sentence.split(), *_grammar(entries, args))
     if isinstance(result, pregroup.ParseFailure):
         _emit(out, "FAIL", result.kind)
         _emit(out, "DETAIL", result.detail)
@@ -563,9 +561,9 @@ def cmd_parse(args, out):
 
 def cmd_semantics(args, out):
     ws = load(args.workspace)
-    pairs = _get(ws.lexicons, args.lexicon, "lexicon")
+    entries = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
-    sem = pregroup.build_semantics(corpus, *_grammar(pairs, args), args.convention)
+    sem = pregroup.build_semantics(corpus, *_grammar(entries, args), args.convention)
     for oid in sem.base.objects:
         _emit(out, "FIBRE-SIZE", f"{oid} = {len(sem.presheaf.eltset[oid])}")
     ok = is_discrete_fibration(sem.fibration.projection).ok

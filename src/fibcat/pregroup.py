@@ -2,10 +2,11 @@
 semantics.
 
 Types are strings of simple types carrying an adjoint exponent; reduction
-searches adjacent contractions (b, z)(b, z+1) only, leftmost first.  The
-surface markers ^l / ^r map to exponent deltas per convention: the default
-"paper" convention takes ^l to +1 so that n . n^l contracts; "lambek"
-takes ^l to -1.
+searches adjacent contractions (b, z)(b, z+1) only, leftmost first.  A
+convention is the sign of the exponent of ^l, and ^r has the opposite
+sign: the default "paper" convention takes ^l to +1 so that n . n^l
+contracts; "lambek" takes ^l to -1, so it negates every exponent of the
+paper reading and ``in_convention`` derives it from a paper parse.
 
 ``build_semantics`` assembles a finite base category from corpus parses,
 assigns each constituent the set of corpus sentences containing its
@@ -29,10 +30,7 @@ from .fincat import (
     tuple_id,
 )
 
-CONVENTIONS = {
-    "paper": {"l": +1, "r": -1},
-    "lambek": {"l": -1, "r": +1},
-}
+CONVENTIONS = {"paper": +1, "lambek": -1}  # the exponent of ^l; ^r is its negative
 
 
 @dataclass(frozen=True)
@@ -44,18 +42,20 @@ class SimpleType:
 # a pregroup type is a tuple of SimpleType; the empty tuple is the unit
 
 
+def in_convention(t, convention):
+    """The type t, parsed in the paper convention, as `convention` reads it."""
+    sign = CONVENTIONS[convention]
+    return tuple(SimpleType(st.base, sign * st.exponent) for st in t)
+
+
 def format_type(t, convention="paper"):
     if not t:
         return "1"
-    deltas = CONVENTIONS[convention]
-    marker = {deltas["l"]: "l", deltas["r"]: "r"}
+    sign = CONVENTIONS[convention]
     parts = []
     for st in t:
-        if st.exponent == 0:
-            parts.append(st.base)
-        else:
-            sign = 1 if st.exponent > 0 else -1
-            parts.append(st.base + "^" + marker[sign] * abs(st.exponent))
+        z = sign * st.exponent  # the number of l markers, or minus that of r
+        parts.append(st.base + ("^" + ("l" if z > 0 else "r") * abs(z) if z else ""))
     return ".".join(parts)
 
 
@@ -65,7 +65,7 @@ _TOKEN = re.compile(r"([^\s.^]+)(?:\^([lr]+))?$")
 def parse_type(text, convention="paper"):
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    deltas = CONVENTIONS[convention]
+    sign = CONVENTIONS[convention]
     simples = []
     col = 0
     for chunk in re.split(r"([.\s]+)", text):
@@ -82,7 +82,7 @@ def parse_type(text, convention="paper"):
             if markers:
                 raise TypeSyntaxError("unit type takes no adjoint", col)
         else:
-            simples.append(SimpleType(base, sum(deltas[ch] for ch in markers)))
+            simples.append(SimpleType(base, sign * (markers.count("l") - markers.count("r"))))
         col += len(chunk)
     return tuple(simples)
 
@@ -168,20 +168,20 @@ class Lexicon:
     entries: tuple  # of (phrase tokens tuple, type tuple)
 
     def __post_init__(self):
-        phrases = [p for p, _ in self.entries]
-        if () in phrases:
+        index = dict(self.entries)  # phrase tokens -> type
+        if () in index:
             raise ValueError("empty phrase in lexicon")
-        if len(set(phrases)) != len(phrases):
+        if len(index) != len(self.entries):
             raise ValueError("duplicate phrases in lexicon")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lengths", sorted({len(p) for p in index}, reverse=True))
 
     def longest_match(self, tokens, start):
-        best = None
-        for phrase, ptype in self.entries:
-            k = len(phrase)
-            if tuple(tokens[start : start + k]) == phrase:
-                if best is None or k > len(best[0]):
-                    best = (phrase, ptype)
-        return best
+        for k in self._lengths:
+            phrase = tuple(tokens[start : start + k])  # past the end: shorter, still longest
+            if phrase in self._index:
+                return phrase, self._index[phrase]
+        return None
 
 
 def make_lexicon(pairs, convention="paper"):

@@ -1,7 +1,10 @@
 """Shared fixtures, random generators, and independent oracles."""
 
+import re
 from collections import deque
 from itertools import product as iproduct
+
+from fibcat.errors import TypeSyntaxError
 
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -22,6 +25,7 @@ from fibcat.groth import elements
 from fibcat.fib import is_fib_morphism
 from fibcat.fincat import validate_functor
 from fibcat.mcg import mcg
+from fibcat.pregroup import SimpleType
 
 
 # --- the three-object chain and the fibration pictured over it ------------
@@ -418,3 +422,50 @@ def scan_fibre(p: FunctorSpec, c):
         tuple(e for e in p.dom.objects if p.omap[e] == c),
         tuple(m.id for m in p.dom.morphisms if p.mmap[m.id] == idc),
     )
+
+
+# --- pregroup oracles -------------------------------------------------------
+
+# one exponent delta per adjoint marker and convention
+_DELTAS = {
+    "paper": {"l": +1, "r": -1},
+    "lambek": {"l": -1, "r": +1},
+}
+_TOKEN = re.compile(r"([^\s.^]+)(?:\^([lr]+))?$")
+
+
+def parse_type_by_deltas(text, convention="paper"):
+    """pregroup.parse_type read through a table of marker deltas."""
+    if convention not in _DELTAS:
+        raise ValueError(f"unknown convention {convention!r}")
+    deltas = _DELTAS[convention]
+    simples = []
+    col = 0
+    for chunk in re.split(r"([.\s]+)", text):
+        if not chunk or re.fullmatch(r"[.\s]+", chunk):
+            col += len(chunk)
+            continue
+        m = _TOKEN.match(chunk)
+        if m is None:
+            raise TypeSyntaxError(f"bad simple type {chunk!r}", col)
+        base, markers = m.group(1), m.group(2) or ""
+        if "^" in base:
+            raise TypeSyntaxError(f"bad simple type {chunk!r}", col)
+        if base == "1":
+            if markers:
+                raise TypeSyntaxError("unit type takes no adjoint", col)
+        else:
+            simples.append(SimpleType(base, sum(deltas[ch] for ch in markers)))
+        col += len(chunk)
+    return tuple(simples)
+
+
+def scan_longest_match(lex, tokens, start):
+    """Lexicon.longest_match by a scan over every entry."""
+    best = None
+    for phrase, ptype in lex.entries:
+        k = len(phrase)
+        if tuple(tokens[start : start + k]) == phrase:
+            if best is None or k > len(best[0]):
+                best = (phrase, ptype)
+    return best

@@ -228,6 +228,30 @@ class TestCommands:
         assert "FIBRE-SIZE: (the cat, n) = 2" in text
         assert "DISCRETE-FIBRATION: true" in text
 
+    @pytest.mark.parametrize("convention", ["paper", "lambek"])
+    def test_each_type_is_parsed_once(self, fig2, monkeypatch, convention):
+        calls = []
+        parse_type = cli.pregroup.parse_type
+        monkeypatch.setattr(
+            cli.pregroup, "parse_type", lambda *a: calls.append(a) or parse_type(*a)
+        )
+        run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
+        # three lexicon entries, then the target
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "lexicons, error",
+        [
+            ({}, "workspace has no lexicon"),
+            ({"a": [], "b": []}, "workspace has several lexicons; pass --lexicon-name"),
+        ],
+    )
+    def test_parse_without_a_lexicon_name_needs_exactly_one(self, tmp_path, lexicons, error):
+        ws = tmp_path / "ws.json"
+        doc = {"format": 1, "categories": {"C": {"objects": ["A"], "morphisms": []}}}
+        ws.write_text(json.dumps({**doc, "lexicons": lexicons}))
+        assert run(["parse", "--lexicon", str(ws), "the cat"]) == (2, f"ERROR: {error}\n")
+
     def test_unknown_name_exits_two(self, fig2):
         assert run(["fibres", fig2, "nope"])[0] == 2
 

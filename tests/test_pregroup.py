@@ -145,6 +145,10 @@ class TestParseSentence:
         with pytest.raises(ValueError, match="empty phrase"):
             make_lexicon([("", "n"), ("cat", "n")])
 
+    def test_a_repeated_phrase_is_refused(self):
+        with pytest.raises(ValueError, match="duplicate phrases"):
+            make_lexicon([("the cat", "n"), ("sleeps", "n^l.s"), ("the  cat", "s")])
+
 
 class TestSemantics:
     @pytest.fixture

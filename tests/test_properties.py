@@ -5,6 +5,9 @@ Every generated workspace holds a category that obeys the laws by
 construction (no two non-identity morphisms compose), a presheaf on it, its
 identity functor and a functor to the terminal category.  Only the ids are
 adversarial.
+
+The pregroup properties compare type parsing and longest-match lookup with
+the oracles in tests/helpers.py.
 """
 
 import copy
@@ -17,9 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcat import cli
-from fibcat.errors import SchemaError
+from fibcat.errors import SchemaError, TypeSyntaxError
 from fibcat.fincat import is_plain_id, tuple_id
 from fibcat.groth import elements
+from fibcat.pregroup import (
+    CONVENTIONS,
+    Lexicon,
+    SimpleType,
+    format_type,
+    in_convention,
+    parse_type,
+)
+from helpers import parse_type_by_deltas, scan_longest_match
 
 # Each workspace draws its ids from two atoms joined by "|", sometimes in
 # brackets, so that distinct (object, element) pairs often render alike
@@ -166,3 +178,67 @@ def test_save_load_keeps_the_names_of_equal_categories(doc, data):
     for name, F in doc["functors"].items():
         assert (saved["functors"][name]["dom"], saved["functors"][name]["cod"]) == (F["dom"], F["cod"])
     assert saved["presheaves"]["W"]["base"] == doc["presheaves"]["W"]["base"]
+
+
+# Simple types with up to three mixed adjoint markers, and the unit, joined
+# by "." and spaces; with bad=True, some simple types do not parse.
+simple_type_texts = st.one_of(
+    st.just("1"),
+    st.builds(
+        lambda base, markers: base + ("^" + markers if markers else ""),
+        st.sampled_from(["n", "s", "np"]),
+        st.text("lr", max_size=3),
+    ),
+)
+bad_simple_type_texts = st.sampled_from(["1^l", "n^", "^r", "n^x", "n^l^r"])
+
+
+@st.composite
+def type_texts(draw, bad=False):
+    simple = st.one_of(simple_type_texts, bad_simple_type_texts) if bad else simple_type_texts
+    simples = draw(st.lists(simple, min_size=1, max_size=5))
+    text = simples[0]
+    for simple in simples[1:]:
+        text += draw(st.sampled_from([".", " ", " . ", "  "])) + simple
+    return text
+
+
+def _parsed(parse, text, convention):
+    try:
+        return parse(text, convention)
+    except TypeSyntaxError as exc:
+        return str(exc)
+
+
+@given(type_texts(bad=True), st.sampled_from(sorted(CONVENTIONS)))
+@settings(max_examples=200, deadline=None)
+def test_parse_type_matches_the_delta_table(text, convention):
+    assert _parsed(parse_type, text, convention) == _parsed(parse_type_by_deltas, text, convention)
+
+
+@given(type_texts(), st.sampled_from(sorted(CONVENTIONS)))
+@settings(max_examples=100, deadline=None)
+def test_a_convention_rereads_the_paper_parse(text, convention):
+    assert in_convention(parse_type(text), convention) == parse_type(text, convention)
+
+
+@given(type_texts(), st.sampled_from(sorted(CONVENTIONS)))
+@settings(max_examples=200, deadline=None)
+def test_format_type_parses_back_to_the_same_type(text, convention):
+    t = parse_type(text, convention)
+    assert parse_type(format_type(t, convention), convention) == t
+
+
+# Phrases over three words, so that many share a prefix.
+phrase_words = st.sampled_from(["a", "b", "c"])
+
+
+@given(
+    st.lists(st.lists(phrase_words, min_size=1, max_size=3).map(tuple), max_size=8, unique=True),
+    st.lists(phrase_words, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_longest_match_matches_the_scan(phrases, tokens):
+    lex = Lexicon(tuple((p, (SimpleType(f"t{i}"),)) for i, p in enumerate(phrases)))
+    for start in range(len(tokens) + 1):
+        assert lex.longest_match(tokens, start) == scan_longest_match(lex, tokens, start)
