@@ -378,17 +378,13 @@ def _emit(out, key, value):
     print(f"{key}: {value}", file=out)
 
 
-def _report_lines(out, violations):
-    for v in violations:
-        _emit(out, "VIOLATION", f"{v['law']} {v['witness']}")
-
-
 def _verdict(out, report, ok_text, fail_text):
     if report.ok:
         _emit(out, "OK", ok_text)
         return 0
     _emit(out, "FAIL", fail_text)
-    _report_lines(out, report.violations)
+    for v in report.violations:
+        _emit(out, "VIOLATION", f"{v['law']} {v['witness']}")
     return 1
 
 
@@ -435,15 +431,12 @@ def cmd_check_fib(args, out):
     if args.discrete:
         report = is_discrete_fibration(p)
         return _verdict(out, report, "discrete fibration", "not a discrete fibration")
-    result = is_fibration(p)
-    if not result["ok"]:
-        _emit(out, "FAIL", "not a fibration")
-        _report_lines(out, result["violations"])
-        return 1
-    _emit(out, "OK", "cloven fibration")
-    for (e, u), lift in result["cleavage"].items():
-        _emit(out, "LIFT", f"({e}, {u}) -> {lift}")
-    return 0
+    report = is_fibration(p)
+    code = _verdict(out, report, "cloven fibration", "not a fibration")
+    if report.ok:
+        for (e, u), lift in report.witness.items():
+            _emit(out, "LIFT", f"({e}, {u}) -> {lift}")
+    return code
 
 
 def cmd_elements(args, out):
@@ -548,7 +541,7 @@ def cmd_parse(args, out):
     result = pregroup.parse_sentence(args.sentence.split(), *_grammar(entries, args))
     if isinstance(result, pregroup.ParseFailure):
         _emit(out, "FAIL", result.kind)
-        _emit(out, "DETAIL", result.detail)
+        _emit(out, "DETAIL", pregroup.describe(result, args.convention))
         return 1
     for phrase, ptype in zip(result.segmentation, result.types):
         _emit(out, "SEGMENT", f"[{' '.join(phrase)}] : {pregroup.format_type(ptype, args.convention)}")
@@ -652,9 +645,7 @@ def main(argv=None, out=None):
     try:
         return args.fn(args, out)
     except ValidationError as exc:
-        _emit(out, "FAIL", "validation")
-        _report_lines(out, exc.report.violations)
-        return 1
+        return _verdict(out, exc.report, None, "validation")
     except (IoError, SchemaError, UnknownName, UnknownMorphism) as exc:
         _emit(out, "ERROR", str(exc))
         return 2

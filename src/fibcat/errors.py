@@ -61,8 +61,9 @@ class TypeSyntaxError(FibcatError):
 
 
 class UnparsedSentence(FibcatError):
-    def __init__(self, index, failure):
-        super().__init__(f"corpus sentence {index} does not parse: {failure}")
+    def __init__(self, index, failure, detail):
+        what = detail if failure.kind == "no-reduction" else f"unknown phrase {detail!r}"
+        super().__init__(f"corpus sentence {index} does not parse: {what}")
         self.index = index
         self.failure = failure
 

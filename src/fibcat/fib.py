@@ -74,8 +74,10 @@ def _reindex(p: FunctorSpec, u: str) -> Reindexing:
     return Reindexing(along=u, table=table)
 
 
-def is_cartesian(p: FunctorSpec, f: str):
-    """Exhaustive filler test for the cartesian property of f over p(f)."""
+def is_cartesian(p: FunctorSpec, f: str) -> ValidationReport:
+    """Exhaustive filler test for the cartesian property of f over p(f): the
+    CartesianWitness, or the first pair (g, w) with n != 1 fillers as the
+    one violation."""
     E = p.dom
     C = p.cod
     m = E.morphism(f)
@@ -91,37 +93,30 @@ def is_cartesian(p: FunctorSpec, f: str):
                 if E.src(h) == g.src and E.compose[(f, h)] == g.id
             ]
             if len(hs) != 1:
-                return {"ok": False, "counterexample": (g.id, w, len(hs))}
+                return ValidationReport(False, (_violation("unique-filler", (g.id, w, len(hs))),))
             fillers[(g.id, w)] = hs[0]
-    return {
-        "ok": True,
-        "witness": CartesianWitness(lift=f, over=u, fillers=fillers),
-    }
+    return ValidationReport(True, witness=CartesianWitness(lift=f, over=u, fillers=fillers))
 
 
-def is_fibration(p: FunctorSpec):
+def is_fibration(p: FunctorSpec) -> ValidationReport:
     """Cloven-fibration check: every (E, u: C -> pE) has a cartesian lift.
 
-    The cleavage records the first cartesian lift found in declaration
-    order, which makes the choice canonical.
+    The witness is the cleavage {(E, u): lift}, which records the first
+    cartesian lift found in declaration order, so the choice is canonical.
     """
     cleavage = {}
     violations = []
     for e in p.dom.objects:
         for u in p.cod.into(p.omap[e]):
-            found = None
-            for cand in p.lifts(u.id, e):
-                if is_cartesian(p, cand)["ok"]:
-                    found = cand
-                    break
+            found = next((h for h in p.lifts(u.id, e) if is_cartesian(p, h).ok), None)
             if found is None:
                 violations.append(_violation("cartesian-lift", (e, u.id)))
             else:
                 cleavage[(e, u.id)] = found
-    return {"ok": not violations, "cleavage": cleavage, "violations": violations}
+    return ValidationReport(not violations, tuple(violations), cleavage)
 
 
-def is_opfibration(p: FunctorSpec):
+def is_opfibration(p: FunctorSpec) -> ValidationReport:
     """The fibration check on the opposite-transported functor."""
     return is_fibration(opposite_functor(p))
 

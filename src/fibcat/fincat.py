@@ -26,6 +26,7 @@ class Morphism:
 class ValidationReport:
     ok: bool
     violations: tuple = ()
+    witness: object = None  # what the check found, e.g. a cleavage or fillers
 
     @staticmethod
     def from_violations(violations):

@@ -207,6 +207,16 @@ class ParseResult:
     witness: ReductionWitness
 
 
+def describe(failure, convention="paper"):
+    """The detail of a ParseFailure as text: the unknown word, or the
+    NoReduction with both types in type syntax."""
+    d = failure.detail
+    if failure.kind == "unknown-phrase":
+        return d
+    start, target = (format_type(t, convention) for t in (d.start, d.target))
+    return f"NoReduction(start={start}, target={target})"
+
+
 def parse_sentence(tokens, lex: Lexicon, target):
     """Longest-match segmentation left to right, then contraction search."""
     tokens = tuple(tokens)
@@ -263,7 +273,7 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         if tokens not in sentences:
             result = parse_sentence(tokens, lex, target)
             if isinstance(result, ParseFailure):
-                raise UnparsedSentence(i, result)
+                raise UnparsedSentence(i, result, describe(result, convention))
             sentences[tokens] = (" ".join(tokens), result)
 
     eltset = {}  # in insertion order, which is the order of the objects

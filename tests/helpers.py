@@ -122,6 +122,27 @@ def span_non_fibration():
     )
 
 
+def two_filler_functor():
+    """x => y -> e over the chain A -> B -> C, where f . h1 = f . h2 = fh.
+    f is the only morphism over g into e, and it is not cartesian: the pair
+    (fh, f) has the two fillers h1 and h2."""
+    objects = ("x", "y", "e")
+    arrows = {"h1": ("x", "y"), "h2": ("x", "y"), "f": ("y", "e"), "fh": ("x", "e")}
+    total = FinCat(
+        objects,
+        tuple(Morphism(m, s, t) for m, (s, t) in arrows.items())
+        + tuple(Morphism(f"id:{o}", o, o) for o in objects),
+        {o: f"id:{o}" for o in objects},
+        {("f", "h1"): "fh", ("f", "h2"): "fh"},
+    )
+    _complete_units(total)
+    return FunctorSpec(
+        total,
+        chain_base(),
+        {"x": "A", "y": "B", "e": "C"},
+        {"h1": "f", "h2": "f", "f": "g", "fh": "gf", "id:x": "id:A", "id:y": "id:B", "id:e": "id:C"},
+    )
+
 # --- random structures ----------------------------------------------------
 
 
@@ -422,6 +443,65 @@ def scan_fibre(p: FunctorSpec, c):
         tuple(e for e in p.dom.objects if p.omap[e] == c),
         tuple(m.id for m in p.dom.morphisms if p.mmap[m.id] == idc),
     )
+
+
+def scan_fillers(p: FunctorSpec, f):
+    """The fillers {(g, w): h} that make the domain morphism f cartesian
+    over p(f), by scans over the morphism lists; None when some (g, w)
+    has no filler or several."""
+    E, C = p.dom, p.cod
+    u = p.mmap[f.id]
+    (u_src,) = (m.src for m in C.morphisms if m.id == u)
+    fillers = {}
+    for g in E.morphisms:
+        if g.tgt != f.tgt:
+            continue
+        for w in C.morphisms:
+            if (w.src, w.tgt) != (p.omap[g.src], u_src) or C.compose[(u, w.id)] != p.mmap[g.id]:
+                continue
+            hs = [
+                h.id for h in E.morphisms
+                if (h.src, h.tgt) == (g.src, f.src) and p.mmap[h.id] == w.id
+                and E.compose[(f.id, h.id)] == g.id
+            ]
+            if len(hs) != 1:
+                return None
+            fillers[(g.id, w.id)] = hs[0]
+    return fillers
+
+
+def scan_cloven_fibration(p: FunctorSpec):
+    """fib.is_fibration by scans over the morphism lists: (ok, violations,
+    cleavage).  The lift of (e, u) is the first morphism over u into e, in
+    declaration order, whose fillers are unique over every domain
+    morphism into e."""
+    violations, cleavage = [], {}
+    for e in p.dom.objects:
+        for u in p.cod.morphisms:
+            if u.tgt != p.omap[e]:
+                continue
+            over = (f for f in p.dom.morphisms if f.tgt == e and p.mmap[f.id] == u.id)
+            lift = next((f.id for f in over if scan_fillers(p, f) is not None), None)
+            if lift is None:
+                violations.append({"law": "cartesian-lift", "witness": (e, u.id)})
+            else:
+                cleavage[(e, u.id)] = lift
+    return not violations, tuple(violations), cleavage
+
+
+def scan_discrete_opfibration(p: FunctorSpec):
+    """The unique-lift violations of fib.is_discrete_opfibration: for each
+    total object e and base morphism u out of p(e), the number of domain
+    morphisms over u with source e, where it is not 1."""
+    violations = []
+    for e in p.dom.objects:
+        for u in p.cod.morphisms:
+            if u.src != p.omap[e]:
+                continue
+            n = sum(1 for m in p.dom.morphisms if m.src == e and p.mmap[m.id] == u.id)
+            if n != 1:
+                violations.append({"law": "unique-lift", "witness": (e, u.id, n)})
+    return tuple(violations)
 
 
 # --- pregroup oracles -------------------------------------------------------

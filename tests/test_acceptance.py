@@ -111,8 +111,8 @@ def test_criterion_5_comma_squares(capsys):
         F = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
         G = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
         cm = comma(F, G)
-        ok = ok and is_fibration(cm.projA)["ok"]
-        ok = ok and is_opfibration(cm.projB)["ok"]
+        ok = ok and is_fibration(cm.projA).ok
+        ok = ok and is_opfibration(cm.projB).ok
     _verdict(capsys, "100 comma squares: left leg fibration, right leg opfibration", ok)
 
 

@@ -2,9 +2,11 @@ import pytest
 
 from fibcat.errors import NotDiscreteFibration, ShapeMismatch, UnknownObject
 from fibcat.fib import (
+    CartesianWitness,
     fibre,
     is_cartesian,
     is_discrete_fibration,
+    is_discrete_opfibration,
     is_fab_square,
     is_fib_morphism,
     is_fibration,
@@ -16,6 +18,7 @@ from fibcat.fincat import (
     comma,
     constant_functor,
     identity_functor,
+    opposite_functor,
     terminal_category,
 )
 from fibcat.groth import elements
@@ -27,7 +30,11 @@ from helpers import (
     rand_dag_category,
     rand_functor,
     rand_presheaf,
+    scan_cloven_fibration,
+    scan_discrete_opfibration,
+    scan_fillers,
     span_non_fibration,
+    two_filler_functor,
 )
 
 
@@ -56,6 +63,18 @@ class TestDiscreteFibration:
         )
         report = is_discrete_fibration(broken)
         assert {"law": "unique-lift", "witness": ("C0", "g", 0)} in report.violations
+
+
+class TestDiscreteOpfibration:
+    def test_violations_match_a_scan(self, rng):
+        outcomes = set()
+        for _ in range(150):
+            p = rand_functor(rng, rand_dag_category(rng, 4, 5), rand_dag_category(rng, 3, 3).cat)
+            report = is_discrete_opfibration(p)
+            assert report.violations == scan_discrete_opfibration(p)
+            assert report.ok == (not report.violations)
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
 
 
 class TestFibre:
@@ -108,33 +127,35 @@ class TestReindex:
 
 class TestCartesian:
     def test_identity_over_identity(self, p):
-        assert is_cartesian(p, "id:A0")["ok"]
+        assert is_cartesian(p, "id:A0").ok
 
     def test_all_morphisms_of_a_discrete_fibration(self, p):
         for m in p.dom.morphisms:
-            assert is_cartesian(p, m.id)["ok"], m.id
+            assert is_cartesian(p, m.id).ok, m.id
 
     def test_span_legs_fail_uniqueness(self):
         q = span_non_fibration()
         for leg in ("a", "b"):
             result = is_cartesian(q, leg)
-            assert not result["ok"]
-            g, w, n = result["counterexample"]
+            assert not result.ok
+            (v,) = result.violations
+            assert v["law"] == "unique-filler"
+            g, w, n = v["witness"]
             assert n == 0
 
 
 class TestClovenFibration:
     def test_discrete_implies_cloven(self, p):
         result = is_fibration(p)
-        assert result["ok"]
+        assert result.ok
         # the cleavage is exactly the unique-lift table
-        assert result["cleavage"][("B0", "f")] == "f:B0"
-        assert result["cleavage"][("C0", "gf")] == "gf:C0"
+        assert result.witness[("B0", "f")] == "f:B0"
+        assert result.witness[("C0", "gf")] == "gf:C0"
 
     def test_span_has_no_cartesian_lift(self):
         result = is_fibration(span_non_fibration())
-        assert not result["ok"]
-        assert any(v["witness"][0] == "e0" for v in result["violations"])
+        assert not result.ok
+        assert any(v["witness"][0] == "e0" for v in result.violations)
 
     def test_comma_projections(self, rng):
         for _ in range(30):
@@ -142,8 +163,45 @@ class TestClovenFibration:
             F = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
             G = rand_functor(rng, rand_dag_category(rng, 3, 2), C.cat)
             cm = comma(F, G)
-            assert is_fibration(cm.projA)["ok"]
-            assert is_opfibration(cm.projB)["ok"]
+            assert is_fibration(cm.projA).ok
+            assert is_opfibration(cm.projB).ok
+
+    @staticmethod
+    def _matches_the_scan(report, p):
+        ok, violations, cleavage = scan_cloven_fibration(p)
+        assert (report.ok, report.violations) == (ok, violations)
+        assert list(report.witness.items()) == list(cleavage.items())
+        for f in p.dom.morphisms:
+            cartesian, fillers = is_cartesian(p, f.id), scan_fillers(p, f)
+            assert cartesian.ok == (fillers is not None), f.id
+            if cartesian.ok:
+                assert cartesian.witness == CartesianWitness(f.id, p.mmap[f.id], fillers)
+        return ok
+
+    def test_matches_a_scan_oracle(self, rng):
+        outcomes = set()
+        for _ in range(150):
+            p = rand_functor(rng, rand_dag_category(rng, 4, 5), rand_dag_category(rng, 3, 3).cat)
+            outcomes.add(self._matches_the_scan(is_fibration(p), p))
+            outcomes.add(self._matches_the_scan(is_opfibration(p), opposite_functor(p)))
+        assert outcomes == {True, False}
+        # a free category never has two fillers, nor two cartesian lifts of
+        # one arrow into one object: that takes a non-cancellative category
+        # and a groupoid, whose every morphism is cartesian over an identity
+        p = two_filler_functor()
+        self._matches_the_scan(is_fibration(p), p)
+        for k in (2, 3):
+            D = rand_dag_category(rng, 3, 2).cat
+            p = constant_functor(mcg([f"g{i}" for i in range(k)]), D, D.objects[-1])
+            self._matches_the_scan(is_fibration(p), p)
+            self._matches_the_scan(is_opfibration(p), opposite_functor(p))
+
+    def test_two_fillers_are_one_violation(self):
+        p = two_filler_functor()
+        assert is_cartesian(p, "f").violations == (
+            {"law": "unique-filler", "witness": ("fh", "f", 2)},
+        )
+        assert {"law": "cartesian-lift", "witness": ("e", "g")} in is_fibration(p).violations
 
 
 class TestFibMorphism:

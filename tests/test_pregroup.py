@@ -211,3 +211,16 @@ class TestSemantics:
                 [["sleeps", "the", "cat"]], make_lexicon(TOY_LEXICON), parse_type("s")
             )
         assert exc.value.index == 0
+
+    @pytest.mark.parametrize(
+        "corpus, convention, text",
+        [
+            ([["sleeps", "the", "cat"]], "paper", "NoReduction(start=n^l.s.n, target=s)"),
+            ([["sleeps", "the", "cat"]], "lambek", "NoReduction(start=n^r.s.n, target=s)"),
+            ([["the", "cat", "purrs"]], "paper", "unknown phrase 'purrs'"),
+        ],
+    )
+    def test_an_unparsed_sentence_is_reported_in_type_syntax(self, corpus, convention, text):
+        with pytest.raises(UnparsedSentence) as exc:
+            build_semantics(corpus, make_lexicon(TOY_LEXICON), parse_type("s"), convention)
+        assert str(exc.value) == f"corpus sentence 0 does not parse: {text}"
