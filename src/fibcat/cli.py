@@ -15,6 +15,7 @@ and raises the law violations of all of them in one ValidationError.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -482,16 +483,20 @@ def cmd_factorize(args, out):
 
 
 def cmd_check_comma(args, out):
-    """check-initial and check-final: args.check is the library check."""
-    return _verdict(out, args.check(_functor(args)), *args.wording)
+    """check-initial and check-final; the check is looked up on each call,
+    since the parser outlives a rebinding of factor.is_initial or is_final."""
+    kind = args.command[len("check-"):]
+    report = getattr(factor_mod, f"is_{kind}")(_functor(args))
+    return _verdict(out, report, f"{kind} functor", f"not {kind}")
 
 
 def cmd_comma(args, out):
-    """comma and pullback: args.construct builds the category."""
+    """comma and pullback, looked up on each call like cmd_check_comma's check."""
     ws = load(args.workspace)
     F = _get(ws.functors, args.F, "functor")
     G = _get(ws.functors, args.G, "functor")
-    _print_category(args.construct(F, G).cat, out)
+    construct = comma if args.command == "comma" else pullback
+    _print_category(construct(F, G).cat, out)
     return 0
 
 
@@ -570,7 +575,11 @@ def cmd_dot(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use and shared, so
+    callers must not add to it.  It binds only the cmd_* functions, which
+    look the library up when they run."""
     parser = argparse.ArgumentParser(
         prog="fibcat",
         description="Finite categories, fibrations, and the pregroup toy semantics.",
@@ -608,14 +617,10 @@ def build_parser():
     cmd("roundtrip", cmd_roundtrip, "workspace", "name", help="verify the equivalence witnesses")
     p = cmd("factorize", cmd_factorize, *ws_f, help="comprehensive factorization")
     choice(p, "--fib", "--opfib")
-    p = cmd("check-initial", cmd_check_comma, *ws_f, help="initial-functor check")
-    p.set_defaults(check=factor_mod.is_initial, wording=("initial functor", "not initial"))
-    p = cmd("check-final", cmd_check_comma, *ws_f, help="final-functor check")
-    p.set_defaults(check=factor_mod.is_final, wording=("final functor", "not final"))
-    p = cmd("comma", cmd_comma, "workspace", "F", "G", help="comma category of two functors")
-    p.set_defaults(construct=comma)
-    p = cmd("pullback", cmd_comma, "workspace", "F", "G", help="strict pullback of two functors")
-    p.set_defaults(construct=pullback)
+    cmd("check-initial", cmd_check_comma, *ws_f, help="initial-functor check")
+    cmd("check-final", cmd_check_comma, *ws_f, help="final-functor check")
+    cmd("comma", cmd_comma, "workspace", "F", "G", help="comma category of two functors")
+    cmd("pullback", cmd_comma, "workspace", "F", "G", help="strict pullback of two functors")
     p = cmd("mcg", cmd_mcg, help="maximally connected groupoid on a set")
     p.add_argument("objects", help="a count or a comma-separated object list")
     cmd("classify-mcg", cmd_classify_mcg, *ws_f, help="classify a fibration over an MCG")

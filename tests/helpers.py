@@ -4,7 +4,7 @@ import re
 from collections import deque
 from itertools import product as iproduct
 
-from fibcat.errors import TypeSyntaxError
+from fibcat.errors import MalformedSpec, TypeSyntaxError
 
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -501,6 +501,70 @@ def scan_discrete_opfibration(p: FunctorSpec):
             n = sum(1 for m in p.dom.morphisms if m.src == e and p.mmap[m.id] == u.id)
             if n != 1:
                 violations.append({"law": "unique-lift", "witness": (e, u.id, n)})
+    return tuple(violations)
+
+
+def scan_validate_category(c: FinCat):
+    """fincat.validate_category's violations, by its former full loops:
+    every composable pair for totality and every composable triple for
+    associativity, found by scans over the morphism list, with no index.
+    A dangling or repeated id raises MalformedSpec as the library does."""
+    objects, ids = list(c.objects), [m.id for m in c.morphisms]
+    by_id = {m.id: m for m in c.morphisms}
+    for i, m in enumerate(c.morphisms):
+        for end, at in ((m.src, "src"), (m.tgt, "tgt")):
+            if end not in objects:
+                raise MalformedSpec(f"morphisms[{i}].{at}", f"unknown object {end}")
+    for obj, mid in c.identity.items():
+        if obj not in objects:
+            raise MalformedSpec(f"identity.{obj}", "unknown object")
+        if mid not in ids:
+            raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
+    for (g, f), h in c.compose.items():
+        checks = ((g, g, "morphism"), (f, f"{g}.{f}", "morphism"), (h, f"{g}.{f}", "composite"))
+        for x, path, what in checks:
+            if x not in ids:
+                raise MalformedSpec(f"compose.{path}", f"unknown {what}")
+    distinct = ((ids, "morphisms[{}].id", "morphism"), (objects, "objects[{}]", "object"))
+    for xs, path, what in distinct:
+        for i, x in enumerate(xs):
+            if x in xs[:i]:
+                raise MalformedSpec(path.format(i), f"duplicate {what} id")
+    violations = []
+
+    def flag(law, witness):
+        violations.append({"law": law, "witness": witness})
+
+    for obj in objects:
+        mid = c.identity.get(obj)
+        if mid is None:
+            flag("identity-totality", (obj,))
+        elif (by_id[mid].src, by_id[mid].tgt) != (obj, obj):
+            flag("identity-endpoints", (obj, mid))
+    for g in c.morphisms:
+        for f in c.morphisms:
+            if f.tgt == g.src and (g.id, f.id) not in c.compose:
+                flag("composition-totality", (g.id, f.id))
+    for (g, f), h in c.compose.items():
+        if by_id[f].tgt != by_id[g].src:
+            flag("composition-composability", (g, f))
+        elif by_id[h].src != by_id[f].src or by_id[h].tgt != by_id[g].tgt:
+            flag("endpoint-coherence", (g, f, h))
+    for m in c.morphisms:
+        lid, rid = c.identity.get(m.tgt), c.identity.get(m.src)
+        if rid is not None and c.compose.get((m.id, rid), m.id) != m.id:
+            flag("right-unit", (m.id, rid))
+        if lid is not None and c.compose.get((lid, m.id), m.id) != m.id:
+            flag("left-unit", (lid, m.id))
+    for h in c.morphisms:
+        for g in (g for g in c.morphisms if g.tgt == h.src):
+            for f in (f for f in c.morphisms if f.tgt == g.src):
+                gf, hg = c.compose.get((g.id, f.id)), c.compose.get((h.id, g.id))
+                if gf is None or hg is None:
+                    continue
+                left, right = c.compose.get((h.id, gf)), c.compose.get((hg, f.id))
+                if left is not None and right is not None and left != right:
+                    flag("associativity", (h.id, g.id, f.id))
     return tuple(violations)
 
 

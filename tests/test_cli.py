@@ -1,3 +1,4 @@
+import argparse
 import glob
 import io
 import json
@@ -5,7 +6,7 @@ import os
 
 import pytest
 
-from fibcat import cli
+from fibcat import cli, factor
 from fibcat.errors import SchemaError, ValidationError
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.mcg import mcg, product_with_mcg
@@ -254,6 +255,42 @@ class TestCommands:
 
     def test_unknown_name_exits_two(self, fig2):
         assert run(["fibres", fig2, "nope"])[0] == 2
+
+
+class TestOneParser:
+    def test_a_second_call_builds_no_parser(self, fig2, monkeypatch):
+        run(["validate", fig2])
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "__init__",
+            lambda self, *a, **k: built.append(a or k) or init(self, *a, **k),
+        )
+        assert run(["validate", fig2]) == (0, "OK: workspace valid (2 categories)\n")
+        assert run(["mcg", "-h"])[0] == 0
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["check-initial", "WS", "p"], factor, "is_initial"),
+            (["check-final", "WS", "p"], factor, "is_final"),
+            (["comma", "WS", "p", "p"], cli, "comma"),
+            (["pullback", "WS", "p", "p"], cli, "pullback"),
+        ],
+        ids=["check-initial", "check-final", "comma", "pullback"],
+    )
+    def test_the_library_function_is_looked_up_on_each_call(
+        self, fig2, monkeypatch, argv, owner, name
+    ):
+        # the parser built by the first call must not keep the function it saw
+        argv = [fig2 if a == "WS" else a for a in argv]
+        first = run(argv)
+        calls, real = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+        assert run(argv) == first
+        assert len(calls) == 1
 
 
 class TestDot:

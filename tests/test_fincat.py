@@ -28,6 +28,7 @@ from helpers import (
     fig2_fibration,
     rand_dag_category,
     rand_functor,
+    scan_validate_category,
     strict_pullback,
 )
 
@@ -77,6 +78,137 @@ class TestValidateCategory:
 
     def test_empty_category_ok(self):
         assert validate_category(FinCat((), (), {}, {})).ok
+
+
+def _outcome(violations_of, c):
+    """The violations found in c, or the path and message of the
+    MalformedSpec raised."""
+    try:
+        return "checked", violations_of(c)
+    except MalformedSpec as exc:
+        return "malformed", exc.path, exc.message
+
+
+def _parallel_redirect(rng, ids, identity, compose, by_id):
+    """Redirect a composite of two non-identities to another morphism with
+    the same endpoints, which keeps every law but associativity."""
+    ends = {m: (by_id[m].src, by_id[m].tgt) for m in ids}
+    choices = [
+        (key, others)
+        for key, h in compose.items()
+        if not set(key) & set(identity.values())
+        for others in [[m for m in ids if m != h and ends[m] == ends.get(h)]]
+        if others
+    ]
+    if choices:
+        key, others = rng.choice(choices)
+        compose[key] = rng.choice(others)
+
+
+def _mutate(rng, c, kind):
+    """A copy of c with one defect of the given kind."""
+    objects, morphisms = list(c.objects), list(c.morphisms)
+    identity, compose = dict(c.identity), dict(c.compose)
+    ids, by_id = [m.id for m in morphisms], {m.id: m for m in morphisms}
+    if kind == "drop" and compose:
+        del compose[rng.choice(list(compose))]
+    elif kind == "redirect" and compose:
+        compose[rng.choice(list(compose))] = rng.choice(ids)
+    elif kind == "parallel":
+        _parallel_redirect(rng, ids, identity, compose, by_id)
+    elif kind == "unit":
+        m = rng.choice(morphisms)
+        i, j = (identity.get(m.src), m.id) if rng.random() < 0.5 else (m.id, identity.get(m.tgt))
+        if i is not None and j is not None:
+            compose[(i, j)] = rng.choice(ids)
+    elif kind == "identity-endpoints":
+        identity[rng.choice(objects)] = rng.choice(ids)
+    elif kind == "missing-identity":
+        identity.pop(rng.choice(objects), None)
+    elif kind == "not-composable":
+        g, f = rng.choice(morphisms), rng.choice(morphisms)
+        if f.tgt != g.src:
+            compose[(g.id, f.id)] = rng.choice(ids)
+    elif kind == "dangling":
+        where = rng.randrange(4)
+        if where == 0:
+            compose[(rng.choice(ids), "ghost")] = rng.choice(ids)
+        elif where == 1 and compose:
+            compose[rng.choice(list(compose))] = "ghost"
+        elif where == 2:
+            identity[rng.choice(objects)] = "ghost"
+        else:
+            m = rng.randrange(len(morphisms))
+            morphisms[m] = Morphism(morphisms[m].id, morphisms[m].src, "nowhere")
+    elif kind == "duplicate":
+        if rng.random() < 0.5:
+            m = rng.choice(morphisms)
+            morphisms.insert(rng.randrange(len(morphisms) + 1), Morphism(m.id, m.tgt, m.src))
+        else:
+            objects.insert(rng.randrange(len(objects) + 1), rng.choice(objects))
+    return FinCat(tuple(objects), tuple(morphisms), identity, compose)
+
+
+MUTATIONS = (
+    "drop", "redirect", "parallel", "unit", "identity-endpoints", "missing-identity",
+    "not-composable", "dangling", "duplicate",
+)
+
+
+class TestValidateCategoryOracle:
+    """validate_category against the full pair and triple loops it had before
+    it counted totality and skipped identity triples."""
+
+    def test_matches_the_scan_on_random_categories(self, rng):
+        laws, malformed = set(), 0
+        for i in range(240):
+            if i % 6 == 5:
+                c = mcg([f"m{k}" for k in range(rng.randint(1, 3))])
+            else:
+                c = rand_dag_category(rng, max_objects=5, max_edges=6).cat
+            cases = [c] + [
+                _mutate(rng, c, kind) for kind in rng.sample(MUTATIONS, 3)
+            ]
+            # several defects at once, e.g. a dropped composite next to an entry
+            # whose pair is not composable, which keeps the entry count
+            twice = _mutate(rng, _mutate(rng, c, rng.choice(MUTATIONS)), rng.choice(MUTATIONS))
+            for x in cases + [twice]:
+                got = _outcome(lambda y: validate_category(y).violations, x)
+                assert got == _outcome(scan_validate_category, x)
+                if got[0] == "malformed":
+                    malformed += 1
+                else:
+                    laws |= {v["law"] for v in got[1]}
+        assert laws == {
+            "identity-totality", "identity-endpoints", "composition-totality",
+            "composition-composability", "endpoint-coherence", "right-unit", "left-unit",
+            "associativity",
+        }
+        assert malformed > 50
+
+    def test_a_broken_composite_of_parallel_arrows_is_caught_without_identity_triples(self, rng):
+        # every law but associativity holds, so only the triples with no
+        # identity are checked, and they hold the violation
+        found = 0
+        for _ in range(200):
+            c = rand_dag_category(rng, max_objects=6, max_edges=10).cat
+            x = _mutate(rng, c, "parallel")
+            violations = validate_category(x).violations
+            assert violations == scan_validate_category(x)
+            assert {v["law"] for v in violations} <= {"associativity"}
+            found += bool(violations)
+        assert found >= 10
+
+    def test_an_identity_triple_is_checked_when_a_unit_law_fails(self):
+        # u, v: a -> b with u . id:a = v and v . id:a = u, so both right
+        # units fail and (u, id:a, id:a) is not associative
+        cat = parallel_pair(("u", "id:a", "v"), ("v", "id:a", "u"))
+        violations = validate_category(cat).violations
+        assert violations == scan_validate_category(cat)
+        assert ("associativity", ("u", "id:a", "id:a")) in [
+            (v["law"], v["witness"]) for v in violations
+        ]
+        assert violations[0]["law"] == "right-unit"
 
 
 class TestValidateFunctor:

@@ -15,6 +15,7 @@ import glob
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -69,8 +70,9 @@ def cases():
     return argvs
 
 
-def run(argv):
-    """(exit code, stdout) of one command, run from TESTS_DIR at 80 columns."""
+def run(argv, err=None):
+    """(exit code, stdout) of one command, run from TESTS_DIR at 80 columns;
+    its stderr goes to err when given."""
     from fibcat import cli
 
     out = io.StringIO()
@@ -78,7 +80,7 @@ def run(argv):
     os.environ["COLUMNS"] = "80"
     os.chdir(TESTS_DIR)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err or io.StringIO()):
             code = cli.main(argv, out=out)
     finally:
         os.chdir(cwd)
@@ -107,6 +109,42 @@ def test_cli_output_matches_the_recording(argv):
 
 def test_recording_covers_every_case():
     assert set(_golden()) == {tuple(a) for a in CASES}
+
+
+def run_process(argv):
+    """(exit code, stdout, stderr) of `python -m fibcat.cli argv`, one
+    process per command as a shell user runs it, from TESTS_DIR at 80 columns."""
+    src = os.path.join(os.path.dirname(TESTS_DIR), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcat.cli", *argv],
+        cwd=TESTS_DIR, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+PROCESS_CASES = [
+    ["-h"], ["validate", "fixtures/fig2.json"], ["fibres", "fixtures/fig2.json", "nope"],
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_CASES, ids=[" ".join(a) for a in PROCESS_CASES])
+def test_one_process_per_command_matches_the_recording(argv):
+    rec = _golden()[tuple(argv)]
+    code, text, _ = run_process(argv)
+    assert (code, text) == (rec["code"], rec["stdout"])
+
+
+def test_a_usage_error_is_the_same_in_a_process_and_in_process():
+    argv = ["check-fib", "fixtures/fig2.json", "p"]
+    code, text, err = run_process(argv)
+    assert (code, text) == (2, "")
+    assert err.startswith("usage: fibcat check-fib")
+    for _ in range(2):  # the first call may build the parser, the second reuses it
+        captured = io.StringIO()
+        assert run(argv, captured) == (2, "")
+        assert captured.getvalue() == err
 
 
 if __name__ == "__main__":
