@@ -4,12 +4,19 @@ A workspace is a single JSON document with named categories, functors,
 presheaves, lexicons and corpora.  Identity morphisms may be omitted in
 files and are synthesized on load (named "id:<object>"), together with the
 composition entries forced by the unit laws; any other missing composite
-is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  Whether
-references resolve is checked by the fincat validators only; ``load`` runs
-them on each category, functor and presheaf as it builds it, prefixes the
-path of their MalformedSpec with the structure's place in the workspace,
-and raises the law violations of all of them in one ValidationError.
-``save`` emits a canonical form so save . load is byte-stable.
+is a SchemaError, as is any id that fails ``fincat.is_plain_id``.
+
+``load`` builds each category, functor and presheaf and validates it before
+it builds the next.  A builder checks the JSON shape of each record with a
+plain test and formats the record's path only when the test fails.
+Besides the category names a functor or presheaf refers to, it resolves
+only the ``compose`` keys; every other reference is resolved once, by the
+fincat validator of the structure.  ``load`` prefixes the path of the
+validator's MalformedSpec with the structure's place in the workspace,
+reads a missing composite off its composition-totality violations, and
+raises the law violations of all structures in one ValidationError.  Each
+distinct lexicon type text is parsed once per load.  ``save`` emits a
+canonical form so save . load is byte-stable.
 """
 
 from __future__ import annotations
@@ -88,9 +95,12 @@ def _object(doc, key, path):
     return value
 
 
+def _is_str_map(value):
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
 def _str_map(value, path):
-    ok = isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
-    _require(ok, path, "expected an object of strings")
+    _require(_is_str_map(value), path, "expected an object of strings")
     return dict(value)
 
 
@@ -101,8 +111,9 @@ def _str_list(value, path):
 
 
 def _validated(where, validate, x, violations):
-    """x, after appending the law violations of validate(x), prefixed by
-    where, to violations; a MalformedSpec becomes a SchemaError at where."""
+    """The report of validate(x), after appending its law violations,
+    prefixed by where, to violations; a MalformedSpec becomes a SchemaError
+    at where."""
     try:
         report = validate(x)
     except MalformedSpec as exc:
@@ -110,7 +121,24 @@ def _validated(where, validate, x, violations):
     violations.extend(
         {"law": f"{where}: {v['law']}", "witness": v["witness"]} for v in report.violations
     )
-    return x
+    return report
+
+
+def _morphism(rec):
+    """The Morphism a morphism record describes, or None if it is malformed."""
+    if isinstance(rec, dict):
+        mid, src, tgt = rec.get("id"), rec.get("src"), rec.get("tgt")
+        if isinstance(mid, str) and isinstance(src, str) and isinstance(tgt, str):
+            return Morphism(mid, src, tgt) if is_plain_id(mid) else None
+    return None
+
+
+def _bad_morphism(mp, rec):
+    """The SchemaError of the first defect of a malformed morphism record."""
+    _require(isinstance(rec, dict), mp, "expected an object")
+    for key in ("id", "src", "tgt"):
+        _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
+    return SchemaError(f"{mp}.id", _ID_RULE)
 
 
 def _build_category(name, doc, violations):
@@ -123,34 +151,37 @@ def _build_category(name, doc, violations):
     _require(isinstance(doc["morphisms"], list), f"{path}.morphisms", "expected a list")
     morphisms = []
     for i, rec in enumerate(doc["morphisms"]):
-        mp = f"{path}.morphisms[{i}]"
-        _require(isinstance(rec, dict), mp, "expected an object")
-        for key in ("id", "src", "tgt"):
-            _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
-        if not is_plain_id(rec["id"]):
-            raise SchemaError(f"{mp}.id", _ID_RULE)
-        morphisms.append(Morphism(rec["id"], rec["src"], rec["tgt"]))
+        m = _morphism(rec)
+        if m is None:
+            raise _bad_morphism(f"{path}.morphisms[{i}]", rec)
+        morphisms.append(m)
     identity = _str_map(doc.get("identity", {}), f"{path}.identity")
     declared = {m.id for m in morphisms}
     for obj in objects:
         if obj not in identity:
             mid = f"id:{obj}"
-            _require(mid not in declared, f"{path}.identity", f"{mid} already declared")
+            if mid in declared:
+                raise SchemaError(f"{path}.identity", f"{mid} already declared")
             morphisms.append(Morphism(mid, obj, obj))
             declared.add(mid)
             identity[obj] = mid
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     compose = cat.compose
     for g, inner in _object(doc, "compose", f"{path}.compose").items():
-        _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
-        _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
+        if not (cat.has_morphism(g) and isinstance(inner, dict)):
+            _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
+            raise SchemaError(f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
-            _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
-            compose[(g, f)] = h
-    missing = complete_units(cat)
-    # validate_category checks references before laws, so a dangling end
-    # is reported as such, not as a missing composite
-    _validated(path, validate_category, cat, violations)
+            if not isinstance(h, str):
+                raise SchemaError(f"{path}.compose.{g}.{f}", "unknown composite")
+            compose[g, f] = h
+    complete_units(cat)
+    # every composite the unit laws force is in the table now, so a missing
+    # one is not forced; validate_category checks references before laws,
+    # so a dangling end is reported as such, not as a missing composite
+    report = _validated(path, validate_category, cat, violations)
+    totality = (v["witness"] for v in report.violations if v["law"] == "composition-totality")
+    missing = next(totality, None)
     if missing is not None:
         raise SchemaError(
             f"{path}.compose",
@@ -174,7 +205,9 @@ def _build_functor(name, doc, categories, violations):
     for m in dom.morphisms:
         if m.id not in mmap and dom.is_identity(m.id) and omap.get(m.src) in cod.identity:
             mmap[m.id] = cod.identity[omap[m.src]]
-    return _validated(path, validate_functor, FunctorSpec(dom, cod, omap, mmap), violations)
+    F = FunctorSpec(dom, cod, omap, mmap)
+    _validated(path, validate_functor, F, violations)
+    return F
 
 
 def _build_presheaf(name, doc, categories, violations):
@@ -187,17 +220,21 @@ def _build_presheaf(name, doc, categories, violations):
     variance = doc.get("variance", CONTRAVARIANT)
     eltset = {}
     for c, elts in _object(doc, "eltset", f"{path}.eltset").items():
-        epath = f"{path}.eltset.{c}"
-        _require_ids(_str_list(elts, epath), epath)
+        ok = isinstance(elts, list) and all(isinstance(x, str) and is_plain_id(x) for x in elts)
+        if not ok:  # the checks below raise, at the path they format
+            epath = f"{path}.eltset.{c}"
+            _require_ids(_str_list(elts, epath), epath)
         eltset[c] = tuple(elts)
     action = {}
     for mid, table in _object(doc, "action", f"{path}.action").items():
-        action[mid] = _str_map(table, f"{path}.action.{mid}")
+        ok = _is_str_map(table)
+        action[mid] = dict(table) if ok else _str_map(table, f"{path}.action.{mid}")
     for m in base.morphisms:
         if m.id not in action and base.is_identity(m.id) and m.src in eltset:
             action[m.id] = {x: x for x in eltset[m.src]}
     W = SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
-    return _validated(path, validate_set_valued, W, violations)
+    _validated(path, validate_set_valued, W, violations)
+    return W
 
 
 def _type(text, path, convention="paper"):
@@ -210,23 +247,26 @@ def _type(text, path, convention="paper"):
         raise SchemaError(path, str(exc)) from exc
 
 
-def _build_lexicon(name, entries):
+def _build_lexicon(name, entries, parsed):
     """(phrase, type text, paper-convention type) triples; each type must
-    parse, each phrase occurs once and is non-empty."""
+    parse, each phrase occurs once and is non-empty.  parsed maps each type
+    text already parsed in this load to its type, so each is parsed once."""
     lpath = f"lexicons.{name}"
     _require(isinstance(entries, list), lpath, "expected a list")
     triples, phrases = [], set()
     for i, rec in enumerate(entries):
-        epath = f"{lpath}[{i}]"
-        ok = isinstance(rec, dict) and "phrase" in rec and "type" in rec
-        _require(ok, epath, "expected {phrase, type}")
+        if not (isinstance(rec, dict) and "phrase" in rec and "type" in rec):
+            raise SchemaError(f"{lpath}[{i}]", "expected {phrase, type}")
         phrase, text = rec["phrase"], rec["type"]
         tokens = tuple(phrase.split()) if isinstance(phrase, str) else ()
         if not tokens or tokens in phrases or not all(map(is_plain_id, tokens)):
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
-            raise SchemaError(f"{epath}.phrase", problem)
+            raise SchemaError(f"{lpath}[{i}].phrase", problem)
         phrases.add(tokens)
-        triples.append((phrase, text, _type(text, f"{epath}.type")))
+        ptype = parsed.get(text) if isinstance(text, str) else None
+        if ptype is None:
+            ptype = parsed[text] = _type(text, f"{lpath}[{i}].type")
+        triples.append((phrase, text, ptype))
     return triples
 
 
@@ -255,7 +295,7 @@ def load(path) -> Workspace:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require(doc.get("format") == FORMAT_VERSION, "format", "expected format 1")
-    ws, violations = Workspace(), []
+    ws, violations, parsed = Workspace(), [], {}
     for name, cdoc in _object(doc, "categories", "categories").items():
         ws.categories[name] = _build_category(name, cdoc, violations)
     for name, fdoc in _object(doc, "functors", "functors").items():
@@ -263,7 +303,7 @@ def load(path) -> Workspace:
     for name, pdoc in _object(doc, "presheaves", "presheaves").items():
         ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations)
     for name, entries in _object(doc, "lexicons", "lexicons").items():
-        ws.lexicons[name] = _build_lexicon(name, entries)
+        ws.lexicons[name] = _build_lexicon(name, entries, parsed)
     for name, sentences in _object(doc, "corpora", "corpora").items():
         ws.corpora[name] = _build_corpus(name, sentences)
     if violations:
@@ -533,7 +573,9 @@ def cmd_classify_mcg(args, out):
 def _grammar(entries, args):
     """The lexicon and the target type, read in the convention args ask for."""
     conv = args.convention
-    lex = tuple((tuple(p.split()), pregroup.in_convention(t, conv)) for p, _, t in entries)
+    paper = {text: t for _, text, t in entries}  # one type per distinct text
+    types = {text: pregroup.in_convention(t, conv) for text, t in paper.items()}
+    lex = tuple((tuple(p.split()), types[text]) for p, text, _ in entries)
     return pregroup.Lexicon(lex), _type(args.target, "--target", conv)
 
 

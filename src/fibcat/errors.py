@@ -47,13 +47,6 @@ class NotOverMCG(FibcatError):
     pass
 
 
-class UnequalFibres(FibcatError):
-    """Fibres over a maximally connected groupoid differ in size.
-
-    Unreachable for genuine discrete fibrations; signals a broken input.
-    """
-
-
 class TypeSyntaxError(FibcatError):
     def __init__(self, message, column):
         super().__init__(f"{message} (column {column})")

@@ -133,93 +133,94 @@ def is_plain_id(s):
 
 
 def complete_units(cat: FinCat):
-    """Fill in, in place, the composites the unit laws force.
+    """Fill in, in place, the composites the unit laws force, in the order
+    of ``composable_pairs``: g . i = g and i . f = f for an identity i.
 
-    Returns the first composable pair whose composite is still missing, or
-    None when the table is total.
-    """
+    Only the pairs with an identity in them are visited.  A composite that
+    is still missing is validate_category's composition-totality."""
     identities = set(cat.identity.values())
+    units_into = {}  # the identities among the morphisms into each object
+    for m in cat.morphisms:
+        if m.id in identities:
+            units_into.setdefault(m.tgt, []).append(m)
     compose = cat.compose
-    for g, f in cat.composable_pairs():
-        if (g, f) in compose:
-            continue
-        if f in identities:
-            compose[(g, f)] = g
-        elif g in identities:
-            compose[(g, f)] = f
-        else:
-            return g, f
-    return None
+    for g in cat.morphisms:
+        for f in cat.into(g.src) if g.id in identities else units_into.get(g.src, ()):
+            if (g.id, f.id) not in compose:
+                compose[g.id, f.id] = g.id if f.id in identities else f.id
 
 
-def _check_distinct(ids, path, what):
-    if len(set(ids)) != len(ids):
-        i = next(i for i, x in enumerate(ids) if x in ids[:i])
-        raise MalformedSpec(path.format(i), f"duplicate {what} id")
-
-
-def _check_category_wellformed(c: FinCat):
-    """Raise MalformedSpec, with a path, at the first id that is repeated or
-    does not resolve."""
-    for i, m in enumerate(c.morphisms):
-        for end, at in ((m.src, "src"), (m.tgt, "tgt")):
-            if not c.has_object(end):
-                raise MalformedSpec(f"morphisms[{i}].{at}", f"unknown object {end}")
-    for obj, mid in c.identity.items():
-        if not c.has_object(obj):
-            raise MalformedSpec(f"identity.{obj}", "unknown object")
-        if not c.has_morphism(mid):
-            raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
-    for (g, f), h in c.compose.items():
-        if not c.has_morphism(g):
-            raise MalformedSpec(f"compose.{g}", "unknown morphism")
-        if not c.has_morphism(f):
-            raise MalformedSpec(f"compose.{g}.{f}", "unknown morphism")
-        if not c.has_morphism(h):
-            raise MalformedSpec(f"compose.{g}.{f}", "unknown composite")
-    _check_distinct([m.id for m in c.morphisms], "morphisms[{}].id", "morphism")
-    _check_distinct(c.objects, "objects[{}]", "object")
+def _repeated(ids, path, what):
+    """The MalformedSpec at the first id in ids that repeats an earlier one."""
+    i = next(i for i, x in enumerate(ids) if x in ids[:i])
+    return MalformedSpec(path.format(i), f"duplicate {what} id")
 
 
 def validate_category(c: FinCat) -> ValidationReport:
-    """Check the category laws; structural dangling ids raise MalformedSpec.
+    """Check the category laws; a dangling or repeated id raises MalformedSpec.
 
-    The composable pairs are walked only when there are more of them than
-    composable table entries.  Once every other law holds, a triple with an
-    identity in it is associative by the unit laws, so it is skipped."""
-    _check_category_wellformed(c)
-    violations = []
-    for obj in c.objects:
-        mid = c.identity.get(obj)
-        if mid is None:
-            violations.append(_violation("identity-totality", (obj,)))
-            continue
-        m = c.morphism(mid)
-        if m.src != obj or m.tgt != obj:
-            violations.append(_violation("identity-endpoints", (obj, mid)))
-    by_id, compose, composable, entry_violations = c._by_id, c.compose, 0, []
+    The ends of the morphisms and the identities are checked first.  Then
+    one walk over the table resolves each entry's ids, raising at the first
+    that does not resolve, checks composability and endpoint coherence, and
+    counts the composable entries.  The composable pairs are walked only
+    when there are more of them than that count, to list the missing ones.
+    Repeated ids are checked last.  Once every other law holds, a triple
+    with an identity in it is associative by the unit laws, so it is
+    skipped."""
+    objects, by_id, identity = c._obj_index, c._by_id, c.identity
+    for i, m in enumerate(c.morphisms):
+        if m.src not in objects:
+            raise MalformedSpec(f"morphisms[{i}].src", f"unknown object {m.src}")
+        if m.tgt not in objects:
+            raise MalformedSpec(f"morphisms[{i}].tgt", f"unknown object {m.tgt}")
+    for obj, mid in identity.items():
+        if obj not in objects:
+            raise MalformedSpec(f"identity.{obj}", "unknown object")
+        if mid not in by_id:
+            raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
+    compose, composable, entry_violations = c.compose, 0, []
     for (g, f), h in compose.items():
-        mg, mf, mh = by_id[g], by_id[f], by_id[h]
+        mg, mf, mh = by_id.get(g), by_id.get(f), by_id.get(h)
+        if mg is None:
+            raise MalformedSpec(f"compose.{g}", "unknown morphism")
+        if mf is None:
+            raise MalformedSpec(f"compose.{g}.{f}", "unknown morphism")
+        if mh is None:
+            raise MalformedSpec(f"compose.{g}.{f}", "unknown composite")
         if mf.tgt != mg.src:
             entry_violations.append(_violation("composition-composability", (g, f)))
             continue
         composable += 1
         if mh.src != mf.src or mh.tgt != mg.tgt:
             entry_violations.append(_violation("endpoint-coherence", (g, f, h)))
-    if composable != sum(len(c.into(g.src)) for g in c.morphisms):
+    if len(by_id) != len(c.morphisms):
+        raise _repeated([m.id for m in c.morphisms], "morphisms[{}].id", "morphism")
+    if len(objects) != len(c.objects):
+        raise _repeated(c.objects, "objects[{}]", "object")
+    violations = []
+    for obj in c.objects:
+        mid = identity.get(obj)
+        if mid is None:
+            violations.append(_violation("identity-totality", (obj,)))
+            continue
+        m = by_id[mid]
+        if m.src != obj or m.tgt != obj:
+            violations.append(_violation("identity-endpoints", (obj, mid)))
+    arriving = c._into
+    if composable != sum(len(arriving.get(g.src, ())) for g in c.morphisms):
         missing = (pair for pair in c.composable_pairs() if pair not in compose)
         violations += (_violation("composition-totality", pair) for pair in missing)
     violations += entry_violations
     # unit laws
     for m in c.morphisms:
-        lid = c.identity.get(m.tgt)
-        rid = c.identity.get(m.src)
-        if rid is not None and (m.id, rid) in c.compose and c.compose[(m.id, rid)] != m.id:
+        lid = identity.get(m.tgt)
+        rid = identity.get(m.src)
+        if rid is not None and compose.get((m.id, rid), m.id) != m.id:
             violations.append(_violation("right-unit", (m.id, rid)))
-        if lid is not None and (lid, m.id) in c.compose and c.compose[(lid, m.id)] != m.id:
+        if lid is not None and compose.get((lid, m.id), m.id) != m.id:
             violations.append(_violation("left-unit", (lid, m.id)))
     # associativity, only meaningful where the table is total enough
-    skip = () if violations else set(c.identity.values())
+    skip = () if violations else set(identity.values())
     into = {o: [m for m in c.into(o) if m.id not in skip] for o in c.objects}
     for h in c.morphisms:
         if h.id in skip:
@@ -266,32 +267,33 @@ class FunctorSpec:
 
 
 def _check_functor_wellformed(F: FunctorSpec):
+    omap, mmap, cod = F.omap, F.mmap, F.cod
     for c in F.dom.objects:
-        if c not in F.omap:
+        if c not in omap:
             raise MalformedSpec(f"omap.{c}", "missing object image")
-        if not F.cod.has_object(F.omap[c]):
-            raise MalformedSpec(f"omap.{c}", f"unknown object {F.omap[c]}")
+        if omap[c] not in cod._obj_index:
+            raise MalformedSpec(f"omap.{c}", f"unknown object {omap[c]}")
     for m in F.dom.morphisms:
-        if m.id not in F.mmap:
+        if m.id not in mmap:
             raise MalformedSpec(f"mmap.{m.id}", "missing morphism image")
-        if not F.cod.has_morphism(F.mmap[m.id]):
-            raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {F.mmap[m.id]}")
+        if mmap[m.id] not in cod._by_id:
+            raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {mmap[m.id]}")
 
 
 def validate_functor(F: FunctorSpec) -> ValidationReport:
     _check_functor_wellformed(F)
+    omap, mmap, cod = F.omap, F.mmap, F.cod
     violations = []
     for m in F.dom.morphisms:
-        img = F.cod.morphism(F.mmap[m.id])
-        if img.src != F.omap[m.src] or img.tgt != F.omap[m.tgt]:
+        img = cod._by_id[mmap[m.id]]
+        if img.src != omap[m.src] or img.tgt != omap[m.tgt]:
             violations.append(_violation("endpoint-preservation", (m.id,)))
     for c in F.dom.objects:
-        mid = F.dom.identity[c]
-        if F.mmap[mid] != F.cod.identity[F.omap[c]]:
+        if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append(_violation("identity-preservation", (c,)))
+    cod_compose = cod.compose
     for (g, f), h in F.dom.compose.items():
-        img = F.cod.compose.get((F.mmap[g], F.mmap[f]))
-        if img != F.mmap[h]:
+        if cod_compose.get((mmap[g], mmap[f])) != mmap[h]:
             violations.append(_violation("composition-preservation", (g, f)))
     return ValidationReport.from_violations(violations)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiscreteFibration, NotOverMCG, UnequalFibres
+from .errors import NotDiscreteFibration, NotOverMCG
 from .fib import _reindex, fibre, is_discrete_fibration
 from .fincat import FinCat, FunctorSpec, Morphism, check_iso_over, tuple_id
 
@@ -87,10 +87,8 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
             fibre_set=(), iso=empty, inverse=empty, product_projection=empty
         )
     a0 = base.objects[0]
+    # reindexing along an isomorphism is a bijection, so every fibre has X's size
     X = fibre(p, a0).elements
-    sizes = {a: len(fibre(p, a).elements) for a in base.objects}
-    if len(set(sizes.values())) > 1:
-        raise UnequalFibres(str(sizes))
     transports = {a: _reindex(p, base.hom(a0, a)[0]).table for a in base.objects}
     transport = {}
     for e in p.dom.objects:

@@ -317,7 +317,8 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     # reductions run tensor -> sentence and nothing leaves a sentence
     # object, so the only composites involve identities
     cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})
-    missing = complete_units(cat)
+    complete_units(cat)
+    missing = next((pair for pair in cat.composable_pairs() if pair not in cat.compose), None)
     if missing is not None:
         g, f = missing
         raise ValueError(

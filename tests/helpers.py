@@ -1,10 +1,11 @@
 """Shared fixtures, random generators, and independent oracles."""
 
+import copy
 import re
 from collections import deque
 from itertools import product as iproduct
 
-from fibcat.errors import MalformedSpec, TypeSyntaxError
+from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError
 
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -15,6 +16,7 @@ from fibcat.fincat import (
     SetValuedFunctor,
     comma,
     constant_functor,
+    is_plain_id,
     opposite,
     opposite_functor,
     terminal_category,
@@ -43,12 +45,15 @@ def chain_base():
     )
     compose = {("g", "f"): "gf"}
     cat = FinCat(("A", "B", "C"), morphisms, {o: f"id:{o}" for o in "ABC"}, compose)
-    _complete_units(cat)
+    scan_complete_units(cat)
     return cat
 
 
-def _complete_units(cat):
-    """Fill in unit composites in place (helper for hand-built fixtures)."""
+def scan_complete_units(cat):
+    """fincat.complete_units as it was: a walk over every composable pair,
+    found by scanning the morphism list, that fills in place the composites
+    the unit laws force, up to the first pair whose composite is missing
+    and not forced.  Returns that pair, or None when the table is total."""
     identities = set(cat.identity.values())
     for g in cat.morphisms:
         for f in cat.morphisms:
@@ -58,6 +63,9 @@ def _complete_units(cat):
                 cat.compose[(g.id, f.id)] = g.id
             elif g.id in identities:
                 cat.compose[(g.id, f.id)] = f.id
+            else:
+                return g.id, f.id
+    return None
 
 
 def fig2_total():
@@ -75,7 +83,7 @@ def fig2_total():
     ]
     compose = {("g:C0", "f:B2"): "gf:C0", ("g:C1", "f:B0"): "gf:C1"}
     cat = FinCat(objects, tuple(morphisms), {o: f"id:{o}" for o in objects}, compose)
-    _complete_units(cat)
+    scan_complete_units(cat)
     return cat
 
 
@@ -100,7 +108,7 @@ def span_non_fibration():
         {"x": "id:x", "y": "id:y"},
         {},
     )
-    _complete_units(base)
+    scan_complete_units(base)
     total = FinCat(
         ("e1", "e0", "e2"),
         (
@@ -113,7 +121,7 @@ def span_non_fibration():
         {"e1": "id:e1", "e0": "id:e0", "e2": "id:e2"},
         {},
     )
-    _complete_units(total)
+    scan_complete_units(total)
     return FunctorSpec(
         total,
         base,
@@ -135,7 +143,7 @@ def two_filler_functor():
         {o: f"id:{o}" for o in objects},
         {("f", "h1"): "fh", ("f", "h2"): "fh"},
     )
-    _complete_units(total)
+    scan_complete_units(total)
     return FunctorSpec(
         total,
         chain_base(),
@@ -504,13 +512,12 @@ def scan_discrete_opfibration(p: FunctorSpec):
     return tuple(violations)
 
 
-def scan_validate_category(c: FinCat):
-    """fincat.validate_category's violations, by its former full loops:
-    every composable pair for totality and every composable triple for
-    associativity, found by scans over the morphism list, with no index.
-    A dangling or repeated id raises MalformedSpec as the library does."""
+def scan_check_category_wellformed(c: FinCat):
+    """The reference checks of fincat.validate_category, by scans over the
+    morphism list: raise MalformedSpec, with a path, at the first id that
+    is repeated or does not resolve, checking the morphisms' ends, then the
+    identities, then the table, then the repeats."""
     objects, ids = list(c.objects), [m.id for m in c.morphisms]
-    by_id = {m.id: m for m in c.morphisms}
     for i, m in enumerate(c.morphisms):
         for end, at in ((m.src, "src"), (m.tgt, "tgt")):
             if end not in objects:
@@ -530,12 +537,21 @@ def scan_validate_category(c: FinCat):
         for i, x in enumerate(xs):
             if x in xs[:i]:
                 raise MalformedSpec(path.format(i), f"duplicate {what} id")
+
+
+def scan_validate_category(c: FinCat):
+    """fincat.validate_category's violations, by its former full loops:
+    every composable pair for totality and every composable triple for
+    associativity, found by scans over the morphism list, with no index.
+    A dangling or repeated id raises MalformedSpec as the library does."""
+    scan_check_category_wellformed(c)
+    by_id = {m.id: m for m in c.morphisms}
     violations = []
 
     def flag(law, witness):
         violations.append({"law": law, "witness": witness})
 
-    for obj in objects:
+    for obj in c.objects:
         mid = c.identity.get(obj)
         if mid is None:
             flag("identity-totality", (obj,))
@@ -566,6 +582,85 @@ def scan_validate_category(c: FinCat):
                 if left is not None and right is not None and left != right:
                     flag("associativity", (h.id, g.id, f.id))
     return tuple(violations)
+
+
+# --- the loader's former category builder ----------------------------------
+
+_ID_RULE = "brackets must nest and '|' may appear only inside them"
+
+
+def _require(cond, path, message):
+    if not cond:
+        raise SchemaError(path, message)
+
+
+def scan_build_category(name, doc, violations):
+    """cli._build_category as it was before the loader resolved each table
+    entry once: every check in its old order, the unit composites filled by
+    scan_complete_units and the laws checked by scan_validate_category.
+    Returns the category and appends its law violations, prefixed by its
+    place in the workspace, to violations; a defect raises SchemaError."""
+    path = f"categories.{name}"
+    _require(isinstance(doc, dict), path, "expected an object")
+    _require("objects" in doc, path, "missing 'objects'")
+    _require("morphisms" in doc, f"{path}.morphisms", "missing 'morphisms'")
+    objects = doc["objects"]
+    ok = isinstance(objects, list) and all(isinstance(v, str) for v in objects)
+    _require(ok, f"{path}.objects", "expected a list of strings")
+    for i, obj in enumerate(objects):
+        _require(is_plain_id(obj), f"{path}.objects[{i}]", _ID_RULE)
+    _require(isinstance(doc["morphisms"], list), f"{path}.morphisms", "expected a list")
+    morphisms = []
+    for i, rec in enumerate(doc["morphisms"]):
+        mp = f"{path}.morphisms[{i}]"
+        _require(isinstance(rec, dict), mp, "expected an object")
+        for key in ("id", "src", "tgt"):
+            _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
+        _require(is_plain_id(rec["id"]), f"{mp}.id", _ID_RULE)
+        morphisms.append(Morphism(rec["id"], rec["src"], rec["tgt"]))
+    identity = doc.get("identity", {})
+    ok = isinstance(identity, dict) and all(isinstance(v, str) for v in identity.values())
+    _require(ok, f"{path}.identity", "expected an object of strings")
+    identity, declared = dict(identity), {m.id for m in morphisms}
+    for obj in objects:
+        if obj not in identity:
+            mid = f"id:{obj}"
+            _require(mid not in declared, f"{path}.identity", f"{mid} already declared")
+            morphisms.append(Morphism(mid, obj, obj))
+            declared.add(mid)
+            identity[obj] = mid
+    cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
+    table = doc.get("compose", {})
+    _require(isinstance(table, dict), f"{path}.compose", "expected an object")
+    for g, inner in table.items():
+        _require(g in declared, f"{path}.compose.{g}", "unknown morphism")
+        _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
+        for f, h in inner.items():
+            _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
+            cat.compose[(g, f)] = h
+    missing = scan_complete_units(cat)
+    try:
+        found = scan_validate_category(cat)
+    except MalformedSpec as exc:
+        raise SchemaError(f"{path}.{exc.path}", exc.message) from exc
+    if missing is not None:
+        message = "missing composite for ({}, {}) not forced by unit laws".format(*missing)
+        raise SchemaError(f"{path}.compose", message)
+    violations.extend({"law": f"{path}: {v['law']}", "witness": v["witness"]} for v in found)
+    return cat
+
+
+def built_category(build, doc):
+    """What build (cli._build_category or scan_build_category) makes of a
+    category document: the category's parts in insertion order and its
+    prefixed law violations, or the path and message of its SchemaError."""
+    violations = []
+    try:
+        c = build("C", copy.deepcopy(doc), violations)
+    except SchemaError as exc:
+        return "schema", exc.path, exc.message
+    parts = c.objects, c.morphisms, list(c.identity.items()), list(c.compose.items())
+    return ("built", *parts, violations)
 
 
 # --- pregroup oracles -------------------------------------------------------

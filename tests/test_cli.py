@@ -237,8 +237,18 @@ class TestCommands:
             cli.pregroup, "parse_type", lambda *a: calls.append(a) or parse_type(*a)
         )
         run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
-        # three lexicon entries, then the target
-        assert len(calls) == 4
+        # two distinct type texts among the three lexicon entries, then the target
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("convention", ["paper", "lambek"])
+    def test_each_type_is_converted_once(self, fig2, monkeypatch, convention):
+        calls = []
+        in_convention = cli.pregroup.in_convention
+        monkeypatch.setattr(
+            cli.pregroup, "in_convention", lambda *a: calls.append(a) or in_convention(*a)
+        )
+        run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "lexicons, error",

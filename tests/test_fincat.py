@@ -1,5 +1,6 @@
 import pytest
 
+from fibcat import cli
 from fibcat.errors import CodMismatch, MalformedSpec, WitnessFailure
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -24,10 +25,12 @@ from fibcat.mcg import mcg
 
 from helpers import (
     bfs_components,
+    built_category,
     chain_base,
     fig2_fibration,
     rand_dag_category,
     rand_functor,
+    scan_build_category,
     scan_validate_category,
     strict_pullback,
 )
@@ -130,9 +133,11 @@ def _mutate(rng, c, kind):
         if f.tgt != g.src:
             compose[(g.id, f.id)] = rng.choice(ids)
     elif kind == "dangling":
-        where = rng.randrange(4)
+        where = rng.randrange(5)
         if where == 0:
             compose[(rng.choice(ids), "ghost")] = rng.choice(ids)
+        elif where == 4:
+            compose[("ghost", rng.choice(ids + ["ghost"]))] = rng.choice(ids + ["ghost"])
         elif where == 1 and compose:
             compose[rng.choice(list(compose))] = "ghost"
         elif where == 2:
@@ -209,6 +214,132 @@ class TestValidateCategoryOracle:
             (v["law"], v["witness"]) for v in violations
         ]
         assert violations[0]["law"] == "right-unit"
+
+
+def _category_doc(rng, c):
+    """c as a workspace category document.  Some identities named
+    id:<object> are left out, with their table entries, for load to
+    synthesize and fill in again."""
+    gone = {i for o, i in c.identity.items() if i == f"id:{o}" and rng.random() < 0.3}
+    compose = {}
+    for (g, f), h in c.compose.items():
+        if not {g, f, h} & gone:
+            compose.setdefault(g, {})[f] = h
+    return {
+        "objects": list(c.objects),
+        "morphisms": [
+            {"id": m.id, "src": m.src, "tgt": m.tgt} for m in c.morphisms if m.id not in gone
+        ],
+        "identity": {o: i for o, i in c.identity.items() if i not in gone},
+        "compose": compose,
+    }
+
+
+def _mutate_doc(rng, doc, kind):
+    """doc with one defect of its JSON shape or ids, of the given kind."""
+    records, objects, compose = doc["morphisms"], doc["objects"], doc["compose"]
+    if kind == "record" and records:
+        records[rng.randrange(len(records))] = rng.choice([[], "u", 3])
+    elif kind == "field" and records:
+        rec = rng.choice(records)
+        key = rng.choice(["id", "src", "tgt"])
+        if rng.random() < 0.5:
+            del rec[key]
+        else:
+            rec[key] = rng.choice([1, None, ["v0"]])
+    elif kind == "composite" and compose:
+        inner = compose[rng.choice(list(compose))]
+        if inner:
+            inner[rng.choice(list(inner))] = rng.choice([None, 1, ["h"]])
+    elif kind == "inner" and compose:
+        compose[rng.choice(list(compose))] = rng.choice(["h", [], 1])
+    elif kind == "unknown-g":
+        compose["ghost"] = {}
+    elif kind == "id-rule":
+        bad = rng.choice(["(", ")", "|x", ")("])
+        if records and rng.random() < 0.5:
+            rng.choice(records)["id"] += bad
+        else:
+            objects[rng.randrange(len(objects))] += bad
+    elif kind == "identity-map":
+        doc["identity"] = rng.choice([[], {objects[0]: 1}])
+    elif kind == "declared" and doc["identity"]:
+        del doc["identity"][rng.choice(list(doc["identity"]))]
+    return doc
+
+
+DOC_MUTATIONS = (
+    "record", "field", "composite", "inner", "unknown-g", "id-rule", "identity-map", "declared",
+)
+
+
+class TestBuildCategoryOracle:
+    """The loader's category builder against the one it replaced, which
+    formatted every path up front, filled the unit composites by walking
+    every composable pair and checked references before the laws."""
+
+    def test_matches_the_scan_on_mutated_documents(self, rng):
+        built, violated, messages = 0, 0, []
+        for i in range(200):
+            if i % 6 == 5:
+                c = mcg([f"m{k}" for k in range(rng.randint(1, 3))])
+            else:
+                c = rand_dag_category(rng, max_objects=5, max_edges=6).cat
+            cases = [c] + [_mutate(rng, c, kind) for kind in rng.sample(MUTATIONS, 3)]
+            twice = _mutate(rng, _mutate(rng, c, rng.choice(MUTATIONS)), rng.choice(MUTATIONS))
+            cases.append(twice)
+            docs = [_category_doc(rng, x) for x in cases]
+            docs.append(_mutate_doc(rng, _category_doc(rng, c), rng.choice(DOC_MUTATIONS)))
+            for doc in docs:
+                got = built_category(cli._build_category, doc)
+                assert got == built_category(scan_build_category, doc)
+                if got[0] == "schema":
+                    messages.append(got[2])
+                else:
+                    built, violated = built + 1, violated + bool(got[5])
+        assert built > 300 and violated > 50
+        for kind in (
+            "expected an object", "missing or non-string", "brackets must nest",
+            "expected an object of strings", "already declared", "unknown morphism",
+            "unknown composite", "duplicate morphism id", "duplicate object id",
+        ):
+            assert any(kind in m for m in messages), kind
+
+
+    @pytest.mark.parametrize(
+        "doc, outcome",
+        [
+            # the identity of a is u: a -> b, so load fills v . u = v as a unit
+            # composite, and validate_category reports the wrong ends
+            (
+                {
+                    "objects": ["a", "b", "c"],
+                    "morphisms": [
+                        {"id": "u", "src": "a", "tgt": "b"}, {"id": "v", "src": "b", "tgt": "c"},
+                    ],
+                    "identity": {"a": "u"},
+                },
+                "built",
+            ),
+            ({"objects": [], "morphisms": []}, "built"),
+            # v . u and v . w are missing: the first in declaration order is reported
+            (
+                {
+                    "objects": ["a", "b", "c"],
+                    "morphisms": [
+                        {"id": "v", "src": "b", "tgt": "c"}, {"id": "u", "src": "a", "tgt": "b"},
+                        {"id": "w", "src": "a", "tgt": "b"},
+                    ],
+                },
+                "schema",
+            ),
+        ],
+        ids=["identity-with-wrong-ends", "empty", "two-missing"],
+    )
+    def test_matches_the_scan_on_written_documents(self, doc, outcome):
+        got = built_category(cli._build_category, doc)
+        assert got == built_category(scan_build_category, doc)
+        assert got[0] == outcome
 
 
 class TestValidateFunctor:

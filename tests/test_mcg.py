@@ -1,8 +1,8 @@
 import pytest
 
-from fibcat.errors import NotOverMCG
-from fibcat.fib import is_discrete_fibration
-from fibcat.fincat import compose_functors, identity_functor, validate_category
+from fibcat.errors import NotDiscreteFibration, NotOverMCG
+from fibcat.fib import fibre, is_discrete_fibration
+from fibcat.fincat import FinCat, FunctorSpec, compose_functors, identity_functor, validate_category
 from fibcat.mcg import (
     classify_over_mcg,
     is_mcg,
@@ -83,13 +83,40 @@ class TestClassification:
             assert len(cls.fibre_set) * 3 == len(p.dom.objects)
             assert compose_functors(cls.product_projection, cls.iso) == p
 
+    def test_every_fibre_has_the_same_size(self, rng):
+        # reindexing along an isomorphism is a bijection
+        for _ in range(50):
+            p, _ = rand_fibration_over_mcg(rng, n_objects=rng.randint(1, 4))
+            assert len({len(fibre(p, a).elements) for a in p.cod.objects}) == 1
+
+    def test_unequal_fibres_fail_the_discreteness_check(self, rng):
+        # without one total object its fibre is smaller than the others, and
+        # some morphism into another fibre loses its only lift
+        for _ in range(30):
+            p, _ = rand_fibration_over_mcg(rng, n_objects=rng.randint(2, 4))
+            gone = rng.choice(p.dom.objects)
+            E = p.dom
+            morphisms = tuple(m for m in E.morphisms if gone not in (m.src, m.tgt))
+            kept = {m.id for m in morphisms}
+            sub = FinCat(
+                tuple(e for e in E.objects if e != gone),
+                morphisms,
+                {e: i for e, i in E.identity.items() if e != gone},
+                {(g, f): h for (g, f), h in E.compose.items() if g in kept and f in kept},
+            )
+            omap = {e: p.omap[e] for e in sub.objects}
+            q = FunctorSpec(sub, p.cod, omap, {mid: p.mmap[mid] for mid in kept})
+            assert len({len(fibre(q, a).elements) for a in q.cod.objects}) == 2
+            assert validate_category(sub).ok and not is_discrete_fibration(q).ok
+            with pytest.raises(NotDiscreteFibration):
+                classify_over_mcg(q)
+
     def test_rejects_non_mcg_base(self):
         with pytest.raises(NotOverMCG):
             classify_over_mcg(fig2_fibration())
 
     def test_rejects_non_fibrations(self):
-        from fibcat.errors import NotDiscreteFibration
-        from fibcat.fincat import FinCat, FunctorSpec, Morphism
+        from fibcat.fincat import Morphism
 
         # one object sitting over a, nothing over b: the connecting
         # morphisms have no lifts
@@ -102,8 +129,6 @@ class TestClassification:
             classify_over_mcg(lop)
 
     def test_empty_base(self):
-        from fibcat.fincat import FinCat, FunctorSpec
-
         empty = FinCat((), (), {}, {})
         p = FunctorSpec(empty, empty, {}, {})
         cls = classify_over_mcg(p)

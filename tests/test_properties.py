@@ -6,8 +6,13 @@ construction (no two non-identity morphisms compose), a presheaf on it, its
 identity functor and a functor to the terminal category.  Only the ids are
 adversarial.
 
+The loader's category builder is compared with the one it replaced,
+``helpers.scan_build_category``, on generated category documents whose ids,
+references and shapes are adversarial.
+
 The pregroup properties compare type parsing and longest-match lookup with
-the oracles in tests/helpers.py.
+the oracles in tests/helpers.py; a generated lexicon repeats type texts,
+good and bad, to pin which entry a bad one is reported at.
 """
 
 import copy
@@ -15,8 +20,9 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat import cli
@@ -31,7 +37,12 @@ from fibcat.pregroup import (
     in_convention,
     parse_type,
 )
-from helpers import parse_type_by_deltas, scan_longest_match
+from helpers import (
+    built_category,
+    parse_type_by_deltas,
+    scan_build_category,
+    scan_longest_match,
+)
 
 # Each workspace draws its ids from two atoms joined by "|", sometimes in
 # brackets, so that distinct (object, element) pairs often render alike
@@ -178,6 +189,77 @@ def test_save_load_keeps_the_names_of_equal_categories(doc, data):
     for name, F in doc["functors"].items():
         assert (saved["functors"][name]["dom"], saved["functors"][name]["cod"]) == (F["dom"], F["cod"])
     assert saved["presheaves"]["W"]["base"] == doc["presheaves"]["W"]["base"]
+
+
+# Category documents.  Names contain "(", ")" or "|"; in some documents they
+# also break the id rule or repeat, and in some ends and table references
+# dangle or composites are not strings.  The object list may be empty.
+@st.composite
+def category_docs(draw):
+    broken, dangling = draw(st.booleans()), draw(st.booleans())
+    odd = ["a|b", "b)", "(u", "u|v"] if broken else []
+    object_names = st.sampled_from(["a", "b", "c", "(a|b)"] + odd)
+    objects = draw(st.lists(object_names, max_size=4, unique=not broken))
+    ends = st.sampled_from(objects + ["ghost"] * dangling or ["ghost"])
+    names = st.sampled_from(["u", "v", "w", "(u|v)", "id:a"] + odd)
+    unique = (lambda arrow: arrow[0]) if not broken else None
+    arrows = draw(st.lists(st.tuples(names, ends, ends), max_size=4, unique_by=unique))
+    ids = [m for m, _, _ in arrows] + [f"id:{o}" for o in objects] + ["ghost"] * dangling
+    refs = st.sampled_from(ids or ["ghost"])
+    composites = st.one_of(refs, st.integers(), st.none()) if dangling else refs
+    records = [{"id": m, "src": a, "tgt": b} for m, a, b in arrows]
+    if broken:  # some records lose fields, have non-strings or are no objects
+        fields = st.dictionaries(st.sampled_from(["id", "src", "tgt"]), st.one_of(names, st.none()))
+        junk = st.one_of(st.just([]), fields)
+        records = [draw(st.one_of(st.just(rec), junk)) for rec in records]
+    table = st.dictionaries(refs, st.dictionaries(refs, composites, max_size=2), max_size=3)
+    doc = {"objects": objects, "morphisms": records, "compose": draw(table)}
+    if draw(st.booleans()):
+        identity = st.dictionaries(st.sampled_from(objects or ["a"]), refs, max_size=2)
+        doc["identity"] = draw(identity)
+    return doc
+
+
+@given(category_docs())
+@settings(max_examples=300, deadline=None)
+def test_the_loader_builds_each_category_as_the_scan_does(doc):
+    assert built_category(cli._build_category, doc) == built_category(scan_build_category, doc)
+
+
+# Type texts that parse, and ones that break the id rule or the type syntax.
+lexicon_type_texts = st.sampled_from(["n", "n^l.s", "1", "n^x", "s)", "n^l^r"])
+
+
+def _type_problem(text):
+    if not is_plain_id(text):
+        return f"expected a string in which {cli._ID_RULE}"
+    try:
+        parse_type(text)
+    except TypeSyntaxError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.lists(lexicon_type_texts, min_size=1, max_size=8))
+@example(["n", "n^x", "n^l.s", "n^x", "n"])
+@settings(max_examples=100, deadline=None)
+def test_a_lexicon_parses_each_text_once_and_reports_the_first_bad_entry(texts):
+    problems = [_type_problem(t) for t in texts]
+    bad = next((i for i, p in enumerate(problems) if p), None)
+    read = texts if bad is None else texts[: bad + 1]
+    entries = [{"phrase": f"w{i}", "type": t} for i, t in enumerate(texts)]
+    doc = {"format": 1, "lexicons": {"L": entries}}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        cli.pregroup, "parse_type", side_effect=parse_type
+    ) as parse:
+        try:
+            ws = cli.load(_saved(doc, tmp))
+        except SchemaError as exc:
+            assert (exc.path, exc.message) == (f"lexicons.L[{bad}].type", problems[bad])
+        else:
+            assert bad is None
+            assert [t for _, _, t in ws.lexicons["L"]] == [parse_type(t) for t in texts]
+    assert parse.call_count == len({t for t in read if is_plain_id(t)})
 
 
 # Simple types with up to three mixed adjoint markers, and the unit, joined
