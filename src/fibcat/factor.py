@@ -18,7 +18,6 @@ from .fincat import (
     COVARIANT,
     FinCat,
     FunctorSpec,
-    Morphism,
     SetValuedFunctor,
     ValidationReport,
     _violation,
@@ -49,19 +48,16 @@ def _comma_blocks(F: FunctorSpec, contra=False):
     u: c -> c' and f' out of Fc' join (c, f'.Fu) to (c', f').  With contra
     F is read as its opposite in place, which gives the blocks of (d/F)."""
     D = F.cod
-    out = {}
-    for m in D.morphisms:
-        out.setdefault(m.tgt if contra else m.src, []).append(m.id)
-    pairs = [(c, f) for c in F.dom.objects for f in out.get(F.omap[c], ())]
+    out = D.into if contra else D.out_of
+    pairs = [(c, f.id) for c in F.dom.objects for f in out(F.omap[c])]
     edges = [
-        Morphism((u.id, f2), (a, D.compose[_op((f2, F.mmap[u.id]), contra)]), (b, f2))
+        ((a, D.compose[_op((f2.id, F.mmap[u.id]), contra)]), (b, f2.id))
         for u in F.dom.morphisms
         for a, b in [_op((u.src, u.tgt), contra)]
-        for f2 in out.get(F.omap[b], ())
+        for f2 in out(F.omap[b])
     ]
     blocks = {d: [] for d in D.objects}
-    # a bare graph: connected_components reads only objects and morphisms
-    for blk in connected_components(FinCat(pairs, edges, {}, {})):
+    for blk in connected_components(pairs, edges):
         blocks[(D.src if contra else D.tgt)(blk[0][1])].append(blk)
     return blocks
 
@@ -114,8 +110,7 @@ def _factor(F: FunctorSpec, contra):
     K, block_of = _pi0_data(F, contra)
     built = elements(K)
     mid, p = built.total, built.projection
-    obj_id = {data: o for o, data in built.obj_data.items()}
-    mor_id = {data: m for m, data in built.mor_data.items()}
+    obj_id, mor_id = built.obj_id, built.mor_id
     unit = {c: block_of[(c, F.cod.identity[F.omap[c]])] for c in F.dom.objects}
     omap = {c: obj_id[F.omap[c], unit[c]] for c in F.dom.objects}
     # elements keys each arrow by its source's element (its target's with contra)

@@ -9,7 +9,7 @@ immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
@@ -54,23 +54,20 @@ class FinCat:
     identity: dict  # object id -> morphism id
     compose: dict  # (g id, f id) -> morphism id
 
-    # derived lookups, filled in __post_init__
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
-    _obj_index: dict = field(default_factory=dict, repr=False, compare=False)
-    _into: dict = field(default_factory=dict, repr=False, compare=False)
-    _hom: dict = field(default_factory=dict, repr=False, compare=False)
-
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
+        # derived lookups: plain attributes, not constructor arguments
         object.__setattr__(self, "_by_id", {m.id: m for m in self.morphisms})
         object.__setattr__(
             self, "_obj_index", {c: i for i, c in enumerate(self.objects)}
         )
-        into, hom = {}, {}
+        out, into, hom = {}, {}, {}
         for m in self.morphisms:
+            out.setdefault(m.src, []).append(m)
             into.setdefault(m.tgt, []).append(m)
             hom.setdefault((m.src, m.tgt), []).append(m.id)
+        object.__setattr__(self, "_out", {c: tuple(ms) for c, ms in out.items()})
         object.__setattr__(self, "_into", {c: tuple(ms) for c, ms in into.items()})
         object.__setattr__(self, "_hom", hom)
 
@@ -92,6 +89,10 @@ class FinCat:
     def is_identity(self, mid):
         m = self._by_id[mid]
         return self.identity.get(m.src) == mid and m.src == m.tgt
+
+    def out_of(self, c):
+        """The morphisms with source c, in declaration order."""
+        return self._out.get(c, ())
 
     def into(self, c):
         """The morphisms with target c, in declaration order."""
@@ -500,12 +501,13 @@ def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
     return CommaResult(cat=cat, projA=projection(0, F.dom), projB=projection(1, G.dom))
 
 
-def connected_components(c: FinCat):
-    """Partition objects by zig-zags of morphisms, ignoring direction.
+def connected_components(objects, edges):
+    """Partition objects by zig-zags of (a, b) edges, ignoring direction.
 
-    Blocks are ordered by least member (declaration order), members likewise.
+    Blocks are ordered by least member (the order of objects), members
+    likewise.
     """
-    parent = {o: o for o in c.objects}
+    parent = {o: o for o in objects}
 
     def find(x):
         while parent[x] != x:
@@ -513,12 +515,11 @@ def connected_components(c: FinCat):
             x = parent[x]
         return x
 
-    for m in c.morphisms:
-        a, b = find(m.src), find(m.tgt)
+    for a, b in edges:
+        a, b = find(a), find(b)
         if a != b:
             parent[b] = a
     blocks = {}
-    for o in c.objects:
+    for o in objects:
         blocks.setdefault(find(o), []).append(o)
-    index = c._obj_index
-    return sorted(blocks.values(), key=lambda blk: index[blk[0]])
+    return list(blocks.values())

@@ -30,10 +30,10 @@ from .fincat import (
 class ElementsResult:
     total: FinCat
     projection: FunctorSpec
-    # object id -> (c, x) and morphism id -> (f, key); kept so callers
-    # recover components without re-parsing encoded ids
-    obj_data: dict = field(default_factory=dict, repr=False, compare=False)
-    mor_data: dict = field(default_factory=dict, repr=False, compare=False)
+    # (c, x) -> object id and (f, key) -> morphism id; kept so callers
+    # find each id from its parts without rendering or parsing it again
+    obj_id: dict = field(default_factory=dict, repr=False, compare=False)
+    mor_id: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def elements(W: SetValuedFunctor) -> ElementsResult:
@@ -47,9 +47,8 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
         raise InvalidFunctor("functoriality laws fail")
     contra = W.variance == CONTRAVARIANT
     base = W.base
-    # each id is rendered once; the inverse maps find it again from its parts
+    # each id is rendered once; mor_data finds a morphism's parts again
     obj_id = {(c, x): tuple_id(c, x) for c in base.objects for x in W.eltset[c]}
-    obj_data = {oid: pair for pair, oid in obj_id.items()}
     morphisms, mor_data, mor_id = [], {}, {}
     for f in base.morphisms:
         for key, val in W.action[f.id].items():
@@ -61,8 +60,8 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
             morphisms.append(Morphism(mid, src, tgt))
             mor_data[mid] = (f.id, key)
             mor_id[f.id, key] = mid
-    identity = {oid: mor_id[base.identity[c], x] for oid, (c, x) in obj_data.items()}
-    total = FinCat(tuple(obj_data), tuple(morphisms), identity, {})
+    identity = {oid: mor_id[base.identity[c], x] for (c, x), oid in obj_id.items()}
+    total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
     # the composite over g.f carries the key of the outer (contra) or the
     # inner (covariant) morphism
     for g, f in total.composable_pairs():
@@ -72,10 +71,10 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
     projection = FunctorSpec(
         dom=total,
         cod=base,
-        omap={oid: c for oid, (c, _) in obj_data.items()},
+        omap={oid: c for (c, _), oid in obj_id.items()},
         mmap={mid: f for mid, (f, _) in mor_data.items()},
     )
-    return ElementsResult(total, projection, obj_data, mor_data)
+    return ElementsResult(total, projection, obj_id, mor_id)
 
 
 def straighten(p: FunctorSpec) -> SetValuedFunctor:
@@ -103,8 +102,9 @@ def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
     opposite base, with the same element sets and actions."""
     if W.variance == COVARIANT:
         W = SetValuedFunctor(opposite(W.base), CONTRAVARIANT, W.eltset, W.action)
-    W2 = straighten(elements(W).projection)
-    forward = {c: {x: tuple_id(c, x) for x in W.eltset[c]} for c in W.base.objects}
+    built = elements(W)
+    W2 = straighten(built.projection)
+    forward = {c: {x: built.obj_id[c, x] for x in W.eltset[c]} for c in W.base.objects}
     backward = {c: {v: k for k, v in forward[c].items()} for c in W.base.objects}
     for c in W.base.objects:
         if sorted(forward[c].values()) != sorted(W2.eltset[c]):
@@ -121,9 +121,9 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
     elements(straighten(p)) = dom(p)."""
     built = elements(straighten(p))
     E = p.dom
-    fw_omap = {oid: e for oid, (_, e) in built.obj_data.items()}
+    fw_omap = {oid: e for (_, e), oid in built.obj_id.items()}
     fw_mmap = {}
-    for mid, (u, y) in built.mor_data.items():
+    for (u, y), mid in built.mor_id.items():
         cands = p.lifts(u, y)
         if len(cands) != 1:
             raise WitnessFailure(f"no unique lift for {mid}")
@@ -132,8 +132,8 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
     backward = FunctorSpec(
         E,
         built.total,
-        omap={e: tuple_id(p.omap[e], e) for e in E.objects},
-        mmap={m.id: tuple_id(p.mmap[m.id], m.tgt) for m in E.morphisms},
+        omap={e: built.obj_id[p.omap[e], e] for e in E.objects},
+        mmap={m.id: built.mor_id[p.mmap[m.id], m.tgt] for m in E.morphisms},
     )
     check_iso_over(backward, forward, p, built.projection)
     return IsoWitness(forward=forward, backward=backward, checked=True)

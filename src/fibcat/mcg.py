@@ -81,14 +81,9 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
         raise NotOverMCG("codomain has non-unique homs")
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("classification requires a discrete fibration")
-    if not base.objects:
-        empty = FunctorSpec(p.dom, p.dom, {}, {})
-        return MCGClassification(
-            fibre_set=(), iso=empty, inverse=empty, product_projection=empty
-        )
-    a0 = base.objects[0]
+    a0 = base.objects[0] if base.objects else None  # then X and every map are empty
     # reindexing along an isomorphism is a bijection, so every fibre has X's size
-    X = fibre(p, a0).elements
+    X = fibre(p, a0).elements if base.objects else ()
     transports = {a: _reindex(p, base.hom(a0, a)[0]).table for a in base.objects}
     transport = {}
     for e in p.dom.objects:

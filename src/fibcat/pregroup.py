@@ -67,23 +67,16 @@ def parse_type(text, convention="paper"):
         raise ValueError(f"unknown convention {convention!r}")
     sign = CONVENTIONS[convention]
     simples = []
-    col = 0
-    for chunk in re.split(r"([.\s]+)", text):
-        if not chunk or re.fullmatch(r"[.\s]+", chunk):
-            col += len(chunk)
-            continue
-        m = _TOKEN.match(chunk)
+    for chunk in re.finditer(r"[^.\s]+", text):
+        col, m = chunk.start(), _TOKEN.match(chunk.group())
         if m is None:
-            raise TypeSyntaxError(f"bad simple type {chunk!r}", col)
+            raise TypeSyntaxError(f"bad simple type {chunk.group()!r}", col)
         base, markers = m.group(1), m.group(2) or ""
-        if "^" in base:
-            raise TypeSyntaxError(f"bad simple type {chunk!r}", col)
         if base == "1":
             if markers:
                 raise TypeSyntaxError("unit type takes no adjoint", col)
         else:
             simples.append(SimpleType(base, sign * (markers.count("l") - markers.count("r"))))
-        col += len(chunk)
     return tuple(simples)
 
 
@@ -137,30 +130,31 @@ def reduce(t, target):
     leftmost contraction first.  Returns a NoReduction value when the
     exhaustive search fails."""
     t, target = tuple(t), tuple(target)
-    seen = set()
-
-    def search(cur, steps):
-        if cur == target:
-            return steps
-        if len(cur) < len(target) or cur in seen:
-            return None
-        seen.add(cur)
-        for i in range(len(cur) - 1):
-            if _contractible(cur[i], cur[i + 1]):
-                step = ReductionStep(
-                    position=i,
-                    cancelled_base=cur[i].base,
-                    cancelled_exponents=(cur[i].exponent, cur[i + 1].exponent),
-                )
-                found = search(cur[:i] + cur[i + 2 :], steps + (step,))
-                if found is not None:
-                    return found
-        return None
-
-    steps = search(t, ())
+    steps = _search(t, (), target, set())
     if steps is None:
         return NoReduction(start=t, target=target)
     return ReductionWitness(start=t, steps=steps, end=target)
+
+
+def _search(cur, steps, target, seen):
+    """steps extended by the contractions that take cur to target, leftmost
+    first, or None.  seen holds the types visited so far; none is revisited."""
+    if cur == target:
+        return steps
+    if len(cur) < len(target) or cur in seen:
+        return None
+    seen.add(cur)
+    for i in range(len(cur) - 1):
+        if _contractible(cur[i], cur[i + 1]):
+            step = ReductionStep(
+                position=i,
+                cancelled_base=cur[i].base,
+                cancelled_exponents=(cur[i].exponent, cur[i + 1].exponent),
+            )
+            found = _search(cur[:i] + cur[i + 2 :], steps + (step,), target, seen)
+            if found is not None:
+                return found
+    return None
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,10 @@ def count_fibration_morphisms(V, W):
 # --- all-morphisms scans, the oracles for the indexed lookups --------------
 
 
+def scan_out_of(cat: FinCat, c):
+    return [m for m in cat.morphisms if m.src == c]
+
+
 def scan_into(cat: FinCat, c):
     return [m for m in cat.morphisms if m.tgt == c]
 

@@ -40,7 +40,8 @@ def pi0_read_off_each_comma(F):
     D = F.cod
     eltset, block = {}, {}
     for d in D.objects:
-        blocks = connected_components(comma_under(F, d).cat)
+        cat = comma_under(F, d).cat
+        blocks = connected_components(cat.objects, [(m.src, m.tgt) for m in cat.morphisms])
         eltset[d] = tuple(blk[0] for blk in blocks)
         block.update((oid, blk[0]) for blk in blocks for oid in blk)
     action = {
@@ -235,5 +236,7 @@ class TestComprehensiveFactorization:
             F = rand_functor(rng, C, D.cat)
             fac = factorize(F)
             for d in D.cat.objects:
-                expected = len(connected_components(comma_at(F, d).cat))
+                cat = comma_at(F, d).cat
+                edges = [(m.src, m.tgt) for m in cat.morphisms]
+                expected = len(connected_components(cat.objects, edges))
                 assert len(fibre(fac.p, d).elements) == expected

@@ -601,12 +601,15 @@ class TestConnectedComponents:
             {o: f"id:{o}" for o in "abc"},
             {(f"id:{o}", f"id:{o}"): f"id:{o}" for o in "abc"},
         )
-        assert connected_components(cat) == [["a"], ["b"], ["c"]]
+        edges = [(m.src, m.tgt) for m in cat.morphisms]
+        assert connected_components(cat.objects, edges) == [["a"], ["b"], ["c"]]
 
     def test_mcg_is_connected(self):
-        assert len(connected_components(mcg("wxyz"))) == 1
+        c = mcg("wxyz")
+        assert len(connected_components(c.objects, [(m.src, m.tgt) for m in c.morphisms])) == 1
 
     def test_matches_bfs_oracle(self, rng):
         for _ in range(200):
             c = rand_dag_category(rng, 5, 4).cat
-            assert connected_components(c) == bfs_components(c)
+            edges = [(m.src, m.tgt) for m in c.morphisms]
+            assert connected_components(c.objects, edges) == bfs_components(c)

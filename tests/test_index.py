@@ -1,7 +1,10 @@
 """The indexed lookups of FinCat and FunctorSpec agree with all-morphisms
 scans, in contents and in order."""
 
+import dataclasses
+
 from fibcat.fib import fibre
+from fibcat.fincat import FinCat
 
 from helpers import (
     rand_dag_category,
@@ -12,12 +15,14 @@ from helpers import (
     scan_hom,
     scan_into,
     scan_lifts,
+    scan_out_of,
 )
 
 
 def _check_category(cat):
     assert list(cat.composable_pairs()) == scan_composable_pairs(cat)
     for a in cat.objects:
+        assert list(cat.out_of(a)) == scan_out_of(cat, a)
         assert list(cat.into(a)) == scan_into(cat, a)
         for b in cat.objects:
             assert cat.hom(a, b) == scan_hom(cat, a, b)
@@ -40,3 +45,12 @@ def test_indexes_match_scans(rng):
         B = rand_dag_category(rng, 4, 5)
         _check_functor(rand_functor(rng, A, B.cat))
         _check_functor(rand_discrete_fibration(rng))
+
+
+def test_the_indexes_are_no_constructor_arguments():
+    assert [f.name for f in dataclasses.fields(FinCat)] == [
+        "objects",
+        "morphisms",
+        "identity",
+        "compose",
+    ]

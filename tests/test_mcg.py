@@ -133,6 +133,7 @@ class TestClassification:
         p = FunctorSpec(empty, empty, {}, {})
         cls = classify_over_mcg(p)
         assert cls.fibre_set == ()
+        assert compose_functors(cls.product_projection, cls.iso) == p
 
 
 def test_classify_over_a_one_object_category_with_its_own_ids():

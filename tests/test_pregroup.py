@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,9 +54,10 @@ class TestTypeSyntax:
             assert format_type(parse_type(text)) == text
 
     def test_bad_syntax_reports_the_column(self):
-        with pytest.raises(TypeSyntaxError) as exc:
-            parse_type("n.s^x")
-        assert exc.value.column == 2
+        for text, column in [("n.s^x", 2), ("n.^l", 2), ("n^^l", 0)]:
+            with pytest.raises(TypeSyntaxError) as exc:
+                parse_type(text)
+            assert exc.value.column == column
 
 
 class TestReduce:
@@ -89,6 +92,19 @@ class TestReduce:
             from fibcat.pregroup import apply_step
 
             apply_step(t, bad)
+
+    def test_a_search_leaves_no_garbage_cycle(self):
+        # the search state is freed when reduce returns, not by the collector
+        cases = [("n.n^l.n.n^l.s", True), ("n.n^l.n^l.s.n", False)]
+        gc.collect()
+        gc.disable()
+        try:
+            for text, accepted in cases:
+                result = reduce(parse_type(text), parse_type("s"))
+                assert isinstance(result, NoReduction) is not accepted
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(
         st.lists(
