@@ -62,14 +62,21 @@ class FinCat:
         object.__setattr__(
             self, "_obj_index", {c: i for i, c in enumerate(self.objects)}
         )
-        out, into, hom = {}, {}, {}
+        into, hom = {}, {}
         for m in self.morphisms:
-            out.setdefault(m.src, []).append(m)
             into.setdefault(m.tgt, []).append(m)
             hom.setdefault((m.src, m.tgt), []).append(m.id)
-        object.__setattr__(self, "_out", {c: tuple(ms) for c, ms in out.items()})
         object.__setattr__(self, "_into", {c: tuple(ms) for c, ms in into.items()})
         object.__setattr__(self, "_hom", hom)
+
+    @cached_property
+    def _out(self):
+        """The morphisms per source, in declaration order.  Built on first
+        use: most categories are never asked out_of."""
+        out = {}
+        for m in self.morphisms:
+            out.setdefault(m.src, []).append(m)
+        return {c: tuple(ms) for c, ms in out.items()}
 
     def has_object(self, c):
         return c in self._obj_index

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidFunctor, NotDiscreteFibration, WitnessFailure
+from .errors import InvalidFunctor, MalformedSpec, NotDiscreteFibration, WitnessFailure
 from .fib import _reindex, fibre, is_discrete_fibration
 from .fincat import (
     CONTRAVARIANT,
@@ -129,11 +129,13 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
             raise WitnessFailure(f"no unique lift for {mid}")
         fw_mmap[mid] = cands[0]
     forward = FunctorSpec(built.total, E, fw_omap, fw_mmap)
-    backward = FunctorSpec(
-        E,
-        built.total,
-        omap={e: built.obj_id[p.omap[e], e] for e in E.objects},
-        mmap={m.id: built.mor_id[p.mmap[m.id], m.tgt] for m in E.morphisms},
-    )
+    omap = {e: built.obj_id[p.omap[e], e] for e in E.objects}
+    try:
+        mmap = {m.id: built.mor_id[p.mmap[m.id], m.tgt] for m in E.morphisms}
+    except KeyError:  # p is no functor: some m.tgt lies over another object than tgt(p(m))
+        m = next(m for m in E.morphisms if (p.mmap[m.id], m.tgt) not in built.mor_id)
+        u = p.mmap[m.id]
+        raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {tuple_id(u, m.tgt)}") from None
+    backward = FunctorSpec(E, built.total, omap, mmap)
     check_iso_over(backward, forward, p, built.projection)
     return IsoWitness(forward=forward, backward=backward, checked=True)

@@ -2,11 +2,12 @@
 semantics.
 
 Types are strings of simple types carrying an adjoint exponent; reduction
-searches adjacent contractions (b, z)(b, z+1) only, leftmost first.  A
-convention is the sign of the exponent of ^l, and ^r has the opposite
-sign: the default "paper" convention takes ^l to +1 so that n . n^l
-contracts; "lambek" takes ^l to -1, so it negates every exponent of the
-paper reading and ``in_convention`` derives it from a paper parse.
+contracts adjacent pairs (b, z)(b, z+1) only, each time the leftmost pair
+after which the target can still be reached.  A convention is the sign of
+the exponent of ^l, and ^r has the opposite sign: the default "paper"
+convention takes ^l to +1 so that n . n^l contracts; "lambek" takes ^l to
+-1, so it negates every exponent of the paper reading and ``in_convention``
+derives it from a paper parse.
 
 ``build_semantics`` assembles a finite base category from corpus parses,
 assigns each constituent the set of corpus sentences containing its
@@ -126,35 +127,74 @@ def replay(witness: ReductionWitness):
 
 
 def reduce(t, target):
-    """Backtracking search for a contraction sequence from t to target,
-    leftmost contraction first.  Returns a NoReduction value when the
-    exhaustive search fails."""
+    """The contractions from t to target, leftmost feasible first: each step
+    contracts the leftmost adjacent pair after which target can still be
+    reached.  That is the first success of a leftmost-first backtracking
+    search, found without backtracking.  Returns a NoReduction value when
+    t cannot reach target."""
     t, target = tuple(t), tuple(target)
-    steps = _search(t, (), target, set())
-    if steps is None:
+    code = {}  # (base, exponent) -> a small int
+    cur = [code.setdefault((st.base, st.exponent), len(code)) for st in t]
+    goal = [code.setdefault((st.base, st.exponent), len(code)) for st in target]
+    simple = list(code)
+    succ = [code.get((b, z + 1), -1) for b, z in simple]  # x contracts with succ[x]
+    at = [0] * len(code)  # the target indices that hold each code
+    for j, c in enumerate(goal):
+        at[c] |= 1 << j
+    occ = [0] * len(code)  # the suffix lengths at which each code starts
+    for k, c in enumerate(cur):
+        occ[c] |= 1 << (len(cur) - k)
+    E, R = [1], [1 << len(goal)]  # the empty suffix is the unit and target[len(goal):]
+    _extend(cur, succ, at, occ, E, R)
+    if not R[-1] & 1:
         return NoReduction(start=t, target=target)
-    return ReductionWitness(start=t, steps=steps, end=target)
+    steps = []
+    while cur != goal:
+        n = len(cur)
+        for i in range(n - 1):
+            if succ[cur[i]] != cur[i + 1]:
+                continue
+            # the entries of the suffixes right of the pair stay valid
+            nxt, E2, R2 = cur[:i] + cur[i + 2 :], E[: n - i - 1], R[: n - i - 1]
+            occ2, keep = occ[:], (1 << (n - i - 1)) - 1
+            for c in set(cur[: i + 2]):  # the codes whose positions move or go
+                occ2[c] = (occ[c] & keep) | ((occ[c] >> 2) & ~keep)
+            _extend(nxt, succ, at, occ2, E2, R2)
+            if R2[-1] & 1:
+                break
+        else:  # a reachable target always leaves some contraction feasible
+            raise AssertionError(f"no feasible contraction in {cur}")
+        b, z = simple[cur[i]]
+        steps.append(ReductionStep(position=i, cancelled_base=b, cancelled_exponents=(z, z + 1)))
+        cur, E, R, occ = nxt, E2, R2, occ2
+    return ReductionWitness(start=t, steps=tuple(steps), end=target)
 
 
-def _search(cur, steps, target, seen):
-    """steps extended by the contractions that take cur to target, leftmost
-    first, or None.  seen holds the types visited so far; none is revisited."""
-    if cur == target:
-        return steps
-    if len(cur) < len(target) or cur in seen:
-        return None
-    seen.add(cur)
-    for i in range(len(cur) - 1):
-        if _contractible(cur[i], cur[i + 1]):
-            step = ReductionStep(
-                position=i,
-                cancelled_base=cur[i].base,
-                cancelled_exponents=(cur[i].exponent, cur[i + 1].exponent),
-            )
-            found = _search(cur[:i] + cur[i + 2 :], steps + (step,), target, seen)
-            if found is not None:
-                return found
-    return None
+def _extend(cur, succ, at, occ, E, R):
+    """Append to E and R the entries of the suffixes of cur that they lack.
+
+    Both lists are indexed by suffix length r, and so are the bits of E and
+    of occ: occ[c] has bit r when the suffix of length r starts with c.
+    E[r] has bit s when that suffix, less its last s simple types,
+    contracts to the unit.  R[r] has bit j when it reduces to target[j:];
+    at[c] has bit j when target[j] is c.  The first simple type c of a
+    suffix either stays as a target type, or it contracts with a partner
+    succ[c] after types that contract to the unit, and the types after the
+    partner reduce on their own."""
+    n = len(cur)
+    for r in range(len(E), n + 1):
+        c = cur[n - r]
+        e, reach = 1 << r, at[c] & (R[r - 1] >> 1)
+        if succ[c] >= 0:
+            partners = occ[succ[c]] & E[r - 1]
+            while partners:
+                low = partners & -partners
+                s = low.bit_length() - 2  # the suffix after the partner
+                e |= E[s]
+                reach |= R[s]
+                partners ^= low
+        E.append(e)
+        R.append(reach)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,13 @@ from fibcat.groth import elements
 from fibcat.fib import is_fib_morphism
 from fibcat.fincat import validate_functor
 from fibcat.mcg import mcg
-from fibcat.pregroup import SimpleType
+from fibcat.pregroup import (
+    NoReduction,
+    ReductionStep,
+    ReductionWitness,
+    SimpleType,
+    _contractible,
+)
 
 
 # --- the three-object chain and the fibration pictured over it ------------
@@ -712,3 +718,35 @@ def scan_longest_match(lex, tokens, start):
             if best is None or k > len(best[0]):
                 best = (phrase, ptype)
     return best
+
+
+def search_reduce(t, target):
+    """pregroup.reduce by a backtracking search for a contraction sequence
+    from t to target, leftmost contraction first.  Returns a NoReduction
+    value when the exhaustive search fails."""
+    t, target = tuple(t), tuple(target)
+    steps = _search(t, (), target, set())
+    if steps is None:
+        return NoReduction(start=t, target=target)
+    return ReductionWitness(start=t, steps=steps, end=target)
+
+
+def _search(cur, steps, target, seen):
+    """steps extended by the contractions that take cur to target, leftmost
+    first, or None.  seen holds the types visited so far; none is revisited."""
+    if cur == target:
+        return steps
+    if len(cur) < len(target) or cur in seen:
+        return None
+    seen.add(cur)
+    for i in range(len(cur) - 1):
+        if _contractible(cur[i], cur[i + 1]):
+            step = ReductionStep(
+                position=i,
+                cancelled_base=cur[i].base,
+                cancelled_exponents=(cur[i].exponent, cur[i + 1].exponent),
+            )
+            found = _search(cur[:i] + cur[i + 2 :], steps + (step,), target, seen)
+            if found is not None:
+                return found
+    return None

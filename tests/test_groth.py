@@ -1,11 +1,15 @@
 import pytest
 
-from fibcat.errors import NotDiscreteFibration
+from fibcat.errors import MalformedSpec, NotDiscreteFibration
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.fincat import (
     CONTRAVARIANT,
     COVARIANT,
+    FinCat,
+    FunctorSpec,
+    Morphism,
     SetValuedFunctor,
+    complete_units,
     identity_functor,
     opposite,
     terminal_category,
@@ -114,6 +118,21 @@ class TestRoundtrips:
             W = rand_presheaf(rng, base, max_elts=4)
             assert roundtrip_presheaf(W).checked
             assert roundtrip_fibration(elements(W).projection).checked
+
+    def test_a_map_that_is_no_functor_is_reported_by_its_entry(self):
+        # m: a -> c lies over u: A -> B, but c lies over A, not B
+        def free(objects, arrows):
+            ms = [Morphism(f"id:{o}", o, o) for o in objects] + [Morphism(*a) for a in arrows]
+            cat = FinCat(objects, ms, {o: f"id:{o}" for o in objects}, {})
+            complete_units(cat)
+            return cat
+
+        base, total = free(("A", "B"), [("u", "A", "B")]), free(("a", "c"), [("m", "a", "c")])
+        omap, mmap = {"a": "A", "c": "A"}, {"id:a": "id:A", "id:c": "id:A", "m": "u"}
+        p = FunctorSpec(total, base, omap, mmap)
+        with pytest.raises(MalformedSpec) as exc:
+            roundtrip_fibration(p)
+        assert (exc.value.path, exc.value.message) == ("mmap.m", "unknown morphism (u|c)")
 
     def test_random_covariant_presheaves(self, rng):
         for _ in range(100):

@@ -21,6 +21,8 @@ from fibcat.pregroup import (
     replay,
 )
 
+from helpers import search_reduce
+
 TOY_LEXICON = [
     ("the cat", "n"),
     ("sleeps", "n^l.s"),
@@ -58,6 +60,38 @@ class TestTypeSyntax:
             with pytest.raises(TypeSyntaxError) as exc:
                 parse_type(text)
             assert exc.value.column == column
+
+
+SIMPLE_TYPES = st.builds(SimpleType, st.sampled_from("nms"), st.integers(-2, 2))
+
+
+@st.composite
+def type_and_target(draw):
+    """Up to 12 simple types, and a target of up to 2 drawn at random or
+    kept from the type in order."""
+    t = tuple(draw(st.lists(SIMPLE_TYPES, max_size=12)))
+    if draw(st.booleans()):
+        return t, tuple(draw(st.lists(SIMPLE_TYPES, max_size=2)))
+    kept = draw(st.sets(st.integers(0, len(t) - 1), max_size=2)) if t else ()
+    return t, tuple(t[i] for i in sorted(kept))
+
+
+@st.composite
+def planted(draw):
+    """A target of up to 2 simple types with up to 5 contractible pairs
+    inserted at random positions, so that it reduces to the target."""
+    target = tuple(draw(st.lists(SIMPLE_TYPES, max_size=2)))
+    t = list(target)
+    for _ in range(draw(st.integers(0, 5))):
+        b, z = draw(st.sampled_from("nms")), draw(st.integers(-2, 1))
+        at = draw(st.integers(0, len(t)))
+        t[at:at] = [SimpleType(b, z), SimpleType(b, z + 1)]
+    return tuple(t), target
+
+
+def pairs(k):
+    """k contractible pairs with distinct bases, in type syntax."""
+    return ".".join(f"a{i}.a{i}^l" for i in range(k))
 
 
 class TestReduce:
@@ -117,6 +151,37 @@ class TestReduce:
         result = reduce(t, ())
         if not isinstance(result, NoReduction):
             assert replay(result)
+
+    @given(type_and_target())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_leftmost_first_search(self, case):
+        assert reduce(*case) == search_reduce(*case)
+
+    @given(planted())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_search_on_planted_reductions(self, case):
+        result = reduce(*case)
+        assert not isinstance(result, NoReduction)
+        assert result == search_reduce(*case)
+
+    def test_a_rejection_is_polynomial(self):
+        # 2^40 dead states for a leftmost-first search
+        t = parse_type(pairs(40) + ".t")
+        assert len(t) == 81
+        assert reduce(t, parse_type("s")) == NoReduction(start=t, target=parse_type("s"))
+
+    def test_an_acceptance_past_a_dead_leftmost_pair_is_polynomial(self):
+        # contracting b.b^l first strands b^ll: every other pair goes first
+        t = parse_type("b.b^l." + pairs(40) + ".b^ll")
+        witness = reduce(t, parse_type("b"))
+        assert replay(witness) and witness.end == parse_type("b")
+        assert [step.position for step in witness.steps] == [2] * 40 + [1]
+
+    @pytest.mark.parametrize("k", [10, 12, 14])
+    def test_the_guards_equal_the_search_at_small_sizes(self, k):
+        for text, target in [(pairs(k) + ".t", "s"), ("b.b^l." + pairs(k) + ".b^ll", "b")]:
+            t = parse_type(text)
+            assert reduce(t, parse_type(target)) == search_reduce(t, parse_type(target))
 
     @given(st.lists(st.sampled_from("nms"), max_size=4))
     @settings(max_examples=100, deadline=None)
