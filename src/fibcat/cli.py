@@ -7,8 +7,9 @@ composition entries forced by the unit laws; any other missing composite
 is a SchemaError, as is any id that fails ``fincat.is_plain_id``.
 
 ``load`` builds each category, functor and presheaf and validates it before
-it builds the next.  A builder checks the JSON shape of each record with a
-plain test and formats the record's path only when the test fails.
+it builds the next.  Each record field has one check, whose raise alone
+formats the record's path.  A file that is not UTF-8 JSON, or that nests
+too deeply to decode, is a SchemaError at "$".
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
 fincat validator of the structure.  ``load`` prefixes the path of the
@@ -95,18 +96,17 @@ def _object(doc, key, path):
     return value
 
 
-def _is_str_map(value):
-    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
-
-
 def _str_map(value, path):
-    _require(_is_str_map(value), path, "expected an object of strings")
+    if not (isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
+        raise SchemaError(path, "expected an object of strings")
     return dict(value)
 
 
-def _str_list(value, path):
-    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    _require(ok, path, "expected a list of strings")
+def _id_list(value, path):
+    """value, a list of strings that each pass the id rule."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise SchemaError(path, "expected a list of strings")
+    _require_ids(value, path)
     return value
 
 
@@ -124,37 +124,28 @@ def _validated(where, validate, x, violations):
     return report
 
 
-def _morphism(rec):
-    """The Morphism a morphism record describes, or None if it is malformed."""
-    if isinstance(rec, dict):
-        mid, src, tgt = rec.get("id"), rec.get("src"), rec.get("tgt")
-        if isinstance(mid, str) and isinstance(src, str) and isinstance(tgt, str):
-            return Morphism(mid, src, tgt) if is_plain_id(mid) else None
-    return None
-
-
-def _bad_morphism(mp, rec):
-    """The SchemaError of the first defect of a malformed morphism record."""
-    _require(isinstance(rec, dict), mp, "expected an object")
-    for key in ("id", "src", "tgt"):
-        _require(isinstance(rec.get(key), str), f"{mp}.{key}", "missing or non-string")
-    return SchemaError(f"{mp}.id", _ID_RULE)
+def _morphism(rec, path, i):
+    """The Morphism of record path[i]; a SchemaError names its first defect."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{path}[{i}]", "expected an object")
+    mid, src, tgt = rec.get("id"), rec.get("src"), rec.get("tgt")
+    for key, value in (("id", mid), ("src", src), ("tgt", tgt)):
+        if not isinstance(value, str):
+            raise SchemaError(f"{path}[{i}].{key}", "missing or non-string")
+    if not is_plain_id(mid):
+        raise SchemaError(f"{path}[{i}].id", _ID_RULE)
+    return Morphism(mid, src, tgt)
 
 
 def _build_category(name, doc, violations):
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
-    _require("morphisms" in doc, f"{path}.morphisms", "missing 'morphisms'")
-    objects = _str_list(doc["objects"], f"{path}.objects")
-    _require_ids(objects, f"{path}.objects")
-    _require(isinstance(doc["morphisms"], list), f"{path}.morphisms", "expected a list")
-    morphisms = []
-    for i, rec in enumerate(doc["morphisms"]):
-        m = _morphism(rec)
-        if m is None:
-            raise _bad_morphism(f"{path}.morphisms[{i}]", rec)
-        morphisms.append(m)
+    mpath = f"{path}.morphisms"
+    _require("morphisms" in doc, mpath, "missing 'morphisms'")
+    objects = _id_list(doc["objects"], f"{path}.objects")
+    _require(isinstance(doc["morphisms"], list), mpath, "expected a list")
+    morphisms = [_morphism(rec, mpath, i) for i, rec in enumerate(doc["morphisms"])]
     identity = _str_map(doc.get("identity", {}), f"{path}.identity")
     declared = {m.id for m in morphisms}
     for obj in objects:
@@ -168,8 +159,9 @@ def _build_category(name, doc, violations):
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     compose = cat.compose
     for g, inner in _object(doc, "compose", f"{path}.compose").items():
-        if not (cat.has_morphism(g) and isinstance(inner, dict)):
-            _require(cat.has_morphism(g), f"{path}.compose.{g}", "unknown morphism")
+        if not cat.has_morphism(g):
+            raise SchemaError(f"{path}.compose.{g}", "unknown morphism")
+        if not isinstance(inner, dict):
             raise SchemaError(f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
             if not isinstance(h, str):
@@ -218,17 +210,14 @@ def _build_presheaf(name, doc, categories, violations):
     _require(ok, f"{path}.base", "unknown category")
     base = categories[base_name]
     variance = doc.get("variance", CONTRAVARIANT)
-    eltset = {}
-    for c, elts in _object(doc, "eltset", f"{path}.eltset").items():
-        ok = isinstance(elts, list) and all(isinstance(x, str) and is_plain_id(x) for x in elts)
-        if not ok:  # the checks below raise, at the path they format
-            epath = f"{path}.eltset.{c}"
-            _require_ids(_str_list(elts, epath), epath)
-        eltset[c] = tuple(elts)
-    action = {}
-    for mid, table in _object(doc, "action", f"{path}.action").items():
-        ok = _is_str_map(table)
-        action[mid] = dict(table) if ok else _str_map(table, f"{path}.action.{mid}")
+    eltset = {
+        c: tuple(_id_list(elts, f"{path}.eltset.{c}"))
+        for c, elts in _object(doc, "eltset", f"{path}.eltset").items()
+    }
+    action = {
+        mid: _str_map(table, f"{path}.action.{mid}")
+        for mid, table in _object(doc, "action", f"{path}.action").items()
+    }
     for m in base.morphisms:
         if m.id not in action and base.is_identity(m.id) and m.src in eltset:
             action[m.id] = {x: x for x in eltset[m.src]}
@@ -263,8 +252,9 @@ def _build_lexicon(name, entries, parsed):
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
             raise SchemaError(f"{lpath}[{i}].phrase", problem)
         phrases.add(tokens)
-        ptype = parsed.get(text) if isinstance(text, str) else None
-        if ptype is None:
+        try:
+            ptype = parsed[text]
+        except (KeyError, TypeError):  # a new text, or a list or object
             ptype = parsed[text] = _type(text, f"{lpath}[{i}].type")
         triples.append((phrase, text, ptype))
     return triples
@@ -291,7 +281,7 @@ def load(path) -> Workspace:
             doc = json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require(doc.get("format") == FORMAT_VERSION, "format", "expected format 1")

@@ -411,7 +411,7 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         return ValidationReport.from_violations(violations)
     for c in W.base.objects:
         table = W.action[W.base.identity[c]]
-        if any(table[x] != x for x in W.eltset[c]):
+        if any(table.get(x) != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
     for (g, f), h in W.base.compose.items():
         if W.base.tgt(f) != W.base.src(g):

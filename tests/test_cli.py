@@ -68,6 +68,25 @@ class TestLoadSave:
         with pytest.raises(SchemaError):
             cli.load(str(path))
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_an_unreadable_file_is_invalid_json(self, tmp_path, content, error):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as exc:
+            cli.load(str(path))
+        assert exc.value.path == "$"
+        code, text = run(["validate", str(path)])
+        assert code == 2
+        assert text.startswith(f"ERROR: $: invalid JSON: {error}")
+        assert text.count("\n") == 1
+
     def test_missing_file(self, tmp_path):
         from fibcat.errors import IoError
 
@@ -411,6 +430,9 @@ class TestUnknownNames:
         assert code == 2
         assert text == "ERROR: no base morphism named 'nope'\n"
 
+    def test_roundtrip_of_an_unknown_name(self, fig2):
+        assert run(["roundtrip", fig2, "nope"]) == (2, "ERROR: nope\n")
+
     def test_mcg_rejects_duplicate_objects(self):
         code, text = run(["mcg", "a,b,a"])
         assert code == 2
@@ -473,6 +495,9 @@ def _set(doc, keys, value):
         (("lexicons", "toy", 1, "phrase"), "cats", "lexicons.toy[1].phrase"),
         (("lexicons", "toy", 1, "type"), "n^x", "lexicons.toy[1].type"),
         (("corpora",), {"K": [["cats", "a|b"]]}, "corpora.K[0][1]"),
+        (("lexicons", "toy", 0), "cats", "lexicons.toy[0]"),
+        (("corpora",), {"K": [7]}, "corpora.K[0]"),
+        (("presheaves", "W", "eltset", "A"), ["a|b"], "presheaves.W.eltset.A[0]"),
     ],
 )
 def test_wrongly_typed_json_is_a_schema_error(tmp_path, keys, value, path):
@@ -585,6 +610,33 @@ def test_a_lawless_base_composite_is_reported(fig2, tmp_path, compose, violation
     doc["categories"]["ABC"]["compose"] = compose
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps(doc))
+    expected = "".join(f"VIOLATION: {v}\n" for v in violations)
+    assert run(["validate", str(ws)]) == (1, "FAIL: validation\n" + expected)
+
+
+def test_an_identity_that_is_no_loop_is_reported(tmp_path):
+    doc = {
+        "format": 1,
+        "categories": {
+            "C": {
+                "objects": ["A", "B"],
+                "morphisms": [{"id": "f", "src": "A", "tgt": "B"}],
+                "identity": {"A": "f"},
+            }
+        },
+        "presheaves": {
+            "W": {"base": "C", "eltset": {"A": ["x"], "B": ["y"]}, "action": {"f": {"y": "x"}}}
+        },
+    }
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    violations = [
+        "categories.C: identity-endpoints ('A', 'f')",
+        "categories.C: endpoint-coherence ('id:B', 'f', 'id:B')",
+        "categories.C: left-unit ('id:B', 'f')",
+        "presheaves.W: identity-action ('A',)",
+        "presheaves.W: composition-action ('id:B', 'f')",
+    ]
     expected = "".join(f"VIOLATION: {v}\n" for v in violations)
     assert run(["validate", str(ws)]) == (1, "FAIL: validation\n" + expected)
 

@@ -219,6 +219,21 @@ class TestFibMorphism:
         # the strict triangle still holds: the swap stays inside the fibre
         assert "triangle-object" not in laws
 
+    def test_a_map_off_the_base_breaks_the_triangle(self):
+        # q . H sends everything to A and its identity; p keeps B, C and their arrows
+        c = chain_base()
+        p = identity_functor(c)
+        H = constant_functor(c, c, "A")
+        assert [(v["law"], v["witness"]) for v in is_fib_morphism(H, p, p).violations] == [
+            ("triangle-object", ("B",)),
+            ("triangle-object", ("C",)),
+            ("triangle-morphism", ("f",)),
+            ("triangle-morphism", ("g",)),
+            ("triangle-morphism", ("gf",)),
+            ("triangle-morphism", ("id:B",)),
+            ("triangle-morphism", ("id:C",)),
+        ]
+
     def test_squares_follow_for_genuine_morphisms(self, rng):
         # whenever the triangle holds between discrete fibrations, the
         # induced fibre maps commute with every reindexing

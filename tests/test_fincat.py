@@ -464,6 +464,22 @@ def test_each_law_reports_its_witness(validate, x, violations):
     assert [(v["law"], v["witness"]) for v in validate(x).violations] == violations
 
 
+def test_an_identity_that_is_no_loop_breaks_the_identity_action():
+    # u: a -> b is named the identity of a, so the identity's table has no row for x
+    base = FinCat(
+        ("a", "b"),
+        (Morphism("u", "a", "b"), Morphism("id:b", "b", "b")),
+        {"a": "u", "b": "id:b"},
+        {("id:b", "u"): "u", ("id:b", "id:b"): "id:b"},
+    )
+    W = SetValuedFunctor(
+        base, CONTRAVARIANT, {"a": ("x",), "b": ("y",)}, {"u": {"y": "x"}, "id:b": {"y": "y"}}
+    )
+    assert [(v["law"], v["witness"]) for v in validate_set_valued(W).violations] == [
+        ("identity-action", ("a",))
+    ]
+
+
 class TestReferencePaths:
     def test_dangling_morphism_end(self):
         cat = FinCat(("a",), (Morphism("m", "a", "ghost"),), {"a": "m"}, {})

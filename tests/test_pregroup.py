@@ -127,6 +127,21 @@ class TestReduce:
 
             apply_step(t, bad)
 
+    @pytest.mark.parametrize(
+        "t, step, error",
+        [
+            ("n.n^l", ReductionStep(1, "n", (0, 1)), "step position out of range"),
+            ("n.n^l", ReductionStep(-1, "n", (0, 1)), "step position out of range"),
+            ("n.m^l", ReductionStep(0, "n", (0, 1)), "pair at 0 is not contractible"),
+        ],
+    )
+    def test_apply_step_refuses_a_step_the_type_cannot_take(self, t, step, error):
+        from fibcat.pregroup import apply_step
+
+        with pytest.raises(ValueError) as exc:
+            apply_step(parse_type(t), step)
+        assert str(exc.value) == error
+
     def test_a_search_leaves_no_garbage_cycle(self):
         # the search state is freed when reduce returns, not by the collector
         cases = [("n.n^l.n.n^l.s", True), ("n.n^l.n^l.s.n", False)]
@@ -266,6 +281,14 @@ class TestSemantics:
                 "((the cat, n)⊗(sleeps, n^l.s)|(the cat sleeps|the cat sleeps))"
             )
         }
+
+    def test_a_sentence_that_is_one_phrase_gets_no_reduction(self):
+        # "it rains" parses in zero steps, so its tensor is its sentence object
+        lex = make_lexicon(TOY_LEXICON + [("it rains", "s")])
+        model = build_semantics(TOY_CORPUS + [["it", "rains"]], lex, parse_type("s"))
+        assert model.presheaf.eltset["(it rains, s)"] == ("it rains",)
+        reductions = [m.id for m in model.presheaf.base.morphisms if m.id.startswith("reduce:")]
+        assert reductions == ["reduce:(the cat sleeps)", "reduce:(the cat is fat)"]
 
     def test_each_distinct_sentence_is_parsed_once(self, model, monkeypatch):
         from fibcat import pregroup
