@@ -226,12 +226,13 @@ def _build_presheaf(name, doc, categories, violations):
     return W
 
 
-def _type(text, path, convention="paper"):
-    """The parsed type text, which must also pass the id rule."""
+def _type(text, path):
+    """The type text parsed in the paper convention; it must also pass the
+    id rule."""
     if not (isinstance(text, str) and is_plain_id(text)):
         raise SchemaError(path, f"expected a string in which {_ID_RULE}")
     try:
-        return pregroup.parse_type(text, convention)
+        return pregroup.parse_type(text)
     except TypeSyntaxError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -363,7 +364,7 @@ def _category_name(ws, cat):
 
 
 def _dot_quote(s):
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _dot_edges(cat, label, prefix=""):
@@ -566,7 +567,8 @@ def _grammar(entries, args):
     paper = {text: t for _, text, t in entries}  # one type per distinct text
     types = {text: pregroup.in_convention(t, conv) for text, t in paper.items()}
     lex = tuple((tuple(p.split()), types[text]) for p, text, _ in entries)
-    return pregroup.Lexicon(lex), _type(args.target, "--target", conv)
+    target = pregroup.in_convention(_type(args.target, "--target"), conv)
+    return pregroup.Lexicon(lex), target
 
 
 def cmd_parse(args, out):

@@ -15,6 +15,7 @@ from .fincat import (
     FunctorSpec,
     ValidationReport,
     _violation,
+    identity_functor,
     opposite_functor,
 )
 
@@ -125,8 +126,26 @@ def is_discrete_opfibration(p: FunctorSpec) -> ValidationReport:
     return is_discrete_fibration(opposite_functor(p))
 
 
+def _square_violations(H, F, p, q, laws):
+    """The objects, then the morphisms, of dom(p) at which q . H and F . p
+    differ, as violations of laws = (object law, morphism law)."""
+    object_law, morphism_law = laws
+    violations = [
+        _violation(object_law, (c,))
+        for c in p.dom.objects
+        if q.omap[H.omap[c]] != F.omap[p.omap[c]]
+    ]
+    violations += [
+        _violation(morphism_law, (m.id,))
+        for m in p.dom.morphisms
+        if q.mmap[H.mmap[m.id]] != F.mmap[p.mmap[m.id]]
+    ]
+    return violations
+
+
 def is_fib_morphism(H: FunctorSpec, p: FunctorSpec, q: FunctorSpec) -> ValidationReport:
-    """Check q . H = p, plus the induced reindexing squares.
+    """Check q . H = p, the square over the identity of the base, plus the
+    induced reindexing squares.
 
     The triangle and the squares are reported as separate violation
     classes; for discrete fibrations the squares follow from the triangle,
@@ -134,13 +153,9 @@ def is_fib_morphism(H: FunctorSpec, p: FunctorSpec, q: FunctorSpec) -> Validatio
     """
     if H.dom != p.dom or H.cod != q.dom or p.cod != q.cod:
         raise ShapeMismatch("expected H: dom(p) -> dom(q) over a common base")
-    violations = []
-    for c in H.dom.objects:
-        if q.omap[H.omap[c]] != p.omap[c]:
-            violations.append(_violation("triangle-object", (c,)))
-    for m in H.dom.morphisms:
-        if q.mmap[H.mmap[m.id]] != p.mmap[m.id]:
-            violations.append(_violation("triangle-morphism", (m.id,)))
+    violations = _square_violations(
+        H, identity_functor(p.cod), p, q, ("triangle-object", "triangle-morphism")
+    )
     if is_discrete_fibration(p).ok and is_discrete_fibration(q).ok:
         for u in p.cod.morphisms:
             rp = _reindex(p, u.id)
@@ -159,11 +174,5 @@ def is_fab_square(
     possibly different bases."""
     if H.dom != p.dom or H.cod != q.dom or F.dom != p.cod or F.cod != q.cod:
         raise ShapeMismatch("expected a square H over F from p to q")
-    violations = []
-    for c in p.dom.objects:
-        if q.omap[H.omap[c]] != F.omap[p.omap[c]]:
-            violations.append(_violation("square-object", (c,)))
-    for m in p.dom.morphisms:
-        if q.mmap[H.mmap[m.id]] != F.mmap[p.mmap[m.id]]:
-            violations.append(_violation("square-morphism", (m.id,)))
+    violations = _square_violations(H, F, p, q, ("square-object", "square-morphism"))
     return ValidationReport.from_violations(violations)

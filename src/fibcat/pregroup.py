@@ -6,8 +6,8 @@ contracts adjacent pairs (b, z)(b, z+1) only, each time the leftmost pair
 after which the target can still be reached.  A convention is the sign of
 the exponent of ^l, and ^r has the opposite sign: the default "paper"
 convention takes ^l to +1 so that n . n^l contracts; "lambek" takes ^l to
--1, so it negates every exponent of the paper reading and ``in_convention``
-derives it from a paper parse.
+-1, so it negates every exponent of the paper reading.  ``parse_type``
+reads the paper convention only, and ``in_convention`` converts its result.
 
 ``build_semantics`` assembles a finite base category from corpus parses,
 assigns each constituent the set of corpus sentences containing its
@@ -63,10 +63,9 @@ def format_type(t, convention="paper"):
 _TOKEN = re.compile(r"([^\s.^]+)(?:\^([lr]+))?$")
 
 
-def parse_type(text, convention="paper"):
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    sign = CONVENTIONS[convention]
+def parse_type(text):
+    """The type that text denotes in the paper convention; ``in_convention``
+    reads it in another."""
     simples = []
     for chunk in re.finditer(r"[^.\s]+", text):
         col, m = chunk.start(), _TOKEN.match(chunk.group())
@@ -77,7 +76,7 @@ def parse_type(text, convention="paper"):
             if markers:
                 raise TypeSyntaxError("unit type takes no adjoint", col)
         else:
-            simples.append(SimpleType(base, sign * (markers.count("l") - markers.count("r"))))
+            simples.append(SimpleType(base, markers.count("l") - markers.count("r")))
     return tuple(simples)
 
 
@@ -218,13 +217,11 @@ class Lexicon:
         return None
 
 
-def make_lexicon(pairs, convention="paper"):
-    """Build a Lexicon from (phrase string, type string) pairs."""
+def make_lexicon(pairs):
+    """Build a Lexicon from (phrase string, type string) pairs, the types in
+    the paper convention."""
     return Lexicon(
-        entries=tuple(
-            (tuple(phrase.split()), parse_type(text, convention))
-            for phrase, text in pairs
-        )
+        entries=tuple((tuple(phrase.split()), parse_type(text)) for phrase, text in pairs)
     )
 
 
@@ -316,17 +313,24 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         if oid not in eltset:
             eltset[oid] = tuple(elts)
 
+    parts = [
+        tuple(_constituent_id(ph, ty, convention) for ph, ty in zip(r.segmentation, r.types))
+        for _, r in sentences.values()
+    ]
+    # A sentence that is one phrase of the target type has the id of that
+    # phrase's constituent.  When a sentence of more phrases uses the
+    # constituent too, the sentence object takes a tuple id instead, and the
+    # constituent reduces to it in zero steps.
+    shared = {cid for part_ids in parts if len(part_ids) > 1 for cid in part_ids}
     # per parse: sentence id, sentence object, phrases, constituent ids, tensor id
     shapes = []
-    for sid, result in sentences.values():
-        phrases = result.segmentation
-        part_ids = tuple(
-            _constituent_id(ph, ty, convention) for ph, ty in zip(phrases, result.types)
-        )
+    for (sid, result), part_ids in zip(sentences.values(), parts):
         sent_obj = _constituent_id((sid,), result.witness.end, convention)
-        shapes.append((sid, sent_obj, phrases, part_ids, "⊗".join(part_ids)))
+        if sent_obj in shared:
+            sent_obj = tuple_id(sid, format_type(result.witness.end, convention))
+        shapes.append((sid, sent_obj, result.segmentation, part_ids, "⊗".join(part_ids)))
     # sentence objects first: they win when a lexicon phrase is itself a
-    # full corpus sentence of the target type
+    # full corpus sentence of the target type that no other sentence uses
     for sid, sent_obj, _, _, _ in shapes:
         add_object(sent_obj, (sid,))
     for _, _, phrases, part_ids, _ in shapes:

@@ -9,6 +9,7 @@ from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError
 
 from fibcat.fincat import (
     CONTRAVARIANT,
+    COVARIANT,
     CommaResult,
     FinCat,
     FunctorSpec,
@@ -302,6 +303,57 @@ def rand_fibration_over_mcg(rng, n_objects=3, fibre_size=None):
         action[m.id] = {X[i]: X[perms[a][inv_b[i]]] for i in range(k)}
     W = SetValuedFunctor(base=base, variance=CONTRAVARIANT, eltset=eltset, action=action)
     return elements(W).projection, W
+
+
+def rand_concrete_category(rng, max_objects=3, max_elements=3, max_generators=6, max_arrows=24):
+    """The inclusion into sets of a category of functions, as a covariant
+    presheaf on it: its base has up to max_objects sets of up to
+    max_elements elements as objects, and as morphisms the functions
+    generated by a few random ones, closed under composition.  A generator
+    whose closure would exceed max_arrows morphisms, identities included,
+    is left out.  The table composes functions, so it obeys the laws by
+    construction, and it may have idempotents, loops and parallel arrows."""
+    n = rng.randint(1, max_objects)
+    objs = tuple(f"s{i}" for i in range(n))
+    size = {o: rng.randint(0, max_elements) for o in objs}
+    arrows = [(o, o, tuple(range(size[o]))) for o in objs]  # (src, tgt, function)
+    for _ in range(rng.randint(1, max_generators)):
+        a, b = rng.choice(objs), rng.choice(objs)
+        if size[a] and not size[b]:
+            continue  # no function into the empty set
+        gen = (a, b, tuple(rng.randrange(size[b]) for _ in range(size[a])))
+        arrows = _compose_closure(arrows, gen, max_arrows) or arrows
+    mid = {x: f"id:{x[0]}" for x in arrows[:n]}
+    mid.update((x, f"{x[0]}>{x[1]}:{''.join(map(str, x[2]))}") for x in arrows[n:])
+    compose = {(mid[g], mid[f]): mid[_then(f, g)] for g in arrows for f in arrows if f[1] == g[0]}
+    morphisms = tuple(Morphism(mid[x], x[0], x[1]) for x in arrows)
+    base = FinCat(objs, morphisms, {o: f"id:{o}" for o in objs}, compose)
+    return SetValuedFunctor(
+        base=base,
+        variance=COVARIANT,
+        eltset={o: tuple(map(str, range(size[o]))) for o in objs},
+        action={mid[x]: {str(i): str(j) for i, j in enumerate(x[2])} for x in arrows},
+    )
+
+
+def _then(f, g):
+    """The arrow g . f of two composable function arrows."""
+    return f[0], g[1], tuple(g[2][i] for i in f[2])
+
+
+def _compose_closure(arrows, gen, cap):
+    """arrows and gen closed under composition, or None once there are more
+    than cap."""
+    found, todo = list(arrows), [gen]
+    while todo:
+        x = todo.pop()
+        if x in found:
+            continue
+        found.append(x)
+        if len(found) > cap:
+            return None
+        todo += [_then(f, g) for y in found for g, f in ((x, y), (y, x)) if f[1] == g[0]]
+    return found
 
 
 # --- independent oracles --------------------------------------------------

@@ -93,6 +93,23 @@ class TestLoadSave:
         with pytest.raises(IoError):
             cli.load(str(tmp_path / "absent.json"))
 
+    def test_save_to_a_missing_directory(self, fig2, tmp_path):
+        from fibcat.errors import IoError
+
+        with pytest.raises(IoError):
+            cli.save(cli.load(fig2), str(tmp_path / "absent" / "ws.json"))
+        assert not (tmp_path / "absent").exists()
+
+    def test_save_of_a_functor_on_a_category_outside_the_workspace(self, tmp_path):
+        from fibcat.errors import UnknownName
+        from fibcat.fincat import identity_functor, terminal_category
+
+        ws = cli.Workspace(functors={"p": identity_functor(terminal_category())})
+        path = tmp_path / "ws.json"
+        with pytest.raises(UnknownName, match="category is not part of the workspace"):
+            cli.save(ws, str(path))
+        assert not path.exists()
+
 
 class TestNegativeFixtures:
     def test_broken_associativity_rejected(self, fixtures_dir):
@@ -248,6 +265,21 @@ class TestCommands:
         assert "FIBRE-SIZE: (the cat, n) = 2" in text
         assert "DISCRETE-FIBRATION: true" in text
 
+    def test_semantics_when_a_sentence_is_a_phrase_of_another(self, tmp_path):
+        lexicon = [{"phrase": "it rains", "type": "s"}, {"phrase": "now", "type": "s^r.s"}]
+        doc = {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": ["it rains", "it rains now"]}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, text = run(["semantics", str(path), "--lexicon", "L", "--corpus", "K"])
+        assert (code, text.splitlines()) == (0, [
+            "FIBRE-SIZE: (it rains|s) = 1",
+            "FIBRE-SIZE: (it rains now, s) = 1",
+            "FIBRE-SIZE: (it rains, s) = 2",
+            "FIBRE-SIZE: (now, s^r.s) = 1",
+            "FIBRE-SIZE: (it rains, s)⊗(now, s^r.s) = 2",
+            "DISCRETE-FIBRATION: true",
+        ])
+
     @pytest.mark.parametrize("convention", ["paper", "lambek"])
     def test_each_type_is_parsed_once(self, fig2, monkeypatch, convention):
         calls = []
@@ -267,7 +299,8 @@ class TestCommands:
             cli.pregroup, "in_convention", lambda *a: calls.append(a) or in_convention(*a)
         )
         run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
-        assert len(calls) == 2
+        # two distinct type texts among the three lexicon entries, then the target
+        assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "lexicons, error",
@@ -335,6 +368,28 @@ class TestDot:
         assert code == 0
         assert text.count("subgraph cluster_") == 3
         assert '"base:A" -> "base:B"' in text
+
+    def test_a_backslash_is_escaped_before_a_quote(self, tmp_path):
+        # unescaped, the backslash of a\ would escape the closing quote
+        doc = {
+            "format": 1,
+            "categories": {
+                "C": {
+                    "objects": ["a\\", 'b"'],
+                    "morphisms": [{"id": 'f\\"', "src": "a\\", "tgt": 'b"'}],
+                }
+            },
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, text = run(["dot", str(path), "C"])
+        assert code == 0
+        assert text.splitlines()[2:] == [
+            '  "a\\\\";',
+            '  "b\\"";',
+            '  "a\\\\" -> "b\\"" [label="f\\\\\\""];',
+            "}",
+        ]
 
 
 class TestIdsAndAliases:

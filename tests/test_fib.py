@@ -254,6 +254,10 @@ class TestFabSquare:
     def test_identity_square(self, p):
         assert is_fab_square(identity_functor(p.dom), identity_functor(p.cod), p, p).ok
 
+    def test_shape_mismatch(self, p):
+        with pytest.raises(ShapeMismatch, match="expected a square H over F from p to q"):
+            is_fab_square(identity_functor(p.cod), identity_functor(p.cod), p, p)
+
     def test_collapse_to_the_point(self, p):
         one = terminal_category()
         F = constant_functor(p.cod, one, "*")

@@ -13,6 +13,7 @@ from fibcat.fincat import (
     complete_units,
     compose_functors,
     connected_components,
+    constant_functor,
     identity_functor,
     opposite,
     pullback,
@@ -369,6 +370,11 @@ class TestValidateFunctor:
             )
             assert validate_functor(GF).ok
 
+    def test_functors_that_do_not_compose(self):
+        F = identity_functor(terminal_category())
+        with pytest.raises(CodMismatch, match="cod\\(F\\) != dom\\(G\\)"):
+            compose_functors(identity_functor(chain_base()), F)
+
 
 def with_units(objects, arrows, composites=()):
     """A category on objects with identities id:<o>, the arrows (id, src,
@@ -511,8 +517,28 @@ class TestCheckIsoOver:
         p = fig2_fibration()
         one = identity_functor(p.dom)
         q = FunctorSpec(p.dom, p.cod, {**p.omap, "A0": "B"}, p.mmap)
-        with pytest.raises(WitnessFailure):
+        with pytest.raises(WitnessFailure, match="triangle over the base fails"):
             check_iso_over(one, one, p, q)
+
+    def test_a_witness_that_is_no_functor_is_refused(self):
+        c = chain_base()
+        p = identity_functor(c)
+        bad = FunctorSpec(c, c, p.omap, {**p.mmap, "f": "g"})
+        with pytest.raises(WitnessFailure, match="witness map is not a functor"):
+            check_iso_over(p, bad, p, p)
+
+    def test_a_witness_without_a_left_inverse_is_refused(self):
+        c = chain_base()
+        p = identity_functor(c)
+        with pytest.raises(WitnessFailure, match="H has no left inverse"):
+            check_iso_over(p, constant_functor(c, c, "A"), p, p)
+
+    def test_a_witness_without_a_right_inverse_is_refused(self):
+        # the point includes into the chain at A, and the chain collapses back
+        one, c = terminal_category(), chain_base()
+        H, Hinv = constant_functor(one, c, "A"), constant_functor(c, one, "*")
+        with pytest.raises(WitnessFailure, match="H has no right inverse"):
+            check_iso_over(H, Hinv, identity_functor(one), identity_functor(c))
 
 
 class TestOpposite:

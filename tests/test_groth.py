@@ -1,6 +1,6 @@
 import pytest
 
-from fibcat.errors import MalformedSpec, NotDiscreteFibration
+from fibcat.errors import InvalidFunctor, MalformedSpec, NotDiscreteFibration
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -75,6 +75,12 @@ class TestElements:
         )
         built = elements(W)
         assert built.total.objects == ()
+
+    def test_a_presheaf_that_breaks_a_law_is_refused(self):
+        W = fig2_presheaf()
+        W.action["gf"] = {"C0": "A0", "C1": "A0"}  # g then f sends C0 to A2
+        with pytest.raises(InvalidFunctor, match="functoriality laws fail"):
+            elements(W)
 
     def test_projection_always_discrete(self, rng):
         for _ in range(50):

@@ -14,6 +14,7 @@ from fibcat.pregroup import (
     SimpleType,
     build_semantics,
     format_type,
+    in_convention,
     make_lexicon,
     parse_sentence,
     parse_type,
@@ -45,7 +46,7 @@ class TestTypeSyntax:
         assert parse_type("n^ll") == (SimpleType("n", 2),)
 
     def test_lambek_convention_flips_the_signs(self):
-        assert parse_type("n^l", convention="lambek") == (SimpleType("n", -1),)
+        assert in_convention(parse_type("n^l"), "lambek") == (SimpleType("n", -1),)
 
     def test_unit(self):
         assert parse_type("1") == ()
@@ -289,6 +290,18 @@ class TestSemantics:
         assert model.presheaf.eltset["(it rains, s)"] == ("it rains",)
         reductions = [m.id for m in model.presheaf.base.morphisms if m.id.startswith("reduce:")]
         assert reductions == ["reduce:(the cat sleeps)", "reduce:(the cat is fat)"]
+
+    def test_a_one_phrase_sentence_that_another_sentence_uses_keeps_its_own_object(self):
+        # the constituent (it rains, s) of "it rains now" is no singleton
+        lex = make_lexicon([("it rains", "s"), ("now", "s^r.s")])
+        corpus = [["it", "rains"], ["it", "rains", "now"]]
+        model = build_semantics(corpus, lex, parse_type("s"))
+        assert model.presheaf.eltset["(it rains|s)"] == ("it rains",)
+        assert model.presheaf.eltset["(it rains, s)"] == ("it rains", "it rains now")
+        reduction = model.base.morphism("reduce:(it rains)")
+        assert (reduction.src, reduction.tgt) == ("(it rains, s)", "(it rains|s)")
+        assert model.presheaf.action["reduce:(it rains)"] == {"it rains": "it rains"}
+        assert is_discrete_fibration(model.fibration.projection).ok
 
     def test_each_distinct_sentence_is_parsed_once(self, model, monkeypatch):
         from fibcat import pregroup

@@ -10,6 +10,11 @@ The loader's category builder is compared with the one it replaced,
 ``helpers.scan_build_category``, on generated category documents whose ids,
 references and shapes are adversarial.
 
+Random categories of functions between small sets
+(``helpers.rand_concrete_category``) have loops, idempotents and parallel
+arrows; ``validate_category`` and the fibration checks on the elements of
+their inclusion into sets are compared with the scans in tests/helpers.py.
+
 The pregroup properties compare type parsing and longest-match lookup with
 the oracles in tests/helpers.py; a generated lexicon repeats type texts,
 good and bad, to pin which entry a bad one is reported at.
@@ -27,8 +32,9 @@ from hypothesis import strategies as st
 
 from fibcat import cli
 from fibcat.errors import SchemaError, TypeSyntaxError
-from fibcat.fincat import is_plain_id, tuple_id
-from fibcat.groth import elements
+from fibcat.fib import is_discrete_opfibration, is_fibration
+from fibcat.fincat import FinCat, is_plain_id, tuple_id, validate_category
+from fibcat.groth import elements, roundtrip_presheaf
 from fibcat.pregroup import (
     CONVENTIONS,
     Lexicon,
@@ -40,8 +46,12 @@ from fibcat.pregroup import (
 from helpers import (
     built_category,
     parse_type_by_deltas,
+    rand_concrete_category,
     scan_build_category,
+    scan_cloven_fibration,
+    scan_discrete_opfibration,
     scan_longest_match,
+    scan_validate_category,
 )
 
 # Each workspace draws its ids from two atoms joined by "|", sometimes in
@@ -226,6 +236,36 @@ def test_the_loader_builds_each_category_as_the_scan_does(doc):
     assert built_category(cli._build_category, doc) == built_category(scan_build_category, doc)
 
 
+# The inclusions into sets of categories of functions between sets of up to
+# 3 elements, with up to 3 objects and 24 arrows.
+concrete_categories = st.randoms(use_true_random=False).map(rand_concrete_category)
+
+
+@given(concrete_categories, st.data())
+@settings(max_examples=200, deadline=None)
+def test_validate_category_matches_the_scan_on_concrete_categories(W, data):
+    c = W.base
+    assert validate_category(c).violations == scan_validate_category(c) == ()
+    ends = {m.id: (m.src, m.tgt) for m in c.morphisms}
+    parallel = [
+        (key, m) for key, h in c.compose.items() for m in ends if m != h and ends[m] == ends[h]
+    ]
+    if parallel:
+        key, m = data.draw(st.sampled_from(parallel))
+        bad = FinCat(c.objects, c.morphisms, c.identity, {**c.compose, key: m})
+        assert validate_category(bad).violations == scan_validate_category(bad)
+
+
+@given(concrete_categories)
+@settings(max_examples=200, deadline=None)
+def test_the_elements_of_a_concrete_category_match_the_scans(W):
+    p = elements(W).projection
+    assert is_discrete_opfibration(p).violations == scan_discrete_opfibration(p) == ()
+    report = is_fibration(p)
+    assert (report.ok, report.violations, report.witness) == scan_cloven_fibration(p)
+    assert roundtrip_presheaf(W).checked
+
+
 # Type texts that parse, and ones that break the id rule or the type syntax.
 lexicon_type_texts = st.sampled_from(["n", "n^l.s", "1", "n^x", "s)", "n^l^r"])
 
@@ -285,6 +325,11 @@ def type_texts(draw, bad=False):
     return text
 
 
+def _read(text, convention):
+    """The type text in the convention, read as the CLI reads it."""
+    return in_convention(parse_type(text), convention)
+
+
 def _parsed(parse, text, convention):
     try:
         return parse(text, convention)
@@ -295,20 +340,14 @@ def _parsed(parse, text, convention):
 @given(type_texts(bad=True), st.sampled_from(sorted(CONVENTIONS)))
 @settings(max_examples=200, deadline=None)
 def test_parse_type_matches_the_delta_table(text, convention):
-    assert _parsed(parse_type, text, convention) == _parsed(parse_type_by_deltas, text, convention)
-
-
-@given(type_texts(), st.sampled_from(sorted(CONVENTIONS)))
-@settings(max_examples=100, deadline=None)
-def test_a_convention_rereads_the_paper_parse(text, convention):
-    assert in_convention(parse_type(text), convention) == parse_type(text, convention)
+    assert _parsed(_read, text, convention) == _parsed(parse_type_by_deltas, text, convention)
 
 
 @given(type_texts(), st.sampled_from(sorted(CONVENTIONS)))
 @settings(max_examples=200, deadline=None)
 def test_format_type_parses_back_to_the_same_type(text, convention):
-    t = parse_type(text, convention)
-    assert parse_type(format_type(t, convention), convention) == t
+    t = _read(text, convention)
+    assert _read(format_type(t, convention), convention) == t
 
 
 # Phrases over three words, so that many share a prefix.
