@@ -48,6 +48,7 @@ from .fib import (
     reindex,
 )
 from .fincat import (
+    _ID_RULE,
     CONTRAVARIANT,
     FinCat,
     FunctorSpec,
@@ -78,10 +79,6 @@ class Workspace:
 def _require(cond, path, message):
     if not cond:
         raise SchemaError(path, message)
-
-
-# Workspace ids must pass is_plain_id, so the ids built from them never collide.
-_ID_RULE = "brackets must nest and '|' may appear only inside them"
 
 
 def _require_ids(ids, path):
@@ -541,14 +538,11 @@ def cmd_mcg(args, out):
         else:
             _require(n >= 0, "objects", "negative count")
             ids = [str(i) for i in range(n)]
-    # mcg's arrow ids "(a->b)" are distinct only if no name contains "->"
-    for i, a in enumerate(ids):
-        _require(a, f"objects[{i}]", "empty object name")
-        _require("->" not in a, f"objects[{i}]", "an object name may not contain '->'")
-    _require_ids(ids, "objects")
-    if len(set(ids)) != len(ids):
-        raise SchemaError("objects", "duplicate object names")
-    _print_category(make_mcg(ids), out)
+    try:
+        cat = make_mcg(ids)
+    except MalformedSpec as exc:
+        raise SchemaError(exc.path, exc.message) from exc
+    _print_category(cat, out)
     return 0
 
 

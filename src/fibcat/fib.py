@@ -44,11 +44,7 @@ def fibre(p: FunctorSpec, c: str) -> Fibre:
     if not p.cod.has_object(c):
         raise UnknownObject(c)
     members, over, _ = p._index
-    return Fibre(
-        base_object=c,
-        elements=tuple(members.get(c, ())),
-        over_identity=tuple(over.get(p.cod.identity[c], ())),
-    )
+    return Fibre(c, members.get(c, ()), over.get(p.cod.identity[c], ()))
 
 
 def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:

@@ -67,7 +67,7 @@ class FinCat:
             into.setdefault(m.tgt, []).append(m)
             hom.setdefault((m.src, m.tgt), []).append(m.id)
         object.__setattr__(self, "_into", {c: tuple(ms) for c, ms in into.items()})
-        object.__setattr__(self, "_hom", hom)
+        object.__setattr__(self, "_hom", {k: tuple(ids) for k, ids in hom.items()})
 
     @cached_property
     def _out(self):
@@ -106,7 +106,7 @@ class FinCat:
         return self._into.get(c, ())
 
     def hom(self, a, b):
-        return list(self._hom.get((a, b), ()))
+        return self._hom.get((a, b), ())
 
     def composable_pairs(self):
         for g in self.morphisms:
@@ -121,6 +121,9 @@ def tuple_id(*parts):
     again, so ids built from plain ids never collide.
     """
     return "(" + "|".join(parts) + ")"
+
+
+_ID_RULE = "brackets must nest and '|' may appear only inside them"
 
 
 def is_plain_id(s):
@@ -160,8 +163,11 @@ def complete_units(cat: FinCat):
 
 def _repeated(ids, path, what):
     """The MalformedSpec at the first id in ids that repeats an earlier one."""
-    i = next(i for i, x in enumerate(ids) if x in ids[:i])
-    return MalformedSpec(path.format(i), f"duplicate {what} id")
+    seen = set()
+    for i, x in enumerate(ids):
+        if x in seen:
+            return MalformedSpec(path.format(i), f"duplicate {what} id")
+        seen.add(x)
 
 
 def validate_category(c: FinCat) -> ValidationReport:
@@ -258,8 +264,9 @@ class FunctorSpec:
     @cached_property
     def _index(self):
         """Fibre members per codomain object, domain morphisms per image,
-        and lifts per (image, domain target), each in declaration order.
-        Built on first use, so omap and mmap must be complete by then."""
+        and lifts per (image, domain target), each a tuple in declaration
+        order.  Built on first use, so omap and mmap must be complete by
+        then."""
         members, over, lifts = {}, {}, {}
         for e in self.dom.objects:
             members.setdefault(self.omap[e], []).append(e)
@@ -267,7 +274,7 @@ class FunctorSpec:
             u = self.mmap[m.id]
             over.setdefault(u, []).append(m.id)
             lifts.setdefault((u, m.tgt), []).append(m.id)
-        return members, over, {k: tuple(hs) for k, hs in lifts.items()}
+        return tuple({k: tuple(v) for k, v in d.items()} for d in (members, over, lifts))
 
     def lifts(self, u, e):
         """The domain morphisms over u with target e, in declaration order."""
@@ -460,7 +467,7 @@ def pullback(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     """Strict pullback: the full subcategory of (F/G) on the objects whose
     comparison arrow is an identity, with the same ids and order."""
     identity = F.cod.identity
-    return _comma(F, G, lambda x, y: [identity[x]] if x == y else [])
+    return _comma(F, G, lambda x, y: (identity[x],) if x == y else ())
 
 
 def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
@@ -469,41 +476,37 @@ def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
     C = F.cod
-    # each id is rendered once; the inverse maps find it again from its parts
-    obj_data, obj_id, by_pair = {}, {}, {}
-    for a in F.dom.objects:
-        for b in G.dom.objects:
-            for f in arrows(F.omap[a], G.omap[b]):
-                oid = tuple_id(a, b, f)
-                obj_data[oid] = (a, b, f)
-                obj_id[a, b, f] = oid
-                by_pair.setdefault((a, b), []).append(oid)
+    # each id is rendered once and found again from its parts
+    pairs = ((a, b) for a in F.dom.objects for b in G.dom.objects)
+    arrows_at = {(a, b): arrows(F.omap[a], G.omap[b]) for a, b in pairs}
+    obj_id = {(a, b, f): tuple_id(a, b, f) for (a, b), fs in arrows_at.items() for f in fs}
     morphisms, mor_data, mor_id = [], {}, {}
     for u in F.dom.morphisms:
         for v in G.dom.morphisms:
-            for src_oid in by_pair.get((u.src, v.src), ()):
-                f = obj_data[src_oid][2]
+            targets = arrows_at[u.tgt, v.tgt]
+            for f in arrows_at[u.src, v.src]:
                 left = C.compose[(G.mmap[v.id], f)]
-                for f2 in arrows(F.omap[u.tgt], G.omap[v.tgt]):
+                for f2 in targets:
                     if C.compose[(f2, F.mmap[u.id])] != left:
                         continue
                     mid = tuple_id(u.id, v.id, f, f2)
-                    morphisms.append(Morphism(mid, src_oid, obj_id[u.tgt, v.tgt, f2]))
+                    src, tgt = obj_id[u.src, v.src, f], obj_id[u.tgt, v.tgt, f2]
+                    morphisms.append(Morphism(mid, src, tgt))
                     mor_data[mid] = (u.id, v.id, f, f2)
                     mor_id[u.id, v.id, f, f2] = mid
     identity = {
         oid: mor_id[F.dom.identity[a], G.dom.identity[b], f, f]
-        for oid, (a, b, f) in obj_data.items()
+        for (a, b, f), oid in obj_id.items()
     }
-    cat = FinCat(tuple(obj_data), tuple(morphisms), identity, {})
+    cat = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
     for g, f in cat.composable_pairs():
         u2, v2, _, f3 = mor_data[g]
         u1, v1, f1, _ = mor_data[f]
         cat.compose[(g, f)] = mor_id[F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3]
 
     def projection(i, D):
-        omap = {oid: data[i] for oid, data in obj_data.items()}
-        return FunctorSpec(cat, D, omap, {mid: data[i] for mid, data in mor_data.items()})
+        omap = {oid: parts[i] for parts, oid in obj_id.items()}
+        return FunctorSpec(cat, D, omap, {mid: parts[i] for mid, parts in mor_data.items()})
 
     return CommaResult(cat=cat, projA=projection(0, F.dom), projB=projection(1, G.dom))
 

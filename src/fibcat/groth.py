@@ -47,9 +47,9 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
         raise InvalidFunctor("functoriality laws fail")
     contra = W.variance == CONTRAVARIANT
     base = W.base
-    # each id is rendered once; mor_data finds a morphism's parts again
+    # each id is rendered once and found again from its parts
     obj_id = {(c, x): tuple_id(c, x) for c in base.objects for x in W.eltset[c]}
-    morphisms, mor_data, mor_id = [], {}, {}
+    morphisms, mor_id = [], {}
     for f in base.morphisms:
         for key, val in W.action[f.id].items():
             if contra:
@@ -58,22 +58,18 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
                 src, tgt = obj_id[f.src, key], obj_id[f.tgt, val]
             mid = tuple_id(f.id, key)
             morphisms.append(Morphism(mid, src, tgt))
-            mor_data[mid] = (f.id, key)
             mor_id[f.id, key] = mid
     identity = {oid: mor_id[base.identity[c], x] for (c, x), oid in obj_id.items()}
-    total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
-    # the composite over g.f carries the key of the outer (contra) or the
-    # inner (covariant) morphism
-    for g, f in total.composable_pairs():
-        f2, k2 = mor_data[g]
-        f1, k1 = mor_data[f]
-        total.compose[(g, f)] = mor_id[base.compose[(f2, f1)], k2 if contra else k1]
-    projection = FunctorSpec(
-        dom=total,
-        cod=base,
-        omap={oid: c for (c, _), oid in obj_id.items()},
-        mmap={mid: f for mid, (f, _) in mor_data.items()},
-    )
+    # the arrows over g and f that meet at val compose to (g.f|key), for each
+    # key -> val of the action applied first: g's when contra, else f's
+    compose = {}
+    for g, f in base.composable_pairs():
+        for key, val in W.action[g if contra else f].items():
+            kg, kf = (key, val) if contra else (val, key)
+            compose[mor_id[g, kg], mor_id[f, kf]] = mor_id[base.compose[g, f], key]
+    total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, compose)
+    omap = {oid: c for (c, _), oid in obj_id.items()}
+    projection = FunctorSpec(total, base, omap, {mid: f for (f, _), mid in mor_id.items()})
     return ElementsResult(total, projection, obj_id, mor_id)
 
 

@@ -5,9 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiscreteFibration, NotOverMCG
+from .errors import MalformedSpec, NotDiscreteFibration, NotOverMCG
 from .fib import _reindex, fibre, is_discrete_fibration
-from .fincat import FinCat, FunctorSpec, Morphism, check_iso_over, tuple_id
+from .fincat import (
+    _ID_RULE,
+    FinCat,
+    FunctorSpec,
+    Morphism,
+    check_iso_over,
+    is_plain_id,
+    tuple_id,
+)
 
 
 def mcg(A) -> FinCat:
@@ -15,9 +23,21 @@ def mcg(A) -> FinCat:
     pair; n objects give n^2 morphisms.
 
     The morphism from a to b is named "(a->b)", so the names of A must be
-    distinct and none may contain "->"; otherwise two arrows share an id.
+    distinct, nonempty and plain ids, and none may contain "->"; otherwise
+    two arrows could share an id, and MalformedSpec names the first name at
+    fault.
     """
     A = tuple(A)
+    for i, a in enumerate(A):
+        if not a:
+            raise MalformedSpec(f"objects[{i}]", "empty object name")
+        if "->" in a:
+            raise MalformedSpec(f"objects[{i}]", "an object name may not contain '->'")
+    for i, a in enumerate(A):
+        if not is_plain_id(a):
+            raise MalformedSpec(f"objects[{i}]", _ID_RULE)
+    if len(set(A)) != len(A):
+        raise MalformedSpec("objects", "duplicate object names")
     arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
     morphisms = tuple(Morphism(mid, a, b) for (a, b), mid in arrow.items())
     identity = {a: arrow[a, a] for a in A}

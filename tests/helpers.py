@@ -24,7 +24,7 @@ from fibcat.fincat import (
     tuple_id,
 )
 from fibcat.factor import Factorization, comprehensive_factor_opfib
-from fibcat.groth import elements
+from fibcat.groth import ElementsResult, elements
 from fibcat.fib import is_fib_morphism
 from fibcat.fincat import validate_functor
 from fibcat.mcg import mcg
@@ -572,6 +572,85 @@ def scan_discrete_opfibration(p: FunctorSpec):
             if n != 1:
                 violations.append({"law": "unique-lift", "witness": (e, u.id, n)})
     return tuple(violations)
+
+
+def scan_comma(F: FunctorSpec, G: FunctorSpec):
+    """fincat.comma by definition: the objects (a, b, f: Fa -> Gb) in (a, b,
+    f) order, found by scanning the morphisms of the codomain; the morphisms
+    (u, v) from (a, b, f) to (a', b', f2) with Gv . f = f2 . Fu in (u, v,
+    source object, f2) order, found by scanning the objects; and each
+    composite, identity and projection read off the parts."""
+    C = F.cod
+    objects = [
+        (a, b, f.id)
+        for a in F.dom.objects
+        for b in G.dom.objects
+        for f in C.morphisms
+        if (f.src, f.tgt) == (F.omap[a], G.omap[b])
+    ]
+    parts = {}  # morphism id -> (u, v, f, f2)
+    for u in F.dom.morphisms:
+        for v in G.dom.morphisms:
+            sources = [f for a, b, f in objects if (a, b) == (u.src, v.src)]
+            targets = [f2 for a, b, f2 in objects if (a, b) == (u.tgt, v.tgt)]
+            for f in sources:
+                for f2 in targets:
+                    if C.compose[(G.mmap[v.id], f)] == C.compose[(f2, F.mmap[u.id])]:
+                        parts[tuple_id(u.id, v.id, f, f2)] = (u, v, f, f2)
+    morphisms = tuple(
+        Morphism(mid, tuple_id(u.src, v.src, f), tuple_id(u.tgt, v.tgt, f2))
+        for mid, (u, v, f, f2) in parts.items()
+    )
+    leaving = {}  # source object -> the morphisms out of it
+    for m in morphisms:
+        leaving.setdefault(m.src, []).append(m.id)
+    compose = {}
+    for m in morphisms:
+        u1, v1, f1, _ = parts[m.id]
+        for g in leaving.get(m.tgt, ()):
+            u2, v2, _, f3 = parts[g]
+            u, v = F.dom.compose[(u2.id, u1.id)], G.dom.compose[(v2.id, v1.id)]
+            compose[(g, m.id)] = tuple_id(u, v, f1, f3)
+    identity = {
+        tuple_id(a, b, f): tuple_id(F.dom.identity[a], G.dom.identity[b], f, f)
+        for a, b, f in objects
+    }
+    cat = FinCat(tuple(tuple_id(*x) for x in objects), morphisms, identity, compose)
+
+    def projection(i, D):
+        omap = {tuple_id(*x): x[i] for x in objects}
+        return FunctorSpec(cat, D, omap, {mid: x[i].id for mid, x in parts.items()})
+
+    return CommaResult(cat=cat, projA=projection(0, F.dom), projB=projection(1, G.dom))
+
+
+def scan_elements(W: SetValuedFunctor):
+    """groth.elements as it was: it keeps each morphism's parts and fills the
+    table over the total's composable pairs, found by scanning the morphism
+    list, with the key of the outer (contra) or the inner (covariant)
+    morphism."""
+    contra = W.variance == CONTRAVARIANT
+    base = W.base
+    obj_id = {(c, x): tuple_id(c, x) for c in base.objects for x in W.eltset[c]}
+    morphisms, mor_data, mor_id = [], {}, {}
+    for f in base.morphisms:
+        for key, val in W.action[f.id].items():
+            src, tgt = (f.src, val), (f.tgt, key)
+            if not contra:
+                src, tgt = (f.src, key), (f.tgt, val)
+            mid = tuple_id(f.id, key)
+            morphisms.append(Morphism(mid, obj_id[src], obj_id[tgt]))
+            mor_data[mid] = (f.id, key)
+            mor_id[f.id, key] = mid
+    identity = {oid: mor_id[base.identity[c], x] for (c, x), oid in obj_id.items()}
+    total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
+    for g, f in scan_composable_pairs(total):
+        f2, k2 = mor_data[g]
+        f1, k1 = mor_data[f]
+        total.compose[(g, f)] = mor_id[base.compose[(f2, f1)], k2 if contra else k1]
+    omap = {oid: c for (c, _), oid in obj_id.items()}
+    projection = FunctorSpec(total, base, omap, {mid: f for mid, (f, _) in mor_data.items()})
+    return ElementsResult(total, projection, obj_id, mor_id)
 
 
 def scan_check_category_wellformed(c: FinCat):

@@ -504,6 +504,7 @@ class TestUnknownNames:
             ("-1", "objects: negative count"),
             ("a,(b", "objects[1]: brackets must nest and '|' may appear only inside them"),
             ("x|y", "objects[0]: brackets must nest and '|' may appear only inside them"),
+            ("a,b,a", "objects: duplicate object names"),
         ],
     )
     def test_mcg_rejects_names_that_make_arrow_ids_collide(self, objects, error):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
+from fibcat import factor
+from fibcat.errors import WitnessFailure
 from fibcat.factor import (
     comprehensive_factor_fib,
     comprehensive_factor_opfib,
@@ -240,3 +244,87 @@ class TestComprehensiveFactorization:
                 edges = [(m.src, m.tgt) for m in cat.morphisms]
                 expected = len(connected_components(cat.objects, edges))
                 assert len(fibre(fac.p, d).elements) == expected
+
+
+def _arrow():
+    return category("AB", [("g", "A", "B"), ("id:A", "A", "A"), ("id:B", "B", "B")])
+
+
+def _point_pair():
+    """The discrete category on x and y, and its functor onto the point."""
+    C = category("xy", [("id:x", "x", "x"), ("id:y", "y", "y")])
+    mmap = {"id:x": "id:*", "id:y": "id:*"}
+    return FunctorSpec(C, terminal_category(), {"x": "*", "y": "*"}, mmap)
+
+
+opfib, fib = comprehensive_factor_opfib, comprehensive_factor_fib
+ARROW, POINT = identity_functor(_arrow()), identity_functor(terminal_category())
+
+
+# Wrong results of elements, for the factorization to build on
+def _constant_projection(built):
+    """The elements projected onto the first base object."""
+    t, base = built.total, built.projection.cod
+    at = base.objects[0]
+    mmap = dict.fromkeys(built.projection.mmap, base.identity[at])
+    return replace(built, projection=FunctorSpec(t, base, dict.fromkeys(t.objects, at), mmap))
+
+
+def _swapped_arrows(built):
+    """The elements with the two ids of mor_id swapped."""
+    mor_id = dict(zip(built.mor_id, reversed(built.mor_id.values())))
+    return replace(built, mor_id=mor_id)
+
+
+def _parallel_arrow(built):
+    """The elements with a second arrow beside the first that is no identity."""
+    t, p = built.total, built.projection
+    m = next(m for m in t.morphisms if not t.is_identity(m.id))
+    extra = Morphism("extra", m.src, m.tgt)
+    total = FinCat(t.objects, t.morphisms + (extra,), t.identity, t.compose)
+    q = FunctorSpec(total, p.cod, p.omap, {**p.mmap, extra.id: p.mmap[m.id]})
+    return replace(built, total=total, projection=q)
+
+
+def _isolated_object(built):
+    """The elements with one more object, over the first base object, and
+    no arrow but its identity."""
+    t, p = built.total, built.projection
+    at, i = p.cod.objects[0], Morphism("id:ghost", "ghost", "ghost")
+    identity, compose = {**t.identity, "ghost": i.id}, {**t.compose, (i.id, i.id): i.id}
+    total = FinCat(t.objects + ("ghost",), t.morphisms + (i,), identity, compose)
+    omap, mmap = {**p.omap, "ghost": at}, {**p.mmap, i.id: p.cod.identity[at]}
+    return replace(built, total=total, projection=FunctorSpec(total, p.cod, omap, mmap))
+
+
+class TestSelfChecks:
+    """Each check that the factorization makes of its result fails once the
+    step it verifies returns a wrong result."""
+
+    def test_a_block_map_that_is_not_well_defined_is_refused(self, monkeypatch):
+        # x and y both lie over A: one block at A, but two at B
+        C = category("xy", [("id:x", "x", "x"), ("id:y", "y", "y")])
+        F = FunctorSpec(C, _arrow(), {"x": "A", "y": "A"}, {"id:x": "id:A", "id:y": "id:A"})
+        blocks = [[("x", "id:A"), ("y", "id:A")], [("x", "g")], [("y", "g")]]
+        monkeypatch.setattr(factor, "connected_components", lambda objects, edges: blocks)
+        with pytest.raises(WitnessFailure) as exc:
+            comprehensive_factor_opfib(F)
+        assert str(exc.value) == "block map not well-defined along g"
+
+    @pytest.mark.parametrize(
+        "factorize, F, middle, message",
+        [
+            (opfib, ARROW, _constant_projection, "p . s != F"),
+            (opfib, _point_pair(), _swapped_arrows, "factor is not a functor"),
+            (opfib, ARROW, _parallel_arrow, "middle projection is not a discrete opfibration"),
+            (fib, ARROW, _parallel_arrow, "middle projection is not a discrete fibration"),
+            (opfib, POINT, _isolated_object, "first factor is not initial"),
+            (fib, POINT, _isolated_object, "first factor is not final"),
+        ],
+    )
+    def test_a_wrong_middle_category_is_refused(self, monkeypatch, factorize, F, middle, message):
+        elements = factor.elements
+        monkeypatch.setattr(factor, "elements", lambda K: middle(elements(K)))
+        with pytest.raises(WitnessFailure) as exc:
+            factorize(F)
+        assert str(exc.value) == message

@@ -22,7 +22,7 @@ from fibcat.fincat import (
     validate_functor,
     validate_set_valued,
 )
-from fibcat.mcg import mcg
+from fibcat.mcg import mcg, mcg_on_function
 
 from helpers import (
     bfs_components,
@@ -32,6 +32,8 @@ from helpers import (
     rand_dag_category,
     rand_functor,
     scan_build_category,
+    scan_check_category_wellformed,
+    scan_comma,
     scan_validate_category,
     strict_pullback,
 )
@@ -215,6 +217,33 @@ class TestValidateCategoryOracle:
             (v["law"], v["witness"]) for v in violations
         ]
         assert violations[0]["law"] == "right-unit"
+
+    def test_the_first_repeated_id_matches_the_scan(self, rng):
+        for _ in range(200):
+            c = rand_dag_category(rng, max_objects=4, max_edges=4).cat
+            objects, morphisms = list(c.objects), list(c.morphisms)
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    morphisms.insert(rng.randrange(len(morphisms) + 1), rng.choice(morphisms))
+                else:
+                    objects.insert(rng.randrange(len(objects) + 1), rng.choice(objects))
+            x = FinCat(tuple(objects), tuple(morphisms), c.identity, c.compose)
+            got = _outcome(lambda y: validate_category(y).violations, x)
+            assert got[0] == "malformed"
+            assert got == _outcome(scan_check_category_wellformed, x)
+
+    def test_a_late_repeat_among_many_ids_is_found_in_one_walk(self):
+        # comparing each id with all those before it takes seconds here
+        objects = tuple(f"o{i}" for i in range(20_000))
+        identity = {o: f"id:{o}" for o in objects}
+        morphisms = tuple(Morphism(m, o, o) for o, m in identity.items())
+        for cat, path in [
+            (FinCat(objects + objects[:1], morphisms, identity, {}), "objects[20000]"),
+            (FinCat(objects, morphisms + morphisms[:1], identity, {}), "morphisms[20000].id"),
+        ]:
+            with pytest.raises(MalformedSpec) as exc:
+                validate_category(cat)
+            assert exc.value.path == path
 
 
 def _category_doc(rng, c):
@@ -585,6 +614,20 @@ class TestComma:
             assert validate_category(cm.cat).ok
             assert validate_functor(cm.projA).ok
             assert validate_functor(cm.projB).ok
+
+    def test_matches_the_scan_on_random_functors_and_groupoids(self, rng):
+        for i in range(60):
+            if i % 4 == 3:  # functors between groupoids, also non-injective ones
+                A, B = rng.choice(["ab", "abc"]), rng.choice(["xy", "xyz"])
+                fn = {a: rng.choice(B) for a in A}
+                F, G = mcg_on_function(fn, A, B), identity_functor(mcg(B))
+            else:
+                C = rand_dag_category(rng, 3, 4)
+                F = rand_functor(rng, rand_dag_category(rng, 3, 3), C.cat)
+                G = rand_functor(rng, rand_dag_category(rng, 3, 3), C.cat)
+            cm, oracle = comma(F, G), scan_comma(F, G)
+            assert cm == oracle
+            assert (cm.cat.objects, cm.cat.morphisms) == (oracle.cat.objects, oracle.cat.morphisms)
 
 
 class TestPullback:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from fibcat.errors import InvalidFunctor, MalformedSpec, NotDiscreteFibration
+from fibcat import groth
+from fibcat.errors import InvalidFunctor, MalformedSpec, NotDiscreteFibration, WitnessFailure
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -22,7 +25,9 @@ from helpers import (
     count_natural_transformations,
     fig2_fibration,
     rand_dag_category,
+    rand_fibration_over_mcg,
     rand_presheaf,
+    scan_elements,
     span_non_fibration,
 )
 
@@ -91,6 +96,27 @@ class TestElements:
             for c in base.cat.objects:
                 assert len(fibre(built.projection, c).elements) == len(W.eltset[c])
 
+    def test_a_composite_over_an_empty_fibre_is_never_looked_up(self):
+        # the table lacks g . f, but nothing lies over C, so no arrow is over g
+        base = chain_base()
+        del base.compose["g", "f"]
+        eltset = {"A": ("a",), "B": ("b",), "C": ()}
+        action = {"f": {"b": "a"}, "g": {}, "gf": {}, "id:A": {"a": "a"}, "id:B": {"b": "b"}}
+        W = SetValuedFunctor(base, CONTRAVARIANT, eltset, {"id:C": {}, **action})
+        assert elements(W).total.objects == ("(A|a)", "(B|b)")
+
+    def test_matches_the_scan_in_both_variances(self, rng):
+        for i in range(80):
+            if i % 4 == 3:
+                W = rand_fibration_over_mcg(rng, n_objects=rng.randint(1, 3))[1]
+            else:
+                W = rand_presheaf(rng, rand_dag_category(rng, 4, 4), max_elts=3)
+            for V in (W, SetValuedFunctor(opposite(W.base), COVARIANT, W.eltset, W.action)):
+                built, oracle = elements(V), scan_elements(V)
+                assert built == oracle
+                assert (built.obj_id, built.mor_id) == (oracle.obj_id, oracle.mor_id)
+                assert built.total.morphisms == oracle.total.morphisms
+
 
 class TestStraighten:
     def test_identity_fibration(self):
@@ -145,6 +171,45 @@ class TestRoundtrips:
             W = rand_presheaf(rng, rand_dag_category(rng, 5, 4), max_elts=4)
             K = SetValuedFunctor(opposite(W.base), COVARIANT, W.eltset, W.action)
             assert roundtrip_presheaf(K).checked
+
+
+class TestSelfChecks:
+    """Each check that a roundtrip makes of its witness fails once the step
+    it verifies returns a wrong result."""
+
+    def _straighten_with(self, monkeypatch, edit):
+        straighten = groth.straighten
+        monkeypatch.setattr(groth, "straighten", lambda p: edit(straighten(p)))
+
+    def test_a_component_that_is_no_bijection_is_refused(self, monkeypatch):
+        # the fibre over * loses its element
+        self._straighten_with(monkeypatch, lambda W: replace(W, eltset={"*": ()}))
+        with pytest.raises(WitnessFailure) as exc:
+            roundtrip_presheaf(constant_singleton(terminal_category()))
+        assert str(exc.value) == "component at * is not a bijection"
+
+    def test_an_action_that_is_not_natural_is_refused(self, monkeypatch):
+        # reindexing along f sends (B|B0) to (A|A2), where W sends B0 to A0
+        def rotated(W):
+            f = W.action["f"]
+            return replace(W, action={**W.action, "f": dict(zip(f, reversed(f.values())))})
+
+        self._straighten_with(monkeypatch, rotated)
+        with pytest.raises(WitnessFailure) as exc:
+            roundtrip_presheaf(fig2_presheaf())
+        assert str(exc.value) == "naturality fails at (f, B0)"
+
+    def test_an_element_with_no_lift_is_refused(self, monkeypatch):
+        # every fibre element x is renamed x', which no total object is
+        def renamed(W):
+            eltset = {c: tuple(x + "'" for x in xs) for c, xs in W.eltset.items()}
+            action = {u: {y + "'": x + "'" for y, x in t.items()} for u, t in W.action.items()}
+            return replace(W, eltset=eltset, action=action)
+
+        self._straighten_with(monkeypatch, renamed)
+        with pytest.raises(WitnessFailure) as exc:
+            roundtrip_fibration(fig2_fibration())
+        assert str(exc.value) == "no unique lift for (f|B0')"
 
 
 class TestFullFaithfulness:

@@ -25,7 +25,7 @@ def _check_category(cat):
         assert list(cat.out_of(a)) == scan_out_of(cat, a)
         assert list(cat.into(a)) == scan_into(cat, a)
         for b in cat.objects:
-            assert cat.hom(a, b) == scan_hom(cat, a, b)
+            assert list(cat.hom(a, b)) == scan_hom(cat, a, b)
 
 
 def _check_functor(p):

@@ -1,8 +1,15 @@
 import pytest
 
-from fibcat.errors import NotDiscreteFibration, NotOverMCG
+from fibcat.errors import MalformedSpec, NotDiscreteFibration, NotOverMCG
 from fibcat.fib import fibre, is_discrete_fibration
-from fibcat.fincat import FinCat, FunctorSpec, compose_functors, identity_functor, validate_category
+from fibcat.fincat import (
+    _ID_RULE,
+    FinCat,
+    FunctorSpec,
+    compose_functors,
+    identity_functor,
+    validate_category,
+)
 from fibcat.mcg import (
     classify_over_mcg,
     is_mcg,
@@ -51,6 +58,26 @@ class TestMcg:
             F = mcg_on_function(fn, A, B)
             for m in F.dom.morphisms:
                 assert F.mmap[m.id] == f"({fn[m.src]}->{fn[m.tgt]})"
+
+    @pytest.mark.parametrize(
+        "names, path, message",
+        [
+            # "(a->b->c)" would name both a -> b->c and a->b -> c
+            (["a", "b->c", "a->b", "c"], "objects[1]", "an object name may not contain '->'"),
+            (["", "x"], "objects[0]", "empty object name"),  # else "(->)" and "(->x)"
+            (["a", "(b"], "objects[1]", _ID_RULE),
+            (["x|y", "a->b"], "objects[1]", "an object name may not contain '->'"),
+            (["a", "x|y", ""], "objects[2]", "empty object name"),
+            (["a", "(b", "a"], "objects[1]", _ID_RULE),
+            (["a", "b", "a"], "objects", "duplicate object names"),
+        ],
+    )
+    def test_names_that_make_arrow_ids_collide_are_refused(self, names, path, message):
+        with pytest.raises(MalformedSpec) as exc:
+            mcg(names)
+        assert (exc.value.path, exc.value.message) == (path, message)
+        with pytest.raises(MalformedSpec):
+            mcg_on_function({a: "x" for a in names}, names, "x")
 
 
 class TestProduct:

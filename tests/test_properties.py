@@ -12,8 +12,11 @@ references and shapes are adversarial.
 
 Random categories of functions between small sets
 (``helpers.rand_concrete_category``) have loops, idempotents and parallel
-arrows; ``validate_category`` and the fibration checks on the elements of
-their inclusion into sets are compared with the scans in tests/helpers.py.
+arrows; ``validate_category``, the fibration checks on the elements of
+their inclusion into sets, ``elements`` and ``comma`` are compared with the
+scans in tests/helpers.py, and the paper's results on that projection (the
+roundtrips, both factorizations, the legs of a comma square) are checked,
+also through every CLI command on a saved workspace.
 
 The pregroup properties compare type parsing and longest-match lookup with
 the oracles in tests/helpers.py; a generated lexicon repeats type texts,
@@ -31,10 +34,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat import cli
-from fibcat.errors import SchemaError, TypeSyntaxError
-from fibcat.fib import is_discrete_opfibration, is_fibration
-from fibcat.fincat import FinCat, is_plain_id, tuple_id, validate_category
-from fibcat.groth import elements, roundtrip_presheaf
+from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError
+from fibcat.factor import comprehensive_factor_fib, comprehensive_factor_opfib
+from fibcat.fib import fibre, is_discrete_opfibration, is_fibration, is_opfibration
+from fibcat.fincat import (
+    CONTRAVARIANT,
+    FinCat,
+    SetValuedFunctor,
+    comma,
+    constant_functor,
+    identity_functor,
+    is_plain_id,
+    opposite,
+    opposite_functor,
+    terminal_category,
+    tuple_id,
+    validate_category,
+)
+from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf
+from fibcat.mcg import mcg
 from fibcat.pregroup import (
     CONVENTIONS,
     Lexicon,
@@ -44,12 +62,17 @@ from fibcat.pregroup import (
     parse_type,
 )
 from helpers import (
+    bfs_components,
     built_category,
+    comma_under,
+    factor_fib_via_opposite,
     parse_type_by_deltas,
     rand_concrete_category,
     scan_build_category,
     scan_cloven_fibration,
+    scan_comma,
     scan_discrete_opfibration,
+    scan_elements,
     scan_longest_match,
     scan_validate_category,
 )
@@ -126,6 +149,16 @@ def test_mcg_rejects_or_arrow_ids_are_distinct(objects):
     n = sum(line.startswith("OBJECT: ") for line in lines)
     arrows = [line.split(" : ")[0] for line in lines if line.startswith("MORPHISM: ")]
     assert len(set(arrows)) == len(arrows) == n * (n - 1)
+
+
+@given(st.lists(st.lists(mcg_atoms, max_size=2).map("".join), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_the_library_mcg_refuses_or_its_arrow_ids_are_distinct(names):
+    try:
+        c = mcg(names)
+    except MalformedSpec:
+        return
+    assert validate_category(c).ok  # raises MalformedSpec at a repeated id
 
 
 def _saved(doc, tmp):
@@ -264,6 +297,53 @@ def test_the_elements_of_a_concrete_category_match_the_scans(W):
     report = is_fibration(p)
     assert (report.ok, report.violations, report.witness) == scan_cloven_fibration(p)
     assert roundtrip_presheaf(W).checked
+    assert roundtrip_fibration(opposite_functor(p)).checked
+
+
+@given(concrete_categories)
+@settings(max_examples=100, deadline=None)
+def test_the_factorizations_of_the_elements_of_a_concrete_category(W):
+    p = elements(W).projection
+    opfac, fac, oracle = (
+        comprehensive_factor_opfib(p), comprehensive_factor_fib(p), factor_fib_via_opposite(p)
+    )
+    assert fac == oracle
+    assert fac.mid.morphisms == oracle.mid.morphisms
+    for d in W.base.objects:
+        # (d/p) is the opposite of (p^op/d), so it has the same components
+        for q, F in ((opfac.p, p), (fac.p, opposite_functor(p))):
+            assert len(fibre(q, d).elements) == len(bfs_components(comma_under(F, d).cat))
+
+
+# Smaller ones, whose comma categories stay small enough for the scans and
+# the cloven checks.
+small_concrete_categories = st.randoms(use_true_random=False).map(
+    lambda rng: rand_concrete_category(rng, max_arrows=6)
+)
+
+
+@given(small_concrete_categories)
+@settings(max_examples=60, deadline=None)
+def test_comma_and_elements_match_the_scans_on_concrete_categories(W):
+    V = SetValuedFunctor(opposite(W.base), CONTRAVARIANT, W.eltset, W.action)
+    for X in (W, V):
+        built, oracle = elements(X), scan_elements(X)
+        assert built == oracle
+        assert (built.obj_id, built.mor_id) == (oracle.obj_id, oracle.mor_id)
+        assert built.total.morphisms == oracle.total.morphisms
+    I, p = identity_functor(W.base), elements(W).projection
+    for F, G in ((I, I), (p, I), (I, p)):
+        cm, oracle = comma(F, G), scan_comma(F, G)
+        assert cm == oracle
+        assert (cm.cat.objects, cm.cat.morphisms) == (oracle.cat.objects, oracle.cat.morphisms)
+
+
+@given(small_concrete_categories)
+@settings(max_examples=40, deadline=None)
+def test_the_legs_of_a_comma_square_over_a_concrete_category(W):
+    cm = comma(elements(W).projection, identity_functor(W.base))
+    assert is_fibration(cm.projA).ok
+    assert is_opfibration(cm.projB).ok
 
 
 # Type texts that parse, and ones that break the id rule or the type syntax.
@@ -363,3 +443,35 @@ def test_longest_match_matches_the_scan(phrases, tokens):
     lex = Lexicon(tuple((p, (SimpleType(f"t{i}"),)) for i, p in enumerate(phrases)))
     for start in range(len(tokens) + 1):
         assert lex.longest_match(tokens, start) == scan_longest_match(lex, tokens, start)
+
+
+@given(small_concrete_categories)
+@settings(max_examples=8, deadline=None)
+def test_no_command_raises_on_a_saved_concrete_category(W):
+    built, T = elements(W), terminal_category()
+    p, q = built.projection, opposite_functor(built.projection)
+    categories = {"C": W.base, "E": built.total, "Cop": q.cod, "Eop": q.dom, "T": T}
+    functors = {
+        "p": p, "q": q, "id": identity_functor(W.base), "k": constant_functor(W.base, T, "*"),
+    }
+    ws = cli.Workspace(categories=categories, functors=functors, presheaves={"W": W})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ws.json")
+        cli.save(ws, path)
+        loaded = cli.load(path)
+        assert (loaded.categories, loaded.functors) == (categories, functors)
+        argvs = [["validate", path], ["elements", path, "W"], ["roundtrip", path, "W"]]
+        argvs += [["dot", path, name] for name in [*categories, *functors]]
+        for name, F in functors.items():
+            argvs += [
+                [cmd, path, name]
+                for cmd in ("fibres", "straighten", "roundtrip", "check-initial", "check-final")
+            ]
+            argvs += [["check-fib", flag, path, name] for flag in ("--discrete", "--cloven")]
+            argvs += [["factorize", flag, path, name] for flag in ("--opfib", "--fib")]
+            argvs += [["reindex", path, name, u.id] for u in F.cod.morphisms]
+            argvs.append(["classify-mcg", path, name])
+        pairs = [("p", "id"), ("id", "p"), ("k", "k"), ("q", "q")]
+        argvs += [[cmd, path, F, G] for cmd in ("comma", "pullback") for F, G in pairs]
+        for argv in argvs:
+            assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
