@@ -146,4 +146,4 @@ def is_final(s: FunctorSpec) -> ValidationReport:
 
 def _connected(blocks):
     bad = [(e, len(blks)) for e, blks in blocks.items() if len(blks) != 1]
-    return ValidationReport.from_violations(_violation("comma-connected", w) for w in bad)
+    return ValidationReport(tuple(_violation("comma-connected", w) for w in bad))

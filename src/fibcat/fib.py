@@ -54,7 +54,7 @@ def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:
             n = len(p.lifts(u.id, e))
             if n != 1:
                 violations.append(_violation("unique-lift", (e, u.id, n)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 def reindex(p: FunctorSpec, u: str) -> Reindexing:
@@ -62,13 +62,12 @@ def reindex(p: FunctorSpec, u: str) -> Reindexing:
         raise UnknownMorphism(f"no base morphism named {u!r}")
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("reindexing requires a discrete fibration")
-    return _reindex(p, u)
+    return Reindexing(along=u, table=_reindex(p, u))
 
 
-def _reindex(p: FunctorSpec, u: str) -> Reindexing:
-    """reindex for a p the caller has already checked to be discrete."""
-    table = {x: p.dom.src(p.lifts(u, x)[0]) for x in fibre(p, p.cod.tgt(u)).elements}
-    return Reindexing(along=u, table=table)
+def _reindex(p: FunctorSpec, u: str) -> dict:
+    """reindex's table, for a p the caller has already checked to be discrete."""
+    return {x: p.dom.src(p.lifts(u, x)[0]) for x in fibre(p, p.cod.tgt(u)).elements}
 
 
 def is_cartesian(p: FunctorSpec, f: str) -> ValidationReport:
@@ -90,9 +89,9 @@ def is_cartesian(p: FunctorSpec, f: str) -> ValidationReport:
                 if E.src(h) == g.src and E.compose[(f, h)] == g.id
             ]
             if len(hs) != 1:
-                return ValidationReport(False, (_violation("unique-filler", (g.id, w, len(hs))),))
+                return ValidationReport((_violation("unique-filler", (g.id, w, len(hs))),))
             fillers[(g.id, w)] = hs[0]
-    return ValidationReport(True, witness=CartesianWitness(lift=f, over=u, fillers=fillers))
+    return ValidationReport(witness=CartesianWitness(lift=f, over=u, fillers=fillers))
 
 
 def is_fibration(p: FunctorSpec) -> ValidationReport:
@@ -110,7 +109,7 @@ def is_fibration(p: FunctorSpec) -> ValidationReport:
                 violations.append(_violation("cartesian-lift", (e, u.id)))
             else:
                 cleavage[(e, u.id)] = found
-    return ValidationReport(not violations, tuple(violations), cleavage)
+    return ValidationReport(tuple(violations), cleavage)
 
 
 def is_opfibration(p: FunctorSpec) -> ValidationReport:
@@ -154,13 +153,12 @@ def is_fib_morphism(H: FunctorSpec, p: FunctorSpec, q: FunctorSpec) -> Validatio
     )
     if is_discrete_fibration(p).ok and is_discrete_fibration(q).ok:
         for u in p.cod.morphisms:
-            rp = _reindex(p, u.id)
             rq = _reindex(q, u.id)
-            for x, x_star in rp.table.items():
+            for x, x_star in _reindex(p, u.id).items():
                 hx = H.omap[x]
-                if hx in rq.table and rq.table[hx] != H.omap[x_star]:
+                if hx in rq and rq[hx] != H.omap[x_star]:
                     violations.append(_violation("reindexing-square", (u.id, x)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 def is_fab_square(
@@ -171,4 +169,4 @@ def is_fab_square(
     if H.dom != p.dom or H.cod != q.dom or F.dom != p.cod or F.cod != q.cod:
         raise ShapeMismatch("expected a square H over F from p to q")
     violations = _square_violations(H, F, p, q, ("square-object", "square-morphism"))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))

@@ -3,8 +3,9 @@
 Everything downstream (fibrations, the Grothendieck construction, the
 comprehensive factorization, the pregroup semantics) is phrased in terms of
 the three types defined here.  Categories carry an explicit, total
-composition table so every law is exhaustively checkable; all values are
-immutable after construction.
+composition table so every law is exhaustively checkable.  Values are
+immutable once built, except that a constructor may fill a new category's
+``compose`` in place before handing it out.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ class Morphism:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple = ()
     witness: object = None  # what the check found, e.g. a cleavage or fillers
 
-    @staticmethod
-    def from_violations(violations):
-        vs = tuple(violations)
-        return ValidationReport(ok=not vs, violations=vs)
+    @property
+    def ok(self):
+        return not self.violations
 
 
 def _violation(law, witness):
@@ -251,7 +250,7 @@ def validate_category(c: FinCat) -> ValidationReport:
                     continue
                 if left != right:
                     violations.append(_violation("associativity", (h.id, g.id, f.id)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -281,26 +280,21 @@ class FunctorSpec:
         return self._index[2].get((u, e), ())
 
 
-def _check_functor_wellformed(F: FunctorSpec):
+def validate_functor(F: FunctorSpec) -> ValidationReport:
+    """Check the functor laws; a missing or unknown image raises MalformedSpec."""
     omap, mmap, cod = F.omap, F.mmap, F.cod
     for c in F.dom.objects:
         if c not in omap:
             raise MalformedSpec(f"omap.{c}", "missing object image")
         if omap[c] not in cod._obj_index:
             raise MalformedSpec(f"omap.{c}", f"unknown object {omap[c]}")
+    violations = []
     for m in F.dom.morphisms:
         if m.id not in mmap:
             raise MalformedSpec(f"mmap.{m.id}", "missing morphism image")
-        if mmap[m.id] not in cod._by_id:
+        img = cod._by_id.get(mmap[m.id])
+        if img is None:
             raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {mmap[m.id]}")
-
-
-def validate_functor(F: FunctorSpec) -> ValidationReport:
-    _check_functor_wellformed(F)
-    omap, mmap, cod = F.omap, F.mmap, F.cod
-    violations = []
-    for m in F.dom.morphisms:
-        img = cod._by_id[mmap[m.id]]
         if img.src != omap[m.src] or img.tgt != omap[m.tgt]:
             violations.append(_violation("endpoint-preservation", (m.id,)))
     for c in F.dom.objects:
@@ -310,7 +304,7 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     for (g, f), h in F.dom.compose.items():
         if cod_compose.get((mmap[g], mmap[f])) != mmap[h]:
             violations.append(_violation("composition-preservation", (g, f)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 def identity_functor(c: FinCat) -> FunctorSpec:
@@ -383,14 +377,6 @@ class SetValuedFunctor:
     eltset: dict  # object id -> tuple of element ids
     action: dict  # morphism id -> {element id -> element id}
 
-    def src_set(self, mid):
-        m = self.base.morphism(mid)
-        return self.eltset[m.tgt if self.variance == CONTRAVARIANT else m.src]
-
-    def tgt_set(self, mid):
-        m = self.base.morphism(mid)
-        return self.eltset[m.src if self.variance == CONTRAVARIANT else m.tgt]
-
 
 def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
     if W.variance not in (CONTRAVARIANT, COVARIANT):
@@ -411,11 +397,12 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         table = W.action.get(m.id)
         if table is None:
             raise MalformedSpec(f"action.{m.id}", "missing action")
-        dom_set, cod_set = set(W.src_set(m.id)), set(W.tgt_set(m.id))
+        a, b = (m.tgt, m.src) if W.variance == CONTRAVARIANT else (m.src, m.tgt)
+        dom_set, cod_set = set(W.eltset[a]), set(W.eltset[b])
         if set(table) != dom_set or not set(table.values()) <= cod_set:
             violations.append(_violation("action-endpoints", (m.id,)))
     if violations:
-        return ValidationReport.from_violations(violations)
+        return ValidationReport(tuple(violations))
     for c in W.base.objects:
         table = W.action[W.base.identity[c]]
         if any(table.get(x) != x for x in W.eltset[c]):
@@ -428,7 +415,7 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         composite = {x: W.action[then][W.action[first][x]] for x in W.action[first]}
         if composite != W.action[h]:
             violations.append(_violation("composition-action", (g, f)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 def opposite(c: FinCat) -> FinCat:

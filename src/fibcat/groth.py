@@ -32,8 +32,8 @@ class ElementsResult:
     projection: FunctorSpec
     # (c, x) -> object id and (f, key) -> morphism id; kept so callers
     # find each id from its parts without rendering or parsing it again
-    obj_id: dict = field(default_factory=dict, repr=False, compare=False)
-    mor_id: dict = field(default_factory=dict, repr=False, compare=False)
+    obj_id: dict = field(repr=False, compare=False)
+    mor_id: dict = field(repr=False, compare=False)
 
 
 def elements(W: SetValuedFunctor) -> ElementsResult:
@@ -79,7 +79,7 @@ def straighten(p: FunctorSpec) -> SetValuedFunctor:
     if not is_discrete_fibration(p).ok:
         raise NotDiscreteFibration("straighten requires a discrete fibration")
     eltset = {c: fibre(p, c).elements for c in p.cod.objects}
-    action = {u.id: _reindex(p, u.id).table for u in p.cod.morphisms}
+    action = {u.id: _reindex(p, u.id) for u in p.cod.morphisms}
     return SetValuedFunctor(
         base=p.cod, variance=CONTRAVARIANT, eltset=eltset, action=action
     )
@@ -89,7 +89,6 @@ def straighten(p: FunctorSpec) -> SetValuedFunctor:
 class IsoWitness:
     forward: object  # dict-of-dicts (presheaf side) or FunctorSpec
     backward: object
-    checked: bool
 
 
 def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
@@ -109,7 +108,7 @@ def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
         for y in W.eltset[u.tgt]:
             if forward[u.src][W.action[u.id][y]] != W2.action[u.id][forward[u.tgt][y]]:
                 raise WitnessFailure(f"naturality fails at ({u.id}, {y})")
-    return IsoWitness(forward=forward, backward=backward, checked=True)
+    return IsoWitness(forward=forward, backward=backward)
 
 
 def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
@@ -134,4 +133,4 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
         raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {tuple_id(u, m.tgt)}") from None
     backward = FunctorSpec(E, built.total, omap, mmap)
     check_iso_over(backward, forward, p, built.projection)
-    return IsoWitness(forward=forward, backward=backward, checked=True)
+    return IsoWitness(forward=forward, backward=backward)

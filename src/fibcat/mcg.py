@@ -104,7 +104,7 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     a0 = base.objects[0] if base.objects else None  # then X and every map are empty
     # reindexing along an isomorphism is a bijection, so every fibre has X's size
     X = fibre(p, a0).elements if base.objects else ()
-    transports = {a: _reindex(p, base.hom(a0, a)[0]).table for a in base.objects}
+    transports = {a: _reindex(p, base.hom(a0, a)[0]) for a in base.objects}
     transport = {}
     for e in p.dom.objects:
         a = p.omap[e]
@@ -113,7 +113,7 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     omap = {e: tuple_id(transport[e], p.omap[e]) for e in p.dom.objects}
     mmap = {h.id: tuple_id(transport[h.src], p.mmap[h.id]) for h in p.dom.morphisms}
     H = FunctorSpec(p.dom, product, omap, mmap)
-    back = {a: _reindex(p, base.hom(a, a0)[0]).table for a in base.objects}
+    back = {a: _reindex(p, base.hom(a, a0)[0]) for a in base.objects}
     inv_omap = {tuple_id(x, a): back[a][x] for x in X for a in base.objects}
     inv_mmap = {
         tuple_id(x, m.id): p.lifts(m.id, back[m.tgt][x])[0]

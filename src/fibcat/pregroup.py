@@ -277,10 +277,8 @@ def _contains(haystack, needle):
 
 @dataclass(frozen=True)
 class SpeakerFibration:
-    base: FinCat
     presheaf: SetValuedFunctor
     fibration: object  # ElementsResult
-    parses: tuple  # (sentence id, ParseResult) per corpus sentence
 
 
 def _constituent_id(phrase, ptype, convention):
@@ -288,7 +286,8 @@ def _constituent_id(phrase, ptype, convention):
 
 
 def _tuple_elt(parts):
-    return tuple_id(*parts) if len(parts) > 1 else parts[0]
+    """A product element: its one component, else their tuple id ("()" if none)."""
+    return tuple_id(*parts) if len(parts) != 1 else parts[0]
 
 
 def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SpeakerFibration:
@@ -365,9 +364,4 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     presheaf = SetValuedFunctor(
         base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action
     )
-    return SpeakerFibration(
-        base=cat,
-        presheaf=presheaf,
-        fibration=elements(presheaf),
-        parses=tuple(sentences.values()),
-    )
+    return SpeakerFibration(presheaf=presheaf, fibration=elements(presheaf))

@@ -265,20 +265,39 @@ class TestCommands:
         assert "FIBRE-SIZE: (the cat, n) = 2" in text
         assert "DISCRETE-FIBRATION: true" in text
 
-    def test_semantics_when_a_sentence_is_a_phrase_of_another(self, tmp_path):
-        lexicon = [{"phrase": "it rains", "type": "s"}, {"phrase": "now", "type": "s^r.s"}]
-        doc = {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": ["it rains", "it rains now"]}}
+    @pytest.mark.parametrize(
+        "lexicon, corpus, target, lines",
+        [
+            pytest.param(
+                [{"phrase": "it rains", "type": "s"}, {"phrase": "now", "type": "s^r.s"}],
+                ["it rains", "it rains now"],
+                "s",
+                [
+                    "FIBRE-SIZE: (it rains|s) = 1",
+                    "FIBRE-SIZE: (it rains now, s) = 1",
+                    "FIBRE-SIZE: (it rains, s) = 2",
+                    "FIBRE-SIZE: (now, s^r.s) = 1",
+                    "FIBRE-SIZE: (it rains, s)⊗(now, s^r.s) = 2",
+                ],
+                id="a-sentence-is-a-phrase-of-another",
+            ),
+            # its tensor is the empty product, whose one element is "()"
+            pytest.param(
+                [{"phrase": "rain", "type": "1"}],
+                [""],
+                "1",
+                ["FIBRE-SIZE: (, 1) = 1", "FIBRE-SIZE:  = 1"],
+                id="the-empty-sentence",
+            ),
+        ],
+    )
+    def test_semantics_fibre_sizes(self, tmp_path, lexicon, corpus, target, lines):
+        doc = {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": corpus}}
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(doc))
-        code, text = run(["semantics", str(path), "--lexicon", "L", "--corpus", "K"])
-        assert (code, text.splitlines()) == (0, [
-            "FIBRE-SIZE: (it rains|s) = 1",
-            "FIBRE-SIZE: (it rains now, s) = 1",
-            "FIBRE-SIZE: (it rains, s) = 2",
-            "FIBRE-SIZE: (now, s^r.s) = 1",
-            "FIBRE-SIZE: (it rains, s)⊗(now, s^r.s) = 2",
-            "DISCRETE-FIBRATION: true",
-        ])
+        argv = ["semantics", str(path), "--lexicon", "L", "--corpus", "K", "--target", target]
+        code, text = run(argv)
+        assert (code, text.splitlines()) == (0, lines + ["DISCRETE-FIBRATION: true"])
 
     @pytest.mark.parametrize("convention", ["paper", "lambek"])
     def test_each_type_is_parsed_once(self, fig2, monkeypatch, convention):

@@ -138,18 +138,18 @@ class TestStraighten:
 class TestRoundtrips:
     def test_constant_singleton(self):
         witness = roundtrip_presheaf(constant_singleton(terminal_category()))
-        assert witness.checked
+        assert (witness.forward, witness.backward) == ({"*": {"*": "(*|*)"}}, {"*": {"(*|*)": "*"}})
 
     def test_fig2_both_ways(self):
-        assert roundtrip_presheaf(fig2_presheaf()).checked
-        assert roundtrip_fibration(fig2_fibration()).checked
+        roundtrip_presheaf(fig2_presheaf())
+        roundtrip_fibration(fig2_fibration())
 
     def test_random_presheaves(self, rng):
         for _ in range(100):
             base = rand_dag_category(rng, 5, 4)
             W = rand_presheaf(rng, base, max_elts=4)
-            assert roundtrip_presheaf(W).checked
-            assert roundtrip_fibration(elements(W).projection).checked
+            roundtrip_presheaf(W)
+            roundtrip_fibration(elements(W).projection)
 
     def test_a_map_that_is_no_functor_is_reported_by_its_entry(self):
         # m: a -> c lies over u: A -> B, but c lies over A, not B
@@ -170,7 +170,7 @@ class TestRoundtrips:
         for _ in range(100):
             W = rand_presheaf(rng, rand_dag_category(rng, 5, 4), max_elts=4)
             K = SetValuedFunctor(opposite(W.base), COVARIANT, W.eltset, W.action)
-            assert roundtrip_presheaf(K).checked
+            roundtrip_presheaf(K)
 
 
 class TestSelfChecks:

