@@ -151,7 +151,6 @@ def _build_category(name, doc, violations):
             if mid in declared:
                 raise SchemaError(f"{path}.identity", f"{mid} already declared")
             morphisms.append(Morphism(mid, obj, obj))
-            declared.add(mid)
             identity[obj] = mid
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     compose = cat.compose

@@ -14,6 +14,7 @@ from .errors import NotDiscreteFibration, ShapeMismatch, UnknownMorphism, Unknow
 from .fincat import (
     FunctorSpec,
     ValidationReport,
+    _grouped,
     _violation,
     identity_functor,
     opposite_functor,
@@ -48,10 +49,16 @@ def fibre(p: FunctorSpec, c: str) -> Fibre:
 
 
 def is_discrete_fibration(p: FunctorSpec) -> ValidationReport:
+    return _unique_lifts(p, p.cod.into, p._index[2])
+
+
+def _unique_lifts(p, arrows_at, lifts):
+    """For each total object e and base morphism u in arrows_at(p(e)), a
+    unique-lift violation where lifts[(u, e)] does not hold exactly one."""
     violations = []
     for e in p.dom.objects:
-        for u in p.cod.into(p.omap[e]):
-            n = len(p.lifts(u.id, e))
+        for u in arrows_at(p.omap[e]):
+            n = len(lifts.get((u.id, e), ()))
             if n != 1:
                 violations.append(_violation("unique-lift", (e, u.id, n)))
     return ValidationReport(tuple(violations))
@@ -118,7 +125,9 @@ def is_opfibration(p: FunctorSpec) -> ValidationReport:
 
 
 def is_discrete_opfibration(p: FunctorSpec) -> ValidationReport:
-    return is_discrete_fibration(opposite_functor(p))
+    """The discrete fibration check on the opposite of p, read in place."""
+    by_src = _grouped(((p.mmap[m.id], m.src), m.id) for m in p.dom.morphisms)
+    return _unique_lifts(p, p.cod.out_of, by_src)
 
 
 def _square_violations(H, F, p, q, laws):

@@ -37,6 +37,14 @@ def _violation(law, witness):
     return {"law": law, "witness": witness}
 
 
+def _grouped(pairs):
+    """{key: tuple of its values}, keys and values in the order of pairs."""
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in groups.items()}
+
+
 @dataclass(frozen=True)
 class FinCat:
     """A finite category given by explicit data.
@@ -45,7 +53,8 @@ class FinCat:
     in the library iterates in that order, so constructions are
     deterministic.  ``compose`` maps (g, f) with tgt(f) = src(g) to the id
     of g after f.  The derived indexes read ``objects`` and ``morphisms``
-    only, so a constructor may fill ``compose`` after building the category.
+    only, so a constructor may fill ``compose`` after building the category;
+    the ``out_of`` and ``hom`` indexes are built on first use.
     """
 
     objects: tuple
@@ -61,21 +70,15 @@ class FinCat:
         object.__setattr__(
             self, "_obj_index", {c: i for i, c in enumerate(self.objects)}
         )
-        into, hom = {}, {}
-        for m in self.morphisms:
-            into.setdefault(m.tgt, []).append(m)
-            hom.setdefault((m.src, m.tgt), []).append(m.id)
-        object.__setattr__(self, "_into", {c: tuple(ms) for c, ms in into.items()})
-        object.__setattr__(self, "_hom", {k: tuple(ids) for k, ids in hom.items()})
+        object.__setattr__(self, "_into", _grouped((m.tgt, m) for m in self.morphisms))
 
     @cached_property
     def _out(self):
-        """The morphisms per source, in declaration order.  Built on first
-        use: most categories are never asked out_of."""
-        out = {}
-        for m in self.morphisms:
-            out.setdefault(m.src, []).append(m)
-        return {c: tuple(ms) for c, ms in out.items()}
+        return _grouped((m.src, m) for m in self.morphisms)
+
+    @cached_property
+    def _hom(self):
+        return _grouped(((m.src, m.tgt), m.id) for m in self.morphisms)
 
     def has_object(self, c):
         return c in self._obj_index
@@ -149,10 +152,7 @@ def complete_units(cat: FinCat):
     Only the pairs with an identity in them are visited.  A composite that
     is still missing is validate_category's composition-totality."""
     identities = set(cat.identity.values())
-    units_into = {}  # the identities among the morphisms into each object
-    for m in cat.morphisms:
-        if m.id in identities:
-            units_into.setdefault(m.tgt, []).append(m)
+    units_into = _grouped((m.tgt, m) for m in cat.morphisms if m.id in identities)
     compose = cat.compose
     for g in cat.morphisms:
         for f in cat.into(g.src) if g.id in identities else units_into.get(g.src, ()):
@@ -266,14 +266,12 @@ class FunctorSpec:
         and lifts per (image, domain target), each a tuple in declaration
         order.  Built on first use, so omap and mmap must be complete by
         then."""
-        members, over, lifts = {}, {}, {}
-        for e in self.dom.objects:
-            members.setdefault(self.omap[e], []).append(e)
-        for m in self.dom.morphisms:
-            u = self.mmap[m.id]
-            over.setdefault(u, []).append(m.id)
-            lifts.setdefault((u, m.tgt), []).append(m.id)
-        return tuple({k: tuple(v) for k, v in d.items()} for d in (members, over, lifts))
+        images = [(self.mmap[m.id], m) for m in self.dom.morphisms]
+        return (
+            _grouped((self.omap[e], e) for e in self.dom.objects),
+            _grouped((u, m.id) for u, m in images),
+            _grouped(((u, m.tgt), m.id) for u, m in images),
+        )
 
     def lifts(self, u, e):
         """The domain morphisms over u with target e, in declaration order."""

@@ -8,7 +8,7 @@ import pytest
 
 from fibcat import cli, factor
 from fibcat.errors import SchemaError, ValidationError
-from fibcat.fib import fibre, is_discrete_fibration
+from fibcat.fib import is_discrete_fibration
 from fibcat.mcg import mcg, product_with_mcg
 
 

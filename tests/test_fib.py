@@ -76,6 +76,14 @@ class TestDiscreteOpfibration:
             outcomes.add(report.ok)
         assert outcomes == {True, False}
 
+    def test_reads_the_opposite_in_place(self, monkeypatch, rng):
+        def refuse(F):
+            raise AssertionError("opposite_functor called")
+
+        p = rand_functor(rng, rand_dag_category(rng, 4, 5), rand_dag_category(rng, 3, 3).cat)
+        monkeypatch.setattr("fibcat.fib.opposite_functor", refuse)
+        assert is_discrete_opfibration(p).violations == scan_discrete_opfibration(p)
+
 
 class TestFibre:
     def test_sizes(self, p):

@@ -2,7 +2,10 @@
 scans, in contents and in order."""
 
 import dataclasses
+import glob
+import os
 
+from fibcat.cli import load
 from fibcat.fib import fibre
 from fibcat.fincat import FinCat
 
@@ -54,3 +57,15 @@ def test_the_indexes_are_no_constructor_arguments():
         "identity",
         "compose",
     ]
+
+
+def test_out_of_and_hom_are_built_on_first_use(fixtures_dir):
+    categories = [
+        cat
+        for path in sorted(glob.glob(os.path.join(fixtures_dir, "*.json")))
+        for cat in load(path).categories.values()
+    ]
+    assert any(cat.objects for cat in categories)
+    for cat in categories:
+        assert "_out" not in vars(cat) and "_hom" not in vars(cat)
+        _check_category(cat)

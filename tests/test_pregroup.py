@@ -328,6 +328,18 @@ class TestSemantics:
             )
         assert exc.value.index == 0
 
+    def test_a_non_identity_composite_is_refused(self):
+        # "1)⊗(y" is no plain id, so the tensor of one sentence names the
+        # sentence object of the other and two reductions compose; a
+        # workspace cannot say this, since load rejects such a phrase
+        lex = make_lexicon([("x,", "s"), ("1)⊗(y", "1"), ("x", "1"), ("y", "s")])
+        with pytest.raises(ValueError) as exc:
+            build_semantics([["x,", "1)⊗(y"], ["x", "y"]], lex, parse_type("s"))
+        assert str(exc.value) == (
+            "corpus induces a non-identity composite reduce:(x y) . reduce:(x, 1)⊗(y);"
+            " unsupported"
+        )
+
     @pytest.mark.parametrize(
         "corpus, convention, text",
         [
