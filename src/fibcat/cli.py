@@ -23,6 +23,7 @@ canonical form so save . load is byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -49,6 +50,7 @@ from .fib import (
 )
 from .fincat import (
     _ID_RULE,
+    _grouped,
     CONTRAVARIANT,
     FinCat,
     FunctorSpec,
@@ -281,7 +283,8 @@ def load(path) -> Workspace:
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "expected a JSON object")
-    _require(doc.get("format") == FORMAT_VERSION, "format", "expected format 1")
+    version = doc.get("format")  # JSON true equals 1 in Python
+    _require(version == FORMAT_VERSION and version is not True, "format", "expected format 1")
     ws, violations, parsed = Workspace(), [], {}
     for name, cdoc in _object(doc, "categories", "categories").items():
         ws.categories[name] = _build_category(name, cdoc, violations)
@@ -343,10 +346,8 @@ def save(ws: Workspace, path):
 
 
 def _compose_doc(c: FinCat):
-    out = {}
-    for (g, f), h in c.compose.items():
-        out.setdefault(g, {})[f] = h
-    return {g: {f: out[g][f] for f in sorted(out[g])} for g in sorted(out)}
+    rows = _grouped((g, (f, h)) for (g, f), h in c.compose.items())
+    return {g: dict(sorted(rows[g])) for g in sorted(rows)}
 
 
 def _category_name(ws, cat):
@@ -422,8 +423,8 @@ def _get(ws_map, name, kind):
     return ws_map[name]
 
 
-def _functor(args):
-    return _get(load(args.workspace).functors, args.functor, "functor")
+def _functor(ws, args):
+    return _get(ws.functors, args.functor, "functor")
 
 
 def _print_category(cat, out):
@@ -434,28 +435,24 @@ def _print_category(cat, out):
             _emit(out, "MORPHISM", f"{m.id} : {m.src} -> {m.tgt}")
 
 
-def cmd_validate(args, out):
-    ws = load(args.workspace)  # eager validation happens here
+def cmd_validate(args, ws, out):
     _emit(out, "OK", f"workspace valid ({len(ws.categories)} categories)")
-    return 0
 
 
-def cmd_fibres(args, out):
-    p = _functor(args)
+def cmd_fibres(args, ws, out):
+    p = _functor(ws, args)
     for c in p.cod.objects:
         _emit(out, c, " ".join(fibre(p, c).elements))
-    return 0
 
 
-def cmd_reindex(args, out):
-    r = reindex(_functor(args), args.morphism)
+def cmd_reindex(args, ws, out):
+    r = reindex(_functor(ws, args), args.morphism)
     for x, y in r.table.items():
         print(f"{x} -> {y}", file=out)
-    return 0
 
 
-def cmd_check_fib(args, out):
-    p = _functor(args)
+def cmd_check_fib(args, ws, out):
+    p = _functor(ws, args)
     if args.discrete:
         report = is_discrete_fibration(p)
         return _verdict(out, report, "discrete fibration", "not a discrete fibration")
@@ -467,25 +464,22 @@ def cmd_check_fib(args, out):
     return code
 
 
-def cmd_elements(args, out):
-    W = _get(load(args.workspace).presheaves, args.presheaf, "presheaf")
+def cmd_elements(args, ws, out):
+    W = _get(ws.presheaves, args.presheaf, "presheaf")
     _print_category(groth.elements(W).total, out)
-    return 0
 
 
-def cmd_straighten(args, out):
-    W = groth.straighten(_functor(args))
+def cmd_straighten(args, ws, out):
+    W = groth.straighten(_functor(ws, args))
     for c in W.base.objects:
         _emit(out, c, " ".join(W.eltset[c]))
     for m in W.base.morphisms:
         if not W.base.is_identity(m.id):
             table = ", ".join(f"{k}->{v}" for k, v in W.action[m.id].items())
             _emit(out, m.id, f"{{{table}}}")
-    return 0
 
 
-def cmd_roundtrip(args, out):
-    ws = load(args.workspace)
+def cmd_roundtrip(args, ws, out):
     if args.name in ws.presheaves:
         groth.roundtrip_presheaf(ws.presheaves[args.name])
     elif args.name in ws.functors:
@@ -493,11 +487,10 @@ def cmd_roundtrip(args, out):
     else:
         raise UnknownName(args.name)
     _emit(out, "CHECKED", "true")
-    return 0
 
 
-def cmd_factorize(args, out):
-    F = _functor(args)
+def cmd_factorize(args, ws, out):
+    F = _functor(ws, args)
     if args.fib:
         fac = factor_mod.comprehensive_factor_fib(F)
     else:
@@ -506,28 +499,25 @@ def cmd_factorize(args, out):
     _emit(out, "MID-OBJECTS", " ".join(fac.mid.objects))
     for c in F.dom.objects:
         _emit(out, "S", f"{c} -> {fac.s.omap[c]}")
-    return 0
 
 
-def cmd_check_comma(args, out):
+def cmd_check_comma(args, ws, out):
     """check-initial and check-final; the check is looked up on each call,
     since the parser outlives a rebinding of factor.is_initial or is_final."""
     kind = args.command[len("check-"):]
-    report = getattr(factor_mod, f"is_{kind}")(_functor(args))
+    report = getattr(factor_mod, f"is_{kind}")(_functor(ws, args))
     return _verdict(out, report, f"{kind} functor", f"not {kind}")
 
 
-def cmd_comma(args, out):
+def cmd_comma(args, ws, out):
     """comma and pullback, looked up on each call like cmd_check_comma's check."""
-    ws = load(args.workspace)
     F = _get(ws.functors, args.F, "functor")
     G = _get(ws.functors, args.G, "functor")
     construct = comma if args.command == "comma" else pullback
     _print_category(construct(F, G).cat, out)
-    return 0
 
 
-def cmd_mcg(args, out):
+def cmd_mcg(args, ws, out):
     ids = args.objects.split(",") if "," in args.objects else None
     if ids is None:
         try:
@@ -537,21 +527,15 @@ def cmd_mcg(args, out):
         else:
             _require(n >= 0, "objects", "negative count")
             ids = [str(i) for i in range(n)]
-    try:
-        cat = make_mcg(ids)
-    except MalformedSpec as exc:
-        raise SchemaError(exc.path, exc.message) from exc
-    _print_category(cat, out)
-    return 0
+    _print_category(make_mcg(ids), out)
 
 
-def cmd_classify_mcg(args, out):
-    p = _functor(args)
+def cmd_classify_mcg(args, ws, out):
+    p = _functor(ws, args)
     cls = classify_over_mcg(p)
     _emit(out, "FIBRE-SET", " ".join(cls.fibre_set))
     for e in p.dom.objects:
         _emit(out, "H", f"{e} -> {cls.iso.omap[e]}")
-    return 0
 
 
 def _grammar(entries, args):
@@ -564,8 +548,7 @@ def _grammar(entries, args):
     return pregroup.Lexicon(lex), target
 
 
-def cmd_parse(args, out):
-    ws = load(args.lexicon)
+def cmd_parse(args, ws, out):
     if not args.lexicon_name and len(ws.lexicons) != 1:
         what = "several lexicons; pass --lexicon-name" if ws.lexicons else "no lexicon"
         raise UnknownName(f"workspace has {what}")
@@ -581,11 +564,9 @@ def cmd_parse(args, out):
         z, z2 = step.cancelled_exponents
         _emit(out, "STEP", f"position {step.position} cancels ({step.cancelled_base},{z})({step.cancelled_base},{z2})")
     _emit(out, "RESULT", pregroup.format_type(result.witness.end, args.convention))
-    return 0
 
 
-def cmd_semantics(args, out):
-    ws = load(args.workspace)
+def cmd_semantics(args, ws, out):
     entries = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
     sem = pregroup.build_semantics(corpus, *_grammar(entries, args), args.convention)
@@ -596,10 +577,8 @@ def cmd_semantics(args, out):
     return 0 if ok else 1
 
 
-def cmd_dot(args, out):
-    ws = load(args.workspace)
+def cmd_dot(args, ws, out):
     print(dot_export(ws, args.name), file=out, end="")
-    return 0
 
 
 @functools.cache
@@ -615,7 +594,7 @@ def build_parser():
 
     def cmd(name, fn, *positionals, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, workspace=None)
         for arg in positionals:
             p.add_argument(arg)
         return p
@@ -653,7 +632,8 @@ def build_parser():
     cmd("classify-mcg", cmd_classify_mcg, *ws_f, help="classify a fibration over an MCG")
 
     p = cmd("parse", cmd_parse, help="pregroup parse of a sentence")
-    p.add_argument("--lexicon", required=True, help="workspace file holding the lexicon")
+    p.add_argument("--lexicon", dest="workspace", metavar="LEXICON", required=True,
+                   help="workspace file holding the lexicon")
     p.add_argument("--lexicon-name", default=None)
     grammar(p)
     p.add_argument("sentence")
@@ -668,17 +648,22 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    """The exit code of the command argv names, run on the workspace it names,
+    loaded here once; all output, -h included, goes to out.  A usage or input
+    error exits 2, a failed check 1, and a command that returns nothing 0."""
     out = out or sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args, out)
+        ws = None if args.workspace is None else load(args.workspace)
+        return args.fn(args, ws, out) or 0
     except ValidationError as exc:
         return _verdict(out, exc.report, None, "validation")
-    except (IoError, SchemaError, UnknownName, UnknownMorphism) as exc:
+    except (IoError, MalformedSpec, UnknownName, UnknownMorphism) as exc:
         _emit(out, "ERROR", str(exc))
         return 2
     except FibcatError as exc:

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from fibcat import cli, factor
-from fibcat.errors import SchemaError, ValidationError
+from fibcat.errors import MalformedSpec, SchemaError, ValidationError
 from fibcat.fib import is_discrete_fibration
 from fibcat.mcg import mcg, product_with_mcg
 
@@ -86,6 +86,18 @@ class TestLoadSave:
         assert code == 2
         assert text.startswith(f"ERROR: $: invalid JSON: {error}")
         assert text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "version, result",
+        [
+            (True, (2, "ERROR: format: expected format 1\n")),  # True == 1 in Python
+            (1.0, (0, "OK: workspace valid (0 categories)\n")),  # the same JSON number
+        ],
+    )
+    def test_format_is_the_number_one(self, tmp_path, version, result):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"format": version}))
+        assert run(["validate", str(path)]) == result
 
     def test_missing_file(self, tmp_path):
         from fibcat.errors import IoError
@@ -372,6 +384,46 @@ class TestOneParser:
         monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
         assert run(argv) == first
         assert len(calls) == 1
+
+
+# one run of each subcommand that reads a workspace, on fig2.json (WS)
+WORKSPACE_COMMANDS = [
+    ["validate", "WS"], ["fibres", "WS", "p"], ["reindex", "WS", "p", "f"],
+    ["check-fib", "--cloven", "WS", "p"], ["elements", "WS", "W"], ["straighten", "WS", "p"],
+    ["roundtrip", "WS", "W"], ["factorize", "--fib", "WS", "p"], ["check-initial", "WS", "p"],
+    ["check-final", "WS", "p"], ["comma", "WS", "p", "p"], ["pullback", "WS", "p", "p"],
+    ["classify-mcg", "WS", "p"], ["parse", "--lexicon", "WS", "the cat sleeps"],
+    ["semantics", "WS", "--lexicon", "toy", "--corpus", "toy"], ["dot", "WS", "p"],
+]
+
+
+class TestBoundary:
+    """main loads the workspace, writes everything to out and sets the exit code."""
+
+    @pytest.mark.parametrize("argv", WORKSPACE_COMMANDS, ids=[a[0] for a in WORKSPACE_COMMANDS])
+    def test_each_workspace_command_loads_it_once(self, fig2, monkeypatch, argv):
+        loads, real = [], cli.load
+        monkeypatch.setattr(cli, "load", lambda path: loads.append(path) or real(path))
+        run([fig2 if a == "WS" else a for a in argv])
+        assert loads == [fig2]
+
+    def test_mcg_loads_nothing(self, monkeypatch):
+        monkeypatch.setattr(cli, "load", lambda path: pytest.fail(f"loaded {path}"))
+        assert run(["mcg", "2"])[0] == 0
+
+    @pytest.mark.parametrize("argv", [["-h"], ["mcg", "-h"], ["parse", "--help"]])
+    def test_help_goes_to_out(self, capsys, argv):
+        code, text = run(argv)
+        assert code == 0
+        assert text.startswith("usage: fibcat")
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_library_input_error_exits_two(self, fig2, monkeypatch):
+        def straighten(p):
+            raise MalformedSpec("x", "y")
+
+        monkeypatch.setattr(cli.groth, "straighten", straighten)
+        assert run(["straighten", fig2, "p"]) == (2, "ERROR: x: y\n")
 
 
 class TestDot:
