@@ -786,7 +786,7 @@ def test_every_composite_of_the_fixtures_can_be_swapped(fixtures_dir, tmp_path):
                         assert run(["validate", str(ws)])[0] in (0, 1, 2), (path, f, mid)
                         swaps += 1
                     inner[f] = h
-    assert swaps == 51
+    assert swaps == 467
 
 
 def test_each_structure_is_checked_before_the_next_is_built(tmp_path):
