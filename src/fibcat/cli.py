@@ -12,12 +12,14 @@ formats the record's path.  A file that is not UTF-8 JSON, or that nests
 too deeply to decode, is a SchemaError at "$".
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
-fincat validator of the structure.  ``load`` prefixes the path of the
-validator's MalformedSpec with the structure's place in the workspace,
-reads a missing composite off its composition-totality violations, and
-raises the law violations of all structures in one ValidationError.  Each
-distinct lexicon type text is parsed once per load.  ``save`` emits a
-canonical form so save . load is byte-stable.
+fincat validator of the structure.  Each ``compose`` row of the file is
+kept, uncopied, as the category's row, with the unit composites filled in.
+``load`` prefixes the path of the validator's MalformedSpec with the
+structure's place in the workspace, reads a missing composite off its
+composition-totality violations, and raises the law violations of all
+structures in one ValidationError.  Each distinct lexicon type text is
+parsed, and each phrase split, once per load.  ``save`` emits a canonical
+form, with sorted rows, so save . load is byte-stable.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .fib import (
 )
 from .fincat import (
     _ID_RULE,
-    _grouped,
+    _TABLE_LAWS,
     CONTRAVARIANT,
     FinCat,
     FunctorSpec,
@@ -74,7 +76,7 @@ class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
     presheaves: dict = field(default_factory=dict)
-    lexicons: dict = field(default_factory=dict)  # name -> [(phrase, type text, paper type)]
+    lexicons: dict = field(default_factory=dict)  # name -> [(phrase, words, text, type)]
     corpora: dict = field(default_factory=dict)  # name -> list of token lists
 
 
@@ -109,14 +111,23 @@ def _id_list(value, path):
     return value
 
 
-def _validated(where, validate, x, violations):
+def _validated(where, validate, x, violations, filled):
     """The report of validate(x), after appending its law violations,
     prefixed by where, to violations; a MalformedSpec becomes a SchemaError
-    at where."""
+    at where.  Those at the pairs in filled, which complete_units filled in,
+    follow the table's others in that order, as in the file's table."""
     try:
         report = validate(x)
     except MalformedSpec as exc:
         raise SchemaError(f"{where}.{exc.path}", exc.message) from exc
+    walk = [i for i, v in enumerate(report.violations) if v["law"] in _TABLE_LAWS]
+    if walk and filled:
+        rank = {pair: i for i, pair in enumerate(filled)}
+        vs, at = list(report.violations), slice(walk[0], walk[-1] + 1)
+        own = [v for v in vs[at] if v["witness"][:2] not in rank]
+        late = [v for v in vs[at] if v["witness"][:2] in rank]
+        vs[at] = own + sorted(late, key=lambda v: rank[v["witness"][:2]])
+        report = ValidationReport(tuple(vs))
     violations.extend(
         {"law": f"{where}: {v['law']}", "witness": v["witness"]} for v in report.violations
     )
@@ -136,7 +147,8 @@ def _morphism(rec, path, i):
     return Morphism(mid, src, tgt)
 
 
-def _build_category(name, doc, violations):
+def _build_category(name, doc, violations, filled):
+    """The category of doc; filled[name] is what complete_units filled in."""
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
@@ -155,21 +167,21 @@ def _build_category(name, doc, violations):
             morphisms.append(Morphism(mid, obj, obj))
             identity[obj] = mid
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
-    compose = cat.compose
-    for g, inner in _object(doc, "compose", f"{path}.compose").items():
+    for g, row in _object(doc, "compose", f"{path}.compose").items():
         if not cat.has_morphism(g):
             raise SchemaError(f"{path}.compose.{g}", "unknown morphism")
-        if not isinstance(inner, dict):
+        if not isinstance(row, dict):
             raise SchemaError(f"{path}.compose.{g}", "expected an object")
-        for f, h in inner.items():
+        for f, h in row.items():
             if not isinstance(h, str):
                 raise SchemaError(f"{path}.compose.{g}.{f}", "unknown composite")
-            compose[g, f] = h
-    complete_units(cat)
+        if row:
+            cat.compose[g] = row
+    units = filled[name] = complete_units(cat)
     # every composite the unit laws force is in the table now, so a missing
     # one is not forced; validate_category checks references before laws,
     # so a dangling end is reported as such, not as a missing composite
-    report = _validated(path, validate_category, cat, violations)
+    report = _validated(path, validate_category, cat, violations, units)
     totality = (v["witness"] for v in report.violations if v["law"] == "composition-totality")
     missing = next(totality, None)
     if missing is not None:
@@ -180,7 +192,7 @@ def _build_category(name, doc, violations):
     return cat
 
 
-def _build_functor(name, doc, categories, violations):
+def _build_functor(name, doc, categories, violations, filled):
     path = f"functors.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     for key in ("dom", "cod", "omap", "mmap"):
@@ -196,11 +208,11 @@ def _build_functor(name, doc, categories, violations):
         if m.id not in mmap and dom.is_identity(m.id) and omap.get(m.src) in cod.identity:
             mmap[m.id] = cod.identity[omap[m.src]]
     F = FunctorSpec(dom, cod, omap, mmap)
-    _validated(path, validate_functor, F, violations)
+    _validated(path, validate_functor, F, violations, filled[doc["dom"]])
     return F
 
 
-def _build_presheaf(name, doc, categories, violations):
+def _build_presheaf(name, doc, categories, violations, filled):
     path = f"presheaves.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     base_name = doc.get("base")
@@ -220,7 +232,7 @@ def _build_presheaf(name, doc, categories, violations):
         if m.id not in action and base.is_identity(m.id) and m.src in eltset:
             action[m.id] = {x: x for x in eltset[m.src]}
     W = SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
-    _validated(path, validate_set_valued, W, violations)
+    _validated(path, validate_set_valued, W, violations, filled[base_name])
     return W
 
 
@@ -236,12 +248,12 @@ def _type(text, path):
 
 
 def _build_lexicon(name, entries, parsed):
-    """(phrase, type text, paper-convention type) triples; each type must
-    parse, each phrase occurs once and is non-empty.  parsed maps each type
-    text already parsed in this load to its type, so each is parsed once."""
+    """(phrase, words, type text, paper-convention type) entries; each type
+    must parse, each phrase occurs once and is non-empty.  parsed maps each
+    type text already parsed in this load to its type, so each is parsed once."""
     lpath = f"lexicons.{name}"
     _require(isinstance(entries, list), lpath, "expected a list")
-    triples, phrases = [], set()
+    lexicon, phrases = [], set()
     for i, rec in enumerate(entries):
         if not (isinstance(rec, dict) and "phrase" in rec and "type" in rec):
             raise SchemaError(f"{lpath}[{i}]", "expected {phrase, type}")
@@ -255,8 +267,8 @@ def _build_lexicon(name, entries, parsed):
             ptype = parsed[text]
         except (KeyError, TypeError):  # a new text, or a list or object
             ptype = parsed[text] = _type(text, f"{lpath}[{i}].type")
-        triples.append((phrase, text, ptype))
-    return triples
+        lexicon.append((phrase, tokens, text, ptype))
+    return lexicon
 
 
 def _build_corpus(name, sentences):
@@ -285,13 +297,13 @@ def load(path) -> Workspace:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     version = doc.get("format")  # JSON true equals 1 in Python
     _require(version == FORMAT_VERSION and version is not True, "format", "expected format 1")
-    ws, violations, parsed = Workspace(), [], {}
+    ws, violations, parsed, filled = Workspace(), [], {}, {}
     for name, cdoc in _object(doc, "categories", "categories").items():
-        ws.categories[name] = _build_category(name, cdoc, violations)
+        ws.categories[name] = _build_category(name, cdoc, violations, filled)
     for name, fdoc in _object(doc, "functors", "functors").items():
-        ws.functors[name] = _build_functor(name, fdoc, ws.categories, violations)
+        ws.functors[name] = _build_functor(name, fdoc, ws.categories, violations, filled)
     for name, pdoc in _object(doc, "presheaves", "presheaves").items():
-        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations)
+        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations, filled)
     for name, entries in _object(doc, "lexicons", "lexicons").items():
         ws.lexicons[name] = _build_lexicon(name, entries, parsed)
     for name, sentences in _object(doc, "corpora", "corpora").items():
@@ -310,7 +322,7 @@ def save(ws: Workspace, path):
             "objects": list(c.objects),
             "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt} for m in c.morphisms],
             "identity": {o: c.identity[o] for o in sorted(c.identity)},
-            "compose": _compose_doc(c),
+            "compose": {g: dict(sorted(c.compose[g].items())) for g in sorted(c.compose)},
         }
     for name in sorted(ws.functors):
         F = ws.functors[name]
@@ -333,7 +345,7 @@ def save(ws: Workspace, path):
         }
     for name in sorted(ws.lexicons):
         doc["lexicons"][name] = [
-            {"phrase": phrase, "type": text} for phrase, text, _ in ws.lexicons[name]
+            {"phrase": phrase, "type": text} for phrase, _, text, _ in ws.lexicons[name]
         ]
     for name in sorted(ws.corpora):
         doc["corpora"][name] = [list(s) for s in ws.corpora[name]]
@@ -343,11 +355,6 @@ def save(ws: Workspace, path):
             fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-
-
-def _compose_doc(c: FinCat):
-    rows = _grouped((g, (f, h)) for (g, f), h in c.compose.items())
-    return {g: dict(sorted(rows[g])) for g in sorted(rows)}
 
 
 def _category_name(ws, cat):
@@ -541,9 +548,9 @@ def cmd_classify_mcg(args, ws, out):
 def _grammar(entries, args):
     """The lexicon and the target type, read in the convention args ask for."""
     conv = args.convention
-    paper = {text: t for _, text, t in entries}  # one type per distinct text
+    paper = {text: t for _, _, text, t in entries}  # one type per distinct text
     types = {text: pregroup.in_convention(t, conv) for text, t in paper.items()}
-    lex = tuple((tuple(p.split()), types[text]) for p, text, _ in entries)
+    lex = tuple((tokens, types[text]) for _, tokens, text, _ in entries)
     target = pregroup.in_convention(_type(args.target, "--target"), conv)
     return pregroup.Lexicon(lex), target
 

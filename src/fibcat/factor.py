@@ -38,7 +38,7 @@ class Factorization:
 
 
 def _op(pair, contra):
-    """A pair of ends or of composable arrows, read in the opposite with contra."""
+    """A pair of ends, read in the opposite with contra."""
     return pair[::-1] if contra else pair
 
 
@@ -50,12 +50,12 @@ def _comma_blocks(F: FunctorSpec, contra=False):
     D = F.cod
     out = D.into if contra else D.out_of
     pairs = [(c, f.id) for c in F.dom.objects for f in out(F.omap[c])]
-    edges = [
-        ((a, D.compose[_op((f2.id, F.mmap[u.id]), contra)]), (b, f2.id))
-        for u in F.dom.morphisms
-        for a, b in [_op((u.src, u.tgt), contra)]
-        for f2 in out(F.omap[b])
-    ]
+    edges = []
+    for u in F.dom.morphisms:
+        (a, b), Fu = _op((u.src, u.tgt), contra), F.mmap[u.id]
+        row = D.compose[Fu]  # Fu's row: with contra the composite is Fu . f2
+        for f2 in out(F.omap[b]):
+            edges.append(((a, row[f2.id] if contra else D.compose[f2.id][Fu]), (b, f2.id)))
     blocks = {d: [] for d in D.objects}
     for blk in connected_components(pairs, edges):
         blocks[(D.src if contra else D.tgt)(blk[0][1])].append(blk)
@@ -74,10 +74,10 @@ def _pi0_data(F: FunctorSpec, contra=False):
             block_of.update(dict.fromkeys(blk, name))
     action = {}
     for g in D.morphisms:
-        table, d = {}, g.tgt if contra else g.src
+        table, d, row = {}, g.tgt if contra else g.src, D.compose[g.id]
         for blk, src_block in zip(blocks[d], eltset[d]):
             for c, f in blk:
-                target_block = block_of[(c, D.compose[_op((g.id, f), contra)])]
+                target_block = block_of[(c, D.compose[f][g.id] if contra else row[f])]
                 if table.setdefault(src_block, target_block) != target_block:
                     raise WitnessFailure(f"block map not well-defined along {g.id}")
         action[g.id] = table

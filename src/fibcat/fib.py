@@ -85,16 +85,13 @@ def is_cartesian(p: FunctorSpec, f: str) -> ValidationReport:
     C = p.cod
     m = E.morphism(f)
     u = p.mmap[f]
+    row_u, row_f = C.compose[u], E.compose[f]
     fillers = {}
     for g in E.into(m.tgt):
         for w in C.hom(p.omap[g.src], C.src(u)):
-            if C.compose[(u, w)] != p.mmap[g.id]:
+            if row_u[w] != p.mmap[g.id]:
                 continue
-            hs = [
-                h
-                for h in p.lifts(w, m.src)
-                if E.src(h) == g.src and E.compose[(f, h)] == g.id
-            ]
+            hs = [h for h in p.lifts(w, m.src) if E.src(h) == g.src and row_f[h] == g.id]
             if len(hs) != 1:
                 return ValidationReport((_violation("unique-filler", (g.id, w, len(hs))),))
             fillers[(g.id, w)] = hs[0]

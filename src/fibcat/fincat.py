@@ -37,6 +37,11 @@ def _violation(law, witness):
     return {"law": law, "witness": witness}
 
 
+# the laws a validator checks at each entry of a composition table, in one walk
+_TABLE_LAWS = {"composition-composability", "endpoint-coherence",
+               "composition-preservation", "composition-action"}
+
+
 def _grouped(pairs):
     """{key: tuple of its values}, keys and values in the order of pairs."""
     groups = {}
@@ -51,16 +56,17 @@ class FinCat:
 
     objects and morphisms are kept in declaration order; every enumeration
     in the library iterates in that order, so constructions are
-    deterministic.  ``compose`` maps (g, f) with tgt(f) = src(g) to the id
-    of g after f.  The derived indexes read ``objects`` and ``morphisms``
-    only, so a constructor may fill ``compose`` after building the category;
-    the ``out_of`` and ``hom`` indexes are built on first use.
+    deterministic.  ``compose`` holds a non-empty row ``{f: g after f}`` per
+    g, for the f with tgt(f) = src(g), so a reader indexes a row it holds.
+    The derived indexes read ``objects`` and ``morphisms`` only, so a
+    constructor may fill ``compose`` after building the category; the
+    ``out_of`` and ``hom`` indexes are built on first use.
     """
 
     objects: tuple
     morphisms: tuple  # of Morphism
     identity: dict  # object id -> morphism id
-    compose: dict  # (g id, f id) -> morphism id
+    compose: dict  # g id -> {f id -> g∘f id}
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -145,19 +151,27 @@ def is_plain_id(s):
     return depth == 0
 
 
+_NO_ROW = {}  # the row of a morphism with no composites; never written
+
+
 def complete_units(cat: FinCat):
-    """Fill in, in place, the composites the unit laws force, in the order
-    of ``composable_pairs``: g . i = g and i . f = f for an identity i.
+    """Fill in, in place and each into its row, the composites the unit laws
+    force, in the order of ``composable_pairs``: g . i = g and i . f = f for
+    an identity i.  Returns the pairs filled, in that order.
 
     Only the pairs with an identity in them are visited.  A composite that
     is still missing is validate_category's composition-totality."""
     identities = set(cat.identity.values())
     units_into = _grouped((m.tgt, m) for m in cat.morphisms if m.id in identities)
-    compose = cat.compose
+    compose, filled = cat.compose, []
     for g in cat.morphisms:
-        for f in cat.into(g.src) if g.id in identities else units_into.get(g.src, ()):
-            if (g.id, f.id) not in compose:
-                compose[g.id, f.id] = g.id if f.id in identities else f.id
+        fs = cat.into(g.src) if g.id in identities else units_into.get(g.src, ())
+        row = compose.setdefault(g.id, {}) if fs else _NO_ROW  # so no row is empty
+        for f in fs:
+            if f.id not in row:
+                row[f.id] = g.id if f.id in identities else f.id
+                filled.append((g.id, f.id))
+    return filled
 
 
 def _repeated(ids, path, what):
@@ -173,13 +187,13 @@ def validate_category(c: FinCat) -> ValidationReport:
     """Check the category laws; a dangling or repeated id raises MalformedSpec.
 
     The ends of the morphisms and the identities are checked first.  Then
-    one walk over the table resolves each entry's ids, raising at the first
-    that does not resolve, checks composability and endpoint coherence, and
-    counts the composable entries.  The composable pairs are walked only
-    when there are more of them than that count, to list the missing ones.
-    Repeated ids are checked last.  Once every other law holds, a triple
-    with an identity in it is associative by the unit laws, so it is
-    skipped."""
+    one walk over the table, a row at a time, resolves each entry's ids,
+    raising at the first that does not resolve, checks composability and
+    endpoint coherence, and counts the composable entries.  The composable
+    pairs are walked only when there are more of them than that count, to
+    list the missing ones.  Repeated ids are checked last.  Once every other
+    law holds, a triple with an identity in it is associative by the unit
+    laws, so it is skipped."""
     objects, by_id, identity = c._obj_index, c._by_id, c.identity
     for i, m in enumerate(c.morphisms):
         if m.src not in objects:
@@ -192,20 +206,22 @@ def validate_category(c: FinCat) -> ValidationReport:
         if mid not in by_id:
             raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
     compose, composable, entry_violations = c.compose, 0, []
-    for (g, f), h in compose.items():
-        mg, mf, mh = by_id.get(g), by_id.get(f), by_id.get(h)
+    for g, row in compose.items():
+        mg = by_id.get(g)
         if mg is None:
             raise MalformedSpec(f"compose.{g}", "unknown morphism")
-        if mf is None:
-            raise MalformedSpec(f"compose.{g}.{f}", "unknown morphism")
-        if mh is None:
-            raise MalformedSpec(f"compose.{g}.{f}", "unknown composite")
-        if mf.tgt != mg.src:
-            entry_violations.append(_violation("composition-composability", (g, f)))
-            continue
-        composable += 1
-        if mh.src != mf.src or mh.tgt != mg.tgt:
-            entry_violations.append(_violation("endpoint-coherence", (g, f, h)))
+        for f, h in row.items():
+            try:
+                mf, mh = by_id[f], by_id[h]
+            except KeyError:
+                what = "morphism" if f not in by_id else "composite"
+                raise MalformedSpec(f"compose.{g}.{f}", f"unknown {what}") from None
+            if mf.tgt != mg.src:
+                entry_violations.append(_violation("composition-composability", (g, f)))
+                continue
+            composable += 1
+            if mh.src != mf.src or mh.tgt != mg.tgt:
+                entry_violations.append(_violation("endpoint-coherence", (g, f, h)))
     if len(by_id) != len(c.morphisms):
         raise _repeated([m.id for m in c.morphisms], "morphisms[{}].id", "morphism")
     if len(objects) != len(c.objects):
@@ -219,18 +235,17 @@ def validate_category(c: FinCat) -> ValidationReport:
         m = by_id[mid]
         if m.src != obj or m.tgt != obj:
             violations.append(_violation("identity-endpoints", (obj, mid)))
-    arriving = c._into
-    if composable != sum(len(arriving.get(g.src, ())) for g in c.morphisms):
-        missing = (pair for pair in c.composable_pairs() if pair not in compose)
+    if composable != sum(len(c._into.get(g.src, ())) for g in c.morphisms):
+        missing = (p for p in c.composable_pairs() if p[1] not in compose.get(p[0], _NO_ROW))
         violations += (_violation("composition-totality", pair) for pair in missing)
     violations += entry_violations
     # unit laws
     for m in c.morphisms:
         lid = identity.get(m.tgt)
         rid = identity.get(m.src)
-        if rid is not None and compose.get((m.id, rid), m.id) != m.id:
+        if rid is not None and compose.get(m.id, _NO_ROW).get(rid, m.id) != m.id:
             violations.append(_violation("right-unit", (m.id, rid)))
-        if lid is not None and compose.get((lid, m.id), m.id) != m.id:
+        if lid is not None and compose.get(lid, _NO_ROW).get(m.id, m.id) != m.id:
             violations.append(_violation("left-unit", (lid, m.id)))
     # associativity, only meaningful where the table is total enough
     skip = () if violations else set(identity.values())
@@ -238,15 +253,13 @@ def validate_category(c: FinCat) -> ValidationReport:
     for h in c.morphisms:
         if h.id in skip:
             continue
+        row_h = compose.get(h.id, _NO_ROW)
         for g in into[h.src]:
-            hg = compose.get((h.id, g.id))
+            row_g, row_hg = compose.get(g.id, _NO_ROW), compose.get(row_h.get(g.id), _NO_ROW)
             for f in into[g.src]:
-                gf = compose.get((g.id, f.id))
-                if gf is None or hg is None:
-                    continue
-                left = compose.get((h.id, gf))
-                right = compose.get((hg, f.id))
-                if left is None or right is None:
+                try:
+                    left, right = row_h[row_g[f.id]], row_hg[f.id]
+                except KeyError:  # a composite is missing, so the triple says nothing
                     continue
                 if left != right:
                     violations.append(_violation("associativity", (h.id, g.id, f.id)))
@@ -298,10 +311,11 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     for c in F.dom.objects:
         if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append(_violation("identity-preservation", (c,)))
-    cod_compose = cod.compose
-    for (g, f), h in F.dom.compose.items():
-        if cod_compose.get((mmap[g], mmap[f])) != mmap[h]:
-            violations.append(_violation("composition-preservation", (g, f)))
+    for g, row in F.dom.compose.items():
+        cod_row = cod.compose.get(mmap[g], _NO_ROW)
+        for f, h in row.items():
+            if cod_row.get(mmap[f]) != mmap[h]:
+                violations.append(_violation("composition-preservation", (g, f)))
     return ValidationReport(tuple(violations))
 
 
@@ -354,7 +368,7 @@ def terminal_category() -> FinCat:
         objects=("*",),
         morphisms=(Morphism("id:*", "*", "*"),),
         identity={"*": "id:*"},
-        compose={("id:*", "id:*"): "id:*"},
+        compose={"id:*": {"id:*": "id:*"}},
     )
 
 
@@ -405,25 +419,27 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         table = W.action[W.base.identity[c]]
         if any(table.get(x) != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
-    for (g, f), h in W.base.compose.items():
-        if W.base.tgt(f) != W.base.src(g):
-            continue  # validate_category reports the pair
-        # over the domain of the action applied first: h may have wrong endpoints
-        first, then = (g, f) if W.variance == CONTRAVARIANT else (f, g)
-        composite = {x: W.action[then][W.action[first][x]] for x in W.action[first]}
-        if composite != W.action[h]:
-            violations.append(_violation("composition-action", (g, f)))
+    action, contra = W.action, W.variance == CONTRAVARIANT
+    for g, row in W.base.compose.items():
+        src, action_g = W.base.src(g), action[g]
+        for f, h in row.items():
+            if W.base.tgt(f) != src:
+                continue  # validate_category reports the pair
+            # over the domain of the action applied first: h may have wrong endpoints
+            first, then = (action_g, action[f]) if contra else (action[f], action_g)
+            if {x: then[y] for x, y in first.items()} != action[h]:
+                violations.append(_violation("composition-action", (g, f)))
     return ValidationReport(tuple(violations))
 
 
 def opposite(c: FinCat) -> FinCat:
     """Same ids, src/tgt swapped, compose transposed.  An involution."""
-    return FinCat(
-        objects=c.objects,
-        morphisms=tuple(Morphism(m.id, m.tgt, m.src) for m in c.morphisms),
-        identity=dict(c.identity),
-        compose={(f, g): h for (g, f), h in c.compose.items()},
-    )
+    compose = {}
+    for g, row in c.compose.items():
+        for f, h in row.items():
+            compose.setdefault(f, {})[g] = h
+    morphisms = tuple(Morphism(m.id, m.tgt, m.src) for m in c.morphisms)
+    return FinCat(c.objects, morphisms, dict(c.identity), compose)
 
 
 def opposite_functor(F: FunctorSpec) -> FunctorSpec:
@@ -467,12 +483,16 @@ def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
     obj_id = {(a, b, f): tuple_id(a, b, f) for (a, b), fs in arrows_at.items() for f in fs}
     morphisms, mor_data, mor_id = [], {}, {}
     for u in F.dom.morphisms:
+        Fu = F.mmap[u.id]
         for v in G.dom.morphisms:
-            targets = arrows_at[u.tgt, v.tgt]
-            for f in arrows_at[u.src, v.src]:
-                left = C.compose[(G.mmap[v.id], f)]
+            sources = arrows_at[u.src, v.src]
+            if not sources:
+                continue
+            row_v, targets = C.compose[G.mmap[v.id]], arrows_at[u.tgt, v.tgt]
+            for f in sources:
+                left = row_v[f]
                 for f2 in targets:
-                    if C.compose[(f2, F.mmap[u.id])] != left:
+                    if C.compose[f2][Fu] != left:
                         continue
                     mid = tuple_id(u.id, v.id, f, f2)
                     src, tgt = obj_id[u.src, v.src, f], obj_id[u.tgt, v.tgt, f2]
@@ -484,10 +504,13 @@ def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
         for (a, b, f), oid in obj_id.items()
     }
     cat = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
-    for g, f in cat.composable_pairs():
-        u2, v2, _, f3 = mor_data[g]
-        u1, v1, f1, _ = mor_data[f]
-        cat.compose[(g, f)] = mor_id[F.dom.compose[(u2, u1)], G.dom.compose[(v2, v1)], f1, f3]
+    for g in cat.morphisms:
+        u2, v2, _, f3 = mor_data[g.id]
+        row_u, row_v, row = F.dom.compose[u2], G.dom.compose[v2], {}
+        for f in cat.into(g.src):
+            u1, v1, f1, _ = mor_data[f.id]
+            row[f.id] = mor_id[row_u[u1], row_v[v1], f1, f3]
+        cat.compose[g.id] = row
 
     def projection(i, D):
         omap = {oid: parts[i] for parts, oid in obj_id.items()}

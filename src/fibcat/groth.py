@@ -66,7 +66,7 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
     for g, f in base.composable_pairs():
         for key, val in W.action[g if contra else f].items():
             kg, kf = (key, val) if contra else (val, key)
-            compose[mor_id[g, kg], mor_id[f, kf]] = mor_id[base.compose[g, f], key]
+            compose.setdefault(mor_id[g, kg], {})[mor_id[f, kf]] = mor_id[base.compose[g][f], key]
     total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, compose)
     omap = {oid: c for (c, _), oid in obj_id.items()}
     projection = FunctorSpec(total, base, omap, {mid: f for (f, _), mid in mor_id.items()})

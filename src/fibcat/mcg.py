@@ -41,9 +41,7 @@ def mcg(A) -> FinCat:
     arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
     morphisms = tuple(Morphism(mid, a, b) for (a, b), mid in arrow.items())
     identity = {a: arrow[a, a] for a in A}
-    compose = {
-        (arrow[b, c], arrow[a, b]): arrow[a, c] for a in A for b in A for c in A
-    }
+    compose = {arrow[b, c]: {arrow[a, b]: arrow[a, c] for a in A} for b in A for c in A}
     return FinCat(objects=A, morphisms=morphisms, identity=identity, compose=compose)
 
 
@@ -81,7 +79,8 @@ def product_with_mcg(X, base: FinCat):
     )
     identity = {oid: mor[x, base.identity[a]] for (x, a), oid in obj.items()}
     compose = {
-        (mor[x, g], mor[x, f]): mor[x, h] for x in X for (g, f), h in base.compose.items()
+        mor[x, g]: {mor[x, f]: mor[x, h] for f, h in row.items()}
+        for x in X for g, row in base.compose.items()
     }
     cat = FinCat(tuple(obj.values()), morphisms, identity, compose)
     omap = {oid: a for (_, a), oid in obj.items()}

@@ -355,7 +355,8 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     # object, so the only composites involve identities
     cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})
     complete_units(cat)
-    missing = next((pair for pair in cat.composable_pairs() if pair not in cat.compose), None)
+    rows = cat.compose
+    missing = next((p for p in cat.composable_pairs() if p[1] not in rows.get(p[0], ())), None)
     if missing is not None:
         g, f = missing
         raise ValueError(

@@ -50,7 +50,7 @@ def chain_base():
         Morphism("id:B", "B", "B"),
         Morphism("id:C", "C", "C"),
     )
-    compose = {("g", "f"): "gf"}
+    compose = {"g": {"f": "gf"}}
     cat = FinCat(("A", "B", "C"), morphisms, {o: f"id:{o}" for o in "ABC"}, compose)
     scan_complete_units(cat)
     return cat
@@ -64,12 +64,12 @@ def scan_complete_units(cat):
     identities = set(cat.identity.values())
     for g in cat.morphisms:
         for f in cat.morphisms:
-            if f.tgt != g.src or (g.id, f.id) in cat.compose:
+            if f.tgt != g.src or f.id in cat.compose.get(g.id, {}):
                 continue
             if f.id in identities:
-                cat.compose[(g.id, f.id)] = g.id
+                cat.compose.setdefault(g.id, {})[f.id] = g.id
             elif g.id in identities:
-                cat.compose[(g.id, f.id)] = f.id
+                cat.compose.setdefault(g.id, {})[f.id] = f.id
             else:
                 return g.id, f.id
     return None
@@ -88,7 +88,7 @@ def fig2_total():
         Morphism("gf:C0", "A2", "C0"),
         Morphism("gf:C1", "A0", "C1"),
     ]
-    compose = {("g:C0", "f:B2"): "gf:C0", ("g:C1", "f:B0"): "gf:C1"}
+    compose = {"g:C0": {"f:B2": "gf:C0"}, "g:C1": {"f:B0": "gf:C1"}}
     cat = FinCat(objects, tuple(morphisms), {o: f"id:{o}" for o in objects}, compose)
     scan_complete_units(cat)
     return cat
@@ -148,7 +148,7 @@ def two_filler_functor():
         tuple(Morphism(m, s, t) for m, (s, t) in arrows.items())
         + tuple(Morphism(f"id:{o}", o, o) for o in objects),
         {o: f"id:{o}" for o in objects},
-        {("f", "h1"): "fh", ("f", "h2"): "fh"},
+        {"f": {"h1": "fh", "h2": "fh"}},
     )
     scan_complete_units(total)
     return FunctorSpec(
@@ -207,7 +207,7 @@ def rand_dag_category(rng, max_objects=4, max_edges=4):
     for m2 in morphisms:
         for m1 in morphisms:
             if m1.tgt == m2.src:
-                compose[(m2.id, m1.id)] = pid(
+                compose.setdefault(m2.id, {})[m1.id] = pid(
                     m1.src, path_edges[m1.id] + path_edges[m2.id]
                 )
     cat = FinCat(
@@ -239,7 +239,7 @@ def rand_functor(rng, dom: DagCategory, cod: FinCat, tries=60):
     for m in dom.cat.morphisms:
         img = cod.identity[omap[m.src]]
         for eid in dom.path_edges[m.id]:
-            img = cod.compose[(edge_image[eid], img)]
+            img = cod.compose[edge_image[eid]][img]
         mmap[m.id] = img
     return FunctorSpec(dom.cat, cod, omap, mmap)
 
@@ -325,7 +325,7 @@ def rand_concrete_category(rng, max_objects=3, max_elements=3, max_generators=6,
         arrows = _compose_closure(arrows, gen, max_arrows) or arrows
     mid = {x: f"id:{x[0]}" for x in arrows[:n]}
     mid.update((x, f"{x[0]}>{x[1]}:{''.join(map(str, x[2]))}") for x in arrows[n:])
-    compose = {(mid[g], mid[f]): mid[_then(f, g)] for g in arrows for f in arrows if f[1] == g[0]}
+    compose = {mid[g]: {mid[f]: mid[_then(f, g)] for f in arrows if f[1] == g[0]} for g in arrows}
     morphisms = tuple(Morphism(mid[x], x[0], x[1]) for x in arrows)
     base = FinCat(objs, morphisms, {o: f"id:{o}" for o in objs}, compose)
     return SetValuedFunctor(
@@ -414,7 +414,11 @@ def strict_pullback(F: FunctorSpec, G: FunctorSpec):
         objects=objects,
         morphisms=morphisms,
         identity={o: c.identity[o] for o in objects},
-        compose={k: v for k, v in c.compose.items() if k[0] in kept_ids and k[1] in kept_ids},
+        compose={
+            g: {f: h for f, h in row.items() if f in kept_ids}
+            for g, row in c.compose.items()
+            if g in kept_ids
+        },
     )
 
     def restrict(P):
@@ -527,12 +531,12 @@ def scan_fillers(p: FunctorSpec, f):
         if g.tgt != f.tgt:
             continue
         for w in C.morphisms:
-            if (w.src, w.tgt) != (p.omap[g.src], u_src) or C.compose[(u, w.id)] != p.mmap[g.id]:
+            if (w.src, w.tgt) != (p.omap[g.src], u_src) or C.compose[u][w.id] != p.mmap[g.id]:
                 continue
             hs = [
                 h.id for h in E.morphisms
                 if (h.src, h.tgt) == (g.src, f.src) and p.mmap[h.id] == w.id
-                and E.compose[(f.id, h.id)] == g.id
+                and E.compose[f.id][h.id] == g.id
             ]
             if len(hs) != 1:
                 return None
@@ -595,7 +599,7 @@ def scan_comma(F: FunctorSpec, G: FunctorSpec):
             targets = [f2 for a, b, f2 in objects if (a, b) == (u.tgt, v.tgt)]
             for f in sources:
                 for f2 in targets:
-                    if C.compose[(G.mmap[v.id], f)] == C.compose[(f2, F.mmap[u.id])]:
+                    if C.compose[G.mmap[v.id]][f] == C.compose[f2][F.mmap[u.id]]:
                         parts[tuple_id(u.id, v.id, f, f2)] = (u, v, f, f2)
     morphisms = tuple(
         Morphism(mid, tuple_id(u.src, v.src, f), tuple_id(u.tgt, v.tgt, f2))
@@ -609,8 +613,8 @@ def scan_comma(F: FunctorSpec, G: FunctorSpec):
         u1, v1, f1, _ = parts[m.id]
         for g in leaving.get(m.tgt, ()):
             u2, v2, _, f3 = parts[g]
-            u, v = F.dom.compose[(u2.id, u1.id)], G.dom.compose[(v2.id, v1.id)]
-            compose[(g, m.id)] = tuple_id(u, v, f1, f3)
+            u, v = F.dom.compose[u2.id][u1.id], G.dom.compose[v2.id][v1.id]
+            compose.setdefault(g, {})[m.id] = tuple_id(u, v, f1, f3)
     identity = {
         tuple_id(a, b, f): tuple_id(F.dom.identity[a], G.dom.identity[b], f, f)
         for a, b, f in objects
@@ -647,7 +651,7 @@ def scan_elements(W: SetValuedFunctor):
     for g, f in scan_composable_pairs(total):
         f2, k2 = mor_data[g]
         f1, k1 = mor_data[f]
-        total.compose[(g, f)] = mor_id[base.compose[(f2, f1)], k2 if contra else k1]
+        total.compose.setdefault(g, {})[f] = mor_id[base.compose[f2][f1], k2 if contra else k1]
     omap = {oid: c for (c, _), oid in obj_id.items()}
     projection = FunctorSpec(total, base, omap, {mid: f for mid, (f, _) in mor_data.items()})
     return ElementsResult(total, projection, obj_id, mor_id)
@@ -668,11 +672,13 @@ def scan_check_category_wellformed(c: FinCat):
             raise MalformedSpec(f"identity.{obj}", "unknown object")
         if mid not in ids:
             raise MalformedSpec(f"identity.{obj}", f"unknown morphism {mid}")
-    for (g, f), h in c.compose.items():
-        checks = ((g, g, "morphism"), (f, f"{g}.{f}", "morphism"), (h, f"{g}.{f}", "composite"))
-        for x, path, what in checks:
-            if x not in ids:
-                raise MalformedSpec(f"compose.{path}", f"unknown {what}")
+    for g, row in c.compose.items():
+        if g not in ids:
+            raise MalformedSpec(f"compose.{g}", "unknown morphism")
+        for f, h in row.items():
+            for x, what in ((f, "morphism"), (h, "composite")):
+                if x not in ids:
+                    raise MalformedSpec(f"compose.{g}.{f}", f"unknown {what}")
     distinct = ((ids, "morphisms[{}].id", "morphism"), (objects, "objects[{}]", "object"))
     for xs, path, what in distinct:
         for i, x in enumerate(xs):
@@ -680,12 +686,16 @@ def scan_check_category_wellformed(c: FinCat):
                 raise MalformedSpec(path.format(i), f"duplicate {what} id")
 
 
-def scan_validate_category(c: FinCat):
+def scan_validate_category(c: FinCat, entries=None):
     """fincat.validate_category's violations, by its former full loops:
     every composable pair for totality and every composable triple for
     associativity, found by scans over the morphism list, with no index.
-    A dangling or repeated id raises MalformedSpec as the library does."""
+    A dangling or repeated id raises MalformedSpec as the library does.
+    The entries (g, f, g.f) of the table are checked for composability and
+    coherence in the order of entries, by default that of the rows."""
     scan_check_category_wellformed(c)
+    if entries is None:
+        entries = [(g, f, h) for g, row in c.compose.items() for f, h in row.items()]
     by_id = {m.id: m for m in c.morphisms}
     violations = []
 
@@ -700,26 +710,29 @@ def scan_validate_category(c: FinCat):
             flag("identity-endpoints", (obj, mid))
     for g in c.morphisms:
         for f in c.morphisms:
-            if f.tgt == g.src and (g.id, f.id) not in c.compose:
+            if f.tgt == g.src and f.id not in c.compose.get(g.id, {}):
                 flag("composition-totality", (g.id, f.id))
-    for (g, f), h in c.compose.items():
+    for g, f, h in entries:
         if by_id[f].tgt != by_id[g].src:
             flag("composition-composability", (g, f))
         elif by_id[h].src != by_id[f].src or by_id[h].tgt != by_id[g].tgt:
             flag("endpoint-coherence", (g, f, h))
+    def composite(g, f):
+        return c.compose.get(g, {}).get(f)
+
     for m in c.morphisms:
         lid, rid = c.identity.get(m.tgt), c.identity.get(m.src)
-        if rid is not None and c.compose.get((m.id, rid), m.id) != m.id:
+        if rid is not None and composite(m.id, rid) not in (None, m.id):
             flag("right-unit", (m.id, rid))
-        if lid is not None and c.compose.get((lid, m.id), m.id) != m.id:
+        if lid is not None and composite(lid, m.id) not in (None, m.id):
             flag("left-unit", (lid, m.id))
     for h in c.morphisms:
         for g in (g for g in c.morphisms if g.tgt == h.src):
             for f in (f for f in c.morphisms if f.tgt == g.src):
-                gf, hg = c.compose.get((g.id, f.id)), c.compose.get((h.id, g.id))
+                gf, hg = composite(g.id, f.id), composite(h.id, g.id)
                 if gf is None or hg is None:
                     continue
-                left, right = c.compose.get((h.id, gf)), c.compose.get((hg, f.id))
+                left, right = composite(h.id, gf), composite(hg, f.id)
                 if left is not None and right is not None and left != right:
                     flag("associativity", (h.id, g.id, f.id))
     return tuple(violations)
@@ -735,12 +748,13 @@ def _require(cond, path, message):
         raise SchemaError(path, message)
 
 
-def scan_build_category(name, doc, violations):
+def scan_build_category(name, doc, violations, filled):
     """cli._build_category as it was before the loader resolved each table
     entry once: every check in its old order, the unit composites filled by
     scan_complete_units and the laws checked by scan_validate_category.
-    Returns the category and appends its law violations, prefixed by its
-    place in the workspace, to violations; a defect raises SchemaError."""
+    Returns the category, appends its law violations, prefixed by its place
+    in the workspace, to violations and sets filled[name] to the pairs
+    filled in; a defect raises SchemaError."""
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
@@ -773,15 +787,26 @@ def scan_build_category(name, doc, violations):
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     table = doc.get("compose", {})
     _require(isinstance(table, dict), f"{path}.compose", "expected an object")
+    entries = []  # (g, f, g.f) in the order of the file
     for g, inner in table.items():
         _require(g in declared, f"{path}.compose.{g}", "unknown morphism")
         _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
             _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
-            cat.compose[(g, f)] = h
+            cat.compose.setdefault(g, {})[f] = h
+            entries.append((g, f, h))
+    given = {(g, f) for g, f, _ in entries}
     missing = scan_complete_units(cat)
+    # the file's entries come first, then the filled ones in pair order
+    filled[name] = [
+        (g.id, f.id)
+        for g in cat.morphisms
+        for f in cat.morphisms
+        if f.tgt == g.src and (g.id, f.id) not in given and f.id in cat.compose.get(g.id, {})
+    ]
+    entries += [(g, f, cat.compose[g][f]) for g, f in filled[name]]
     try:
-        found = scan_validate_category(cat)
+        found = scan_validate_category(cat, entries)
     except MalformedSpec as exc:
         raise SchemaError(f"{path}.{exc.path}", exc.message) from exc
     if missing is not None:
@@ -793,15 +818,16 @@ def scan_build_category(name, doc, violations):
 
 def built_category(build, doc):
     """What build (cli._build_category or scan_build_category) makes of a
-    category document: the category's parts in insertion order and its
-    prefixed law violations, or the path and message of its SchemaError."""
-    violations = []
+    category document: the category's parts in insertion order, its
+    prefixed law violations and the pairs filled in, or the path and
+    message of its SchemaError."""
+    violations, filled = [], {}
     try:
-        c = build("C", copy.deepcopy(doc), violations)
+        c = build("C", copy.deepcopy(doc), violations, filled)
     except SchemaError as exc:
         return "schema", exc.path, exc.message
     parts = c.objects, c.morphisms, list(c.identity.items()), list(c.compose.items())
-    return ("built", *parts, violations)
+    return ("built", *parts, violations, filled["C"])
 
 
 # --- pregroup oracles -------------------------------------------------------

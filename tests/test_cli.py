@@ -33,7 +33,7 @@ class TestLoadSave:
         ws = cli.load(fig2)
         cat = ws.categories["ABC"]
         assert cat.identity == {"A": "id:A", "B": "id:B", "C": "id:C"}
-        assert cat.compose[("g", "id:B")] == "g"
+        assert cat.compose["g"]["id:B"] == "g"
 
     def test_missing_nonunit_composite_is_a_schema_error(self, tmp_path):
         doc = {
@@ -737,6 +737,62 @@ def test_a_lawless_base_composite_is_reported(fig2, tmp_path, compose, violation
     doc["categories"]["ABC"]["compose"] = compose
     ws = tmp_path / "ws.json"
     ws.write_text(json.dumps(doc))
+    expected = "".join(f"VIOLATION: {v}\n" for v in violations)
+    assert run(["validate", str(ws)]) == (1, "FAIL: validation\n" + expected)
+
+
+def test_violations_at_filled_composites_follow_those_at_the_files_entries(tmp_path):
+    # the composites the unit laws force go into their rows, as e.id:y
+    # does into e's, yet their violations are listed after every entry of
+    # the file, in the order of the composable pairs
+    dom = {
+        "objects": ["x", "y"],
+        "morphisms": [
+            {"id": "p", "src": "x", "tgt": "y"},
+            {"id": "e", "src": "y", "tgt": "y"},
+            {"id": "k", "src": "y", "tgt": "y"},
+        ],
+        "compose": {"e": {"e": "e", "k": "e", "p": "p"}, "k": {"e": "k", "k": "k", "p": "p"}},
+    }
+    cod = {
+        "objects": ["a", "b"],
+        "morphisms": [{"id": "u", "src": "a", "tgt": "b"}, {"id": "v", "src": "b", "tgt": "b"}],
+        "compose": {"v": {"v": "v", "u": "u"}},
+    }
+    doc = {
+        "format": 1,
+        "categories": {"C": cod, "D": dom},
+        "functors": {
+            "F": {
+                "dom": "D", "cod": "C", "omap": {"x": "a", "y": "b"},
+                "mmap": {"p": "u", "e": "v", "k": "id:b", "id:y": "u"},
+            }
+        },
+        "presheaves": {
+            "W": {
+                "base": "D",
+                "eltset": {"x": ["s"], "y": ["t", "t2"]},
+                "action": {
+                    "p": {"t": "s", "t2": "s"}, "e": {"t": "t2", "t2": "t2"},
+                    "k": {"t": "t", "t2": "t"}, "id:y": {"t": "t2", "t2": "t"},
+                },
+            }
+        },
+    }
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    violations = ["functors.F: endpoint-preservation ('id:y',)"]
+    violations += ["functors.F: identity-preservation ('y',)"]
+    violations += [
+        f"functors.F: composition-preservation {pair}"
+        for pair in [("k", "e"), ("e", "id:y"), ("k", "id:y"), ("id:y", "p"), ("id:y", "e"),
+                     ("id:y", "k"), ("id:y", "id:y")]
+    ]
+    violations += ["presheaves.W: identity-action ('y',)"]
+    violations += [
+        f"presheaves.W: composition-action {pair}"
+        for pair in [("e", "k"), ("k", "e"), ("e", "id:y"), ("k", "id:y"), ("id:y", "id:y")]
+    ]
     expected = "".join(f"VIOLATION: {v}\n" for v in violations)
     assert run(["validate", str(ws)]) == (1, "FAIL: validation\n" + expected)
 

@@ -50,7 +50,7 @@ def pi0_read_off_each_comma(F):
         block.update((oid, blk[0]) for blk in blocks for oid in blk)
     action = {
         g.id: {
-            block[tuple_id(c, "*", f)]: block[tuple_id(c, "*", D.compose[(g.id, f)])]
+            block[tuple_id(c, "*", f)]: block[tuple_id(c, "*", D.compose[g.id][f])]
             for c in F.dom.objects
             for f in D.hom(F.omap[c], g.src)
         }
@@ -66,8 +66,10 @@ def category(objects, arrows, composites=()):
         objects,
         [Morphism(*a) for a in arrows],
         {o: f"id:{o}" for o in objects},
-        {(g, f): h for g, f, h in composites},
+        {},
     )
+    for g, f, h in composites:
+        cat.compose.setdefault(g, {})[f] = h
     complete_units(cat)
     return cat
 
@@ -291,7 +293,7 @@ def _isolated_object(built):
     no arrow but its identity."""
     t, p = built.total, built.projection
     at, i = p.cod.objects[0], Morphism("id:ghost", "ghost", "ghost")
-    identity, compose = {**t.identity, "ghost": i.id}, {**t.compose, (i.id, i.id): i.id}
+    identity, compose = {**t.identity, "ghost": i.id}, {**t.compose, i.id: {i.id: i.id}}
     total = FinCat(t.objects + ("ghost",), t.morphisms + (i,), identity, compose)
     omap, mmap = {**p.omap, "ghost": at}, {**p.mmap, i.id: p.cod.identity[at]}
     return replace(built, total=total, projection=FunctorSpec(total, p.cod, omap, mmap))

@@ -56,7 +56,11 @@ class TestDiscreteFibration:
             p.dom.objects,
             kept,
             p.dom.identity,
-            {k: v for k, v in p.dom.compose.items() if "g:C0" not in k},
+            {
+                g: {f: h for f, h in row.items() if f != "g:C0"}
+                for g, row in p.dom.compose.items()
+                if g != "g:C0"
+            },
         )
         broken = FunctorSpec(
             total, p.cod, p.omap, {k: v for k, v in p.mmap.items() if k != "g:C0"}
@@ -128,9 +132,10 @@ class TestReindex:
                 assert reindex(q, idm).table == {
                     x: x for x in fibre(q, obj).elements
                 }
-            for (g, f), h in q.cod.compose.items():
-                rf, rg = reindex(q, f).table, reindex(q, g).table
-                assert reindex(q, h).table == {x: rf[rg[x]] for x in rg}
+            for g, row in q.cod.compose.items():
+                for f, h in row.items():
+                    rf, rg = reindex(q, f).table, reindex(q, g).table
+                    assert reindex(q, h).table == {x: rf[rg[x]] for x in rg}
 
 
 class TestCartesian:

@@ -48,12 +48,7 @@ def arrow_category():
             Morphism("id:b", "b", "b"),
         ),
         {"a": "id:a", "b": "id:b"},
-        {
-            ("u", "id:a"): "u",
-            ("id:b", "u"): "u",
-            ("id:a", "id:a"): "id:a",
-            ("id:b", "id:b"): "id:b",
-        },
+        {"u": {"id:a": "u"}, "id:b": {"u": "u", "id:b": "id:b"}, "id:a": {"id:a": "id:a"}},
     )
     return cat
 
@@ -71,7 +66,10 @@ class TestValidateCategory:
             g.objects,
             g.morphisms,
             g.identity,
-            {k: v for k, v in g.compose.items() if k != (("(b->a)"), "(a->b)")},
+            {
+                x: {f: h for f, h in row.items() if (x, f) != ("(b->a)", "(a->b)")}
+                for x, row in g.compose.items()
+            },
         )
         report = validate_category(broken)
         assert not report.ok
@@ -112,9 +110,11 @@ def _parallel_redirect(rng, ids, identity, compose, by_id):
 
 
 def _mutate(rng, c, kind):
-    """A copy of c with one defect of the given kind."""
+    """A copy of c with one defect of the given kind.  The table is edited
+    as {(g, f): g.f} and grouped into rows again at the end."""
     objects, morphisms = list(c.objects), list(c.morphisms)
-    identity, compose = dict(c.identity), dict(c.compose)
+    identity = dict(c.identity)
+    compose = {(g, f): h for g, row in c.compose.items() for f, h in row.items()}
     ids, by_id = [m.id for m in morphisms], {m.id: m for m in morphisms}
     if kind == "drop" and compose:
         del compose[rng.choice(list(compose))]
@@ -154,7 +154,10 @@ def _mutate(rng, c, kind):
             morphisms.insert(rng.randrange(len(morphisms) + 1), Morphism(m.id, m.tgt, m.src))
         else:
             objects.insert(rng.randrange(len(objects) + 1), rng.choice(objects))
-    return FinCat(tuple(objects), tuple(morphisms), identity, compose)
+    rows = {}
+    for (g, f), h in compose.items():
+        rows.setdefault(g, {})[f] = h
+    return FinCat(tuple(objects), tuple(morphisms), identity, rows)
 
 
 MUTATIONS = (
@@ -252,9 +255,10 @@ def _category_doc(rng, c):
     synthesize and fill in again."""
     gone = {i for o, i in c.identity.items() if i == f"id:{o}" and rng.random() < 0.3}
     compose = {}
-    for (g, f), h in c.compose.items():
-        if not {g, f, h} & gone:
-            compose.setdefault(g, {})[f] = h
+    for g, row in c.compose.items():
+        for f, h in row.items():
+            if not {g, f, h} & gone:
+                compose.setdefault(g, {})[f] = h
     return {
         "objects": list(c.objects),
         "morphisms": [
@@ -412,8 +416,10 @@ def with_units(objects, arrows, composites=()):
         objects,
         [Morphism(f"id:{o}", o, o) for o in objects] + [Morphism(*a) for a in arrows],
         {o: f"id:{o}" for o in objects},
-        {(g, f): h for g, f, h in composites},
+        {},
     )
+    for g, f, h in composites:
+        cat.compose.setdefault(g, {})[f] = h
     complete_units(cat)
     return cat
 
@@ -446,7 +452,7 @@ LAW_CASES = [
             ("a", "b"),
             (Morphism("u", "a", "b"), Morphism("id:b", "b", "b")),
             {"a": "u", "b": "id:b"},
-            {("id:b", "u"): "u", ("id:b", "id:b"): "id:b"},
+            {"id:b": {"u": "u", "id:b": "id:b"}},
         ),
         [("identity-endpoints", ("a", "u"))],
     ),
@@ -505,7 +511,7 @@ def test_an_identity_that_is_no_loop_breaks_the_identity_action():
         ("a", "b"),
         (Morphism("u", "a", "b"), Morphism("id:b", "b", "b")),
         {"a": "u", "b": "id:b"},
-        {("id:b", "u"): "u", ("id:b", "id:b"): "id:b"},
+        {"id:b": {"u": "u", "id:b": "id:b"}},
     )
     W = SetValuedFunctor(
         base, CONTRAVARIANT, {"a": ("x",), "b": ("y",)}, {"u": {"y": "x"}, "id:b": {"y": "y"}}

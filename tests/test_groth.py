@@ -99,7 +99,7 @@ class TestElements:
     def test_a_composite_over_an_empty_fibre_is_never_looked_up(self):
         # the table lacks g . f, but nothing lies over C, so no arrow is over g
         base = chain_base()
-        del base.compose["g", "f"]
+        del base.compose["g"]["f"]
         eltset = {"A": ("a",), "B": ("b",), "C": ()}
         action = {"f": {"b": "a"}, "g": {}, "gf": {}, "id:A": {"a": "a"}, "id:B": {"b": "b"}}
         W = SetValuedFunctor(base, CONTRAVARIANT, eltset, {"id:C": {}, **action})

@@ -33,8 +33,8 @@ class TestMcg:
         g = mcg("abc")
         for m in g.morphisms:
             back = f"({m.tgt}->{m.src})"
-            assert g.compose[(back, m.id)] == g.identity[m.src]
-            assert g.compose[(m.id, back)] == g.identity[m.tgt]
+            assert g.compose[back][m.id] == g.identity[m.src]
+            assert g.compose[m.id][back] == g.identity[m.tgt]
 
     def test_recognition(self):
         assert is_mcg(mcg("abcd"))
@@ -129,7 +129,11 @@ class TestClassification:
                 tuple(e for e in E.objects if e != gone),
                 morphisms,
                 {e: i for e, i in E.identity.items() if e != gone},
-                {(g, f): h for (g, f), h in E.compose.items() if g in kept and f in kept},
+                {
+                    g: {f: h for f, h in row.items() if f in kept}
+                    for g, row in E.compose.items()
+                    if g in kept
+                },
             )
             omap = {e: p.omap[e] for e in sub.objects}
             q = FunctorSpec(sub, p.cod, omap, {mid: p.mmap[mid] for mid in kept})
@@ -149,7 +153,7 @@ class TestClassification:
         # morphisms have no lifts
         small = FinCat(
             ("e",), (Morphism("id:e", "e", "e"),), {"e": "id:e"},
-            {("id:e", "id:e"): "id:e"},
+            {"id:e": {"id:e": "id:e"}},
         )
         lop = FunctorSpec(small, mcg("ab"), {"e": "a"}, {"id:e": "(a->a)"})
         with pytest.raises(NotDiscreteFibration):

@@ -283,11 +283,15 @@ def test_validate_category_matches_the_scan_on_concrete_categories(W, data):
     assert validate_category(c).violations == scan_validate_category(c) == ()
     ends = {m.id: (m.src, m.tgt) for m in c.morphisms}
     parallel = [
-        (key, m) for key, h in c.compose.items() for m in ends if m != h and ends[m] == ends[h]
+        (g, f, m)
+        for g, row in c.compose.items()
+        for f, h in row.items()
+        for m in ends
+        if m != h and ends[m] == ends[h]
     ]
     if parallel:
-        key, m = data.draw(st.sampled_from(parallel))
-        bad = FinCat(c.objects, c.morphisms, c.identity, {**c.compose, key: m})
+        g, f, m = data.draw(st.sampled_from(parallel))
+        bad = FinCat(c.objects, c.morphisms, c.identity, {**c.compose, g: {**c.compose[g], f: m}})
         assert validate_category(bad).violations == scan_validate_category(bad)
 
 
@@ -380,7 +384,7 @@ def test_a_lexicon_parses_each_text_once_and_reports_the_first_bad_entry(texts):
             assert (exc.path, exc.message) == (f"lexicons.L[{bad}].type", problems[bad])
         else:
             assert bad is None
-            assert [t for _, _, t in ws.lexicons["L"]] == [parse_type(t) for t in texts]
+            assert [t for *_, t in ws.lexicons["L"]] == [parse_type(t) for t in texts]
     assert parse.call_count == len({t for t in read if is_plain_id(t)})
 
 
