@@ -114,8 +114,9 @@ def _id_list(value, path):
 def _validated(where, validate, x, violations, filled):
     """The report of validate(x), after appending its law violations,
     prefixed by where, to violations; a MalformedSpec becomes a SchemaError
-    at where.  Those at the pairs in filled, which complete_units filled in,
-    follow the table's others in that order, as in the file's table."""
+    at where.  Of the violations found in the walk over the table, those at
+    the pairs in filled, which complete_units filled in, follow the others,
+    in filled's order, as if the table listed the file's entries first."""
     try:
         report = validate(x)
     except MalformedSpec as exc:
