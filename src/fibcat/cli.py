@@ -9,7 +9,8 @@ is a SchemaError, as is any id that fails ``fincat.is_plain_id``.
 ``load`` builds each category, functor and presheaf and validates it before
 it builds the next.  Each record field has one check, whose raise alone
 formats the record's path.  A file that is not UTF-8 JSON, or that nests
-too deeply to decode, is a SchemaError at "$".
+too deeply to decode, is a SchemaError at "$", as is one with a \\u escape
+that gives a lone surrogate, which no output could encode.
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
 fincat validator of the structure.  Each ``compose`` row of the file is
@@ -290,11 +291,17 @@ def _build_corpus(name, sentences):
 def load(path) -> Workspace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    if "\\u" in text:  # only a \u escape can give a lone surrogate, which no output encodes
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("$", "a \\u escape gives a lone surrogate") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     version = doc.get("format")  # JSON true equals 1 in Python
     _require(version == FORMAT_VERSION and version is not True, "format", "expected format 1")

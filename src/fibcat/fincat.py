@@ -16,7 +16,7 @@ from functools import cached_property
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     id: str
     src: str
@@ -134,19 +134,25 @@ def tuple_id(*parts):
 _ID_RULE = "brackets must nest and '|' may appear only inside them"
 
 
+# every byte but those of "(", ")" and "|", which UTF-8 gives no other character
+_NOT_A_BRACKET = bytes(b for b in range(256) if b not in b"()|")
+_OPEN, _CLOSE = b"()"
+
+
 def is_plain_id(s):
     """True if the brackets in s nest properly and no "|" is outside them."""
     if "(" not in s and ")" not in s and "|" not in s:
         return True
     depth = 0
-    for ch in s:
-        if ch == "(":
+    # a library caller may pass a lone surrogate, which strict UTF-8 refuses
+    for b in s.encode("utf-8", "surrogatepass").translate(None, _NOT_A_BRACKET):
+        if b == _OPEN:
             depth += 1
-        elif ch == ")":
+        elif b == _CLOSE:
             depth -= 1
             if depth < 0:
                 return False
-        elif ch == "|" and depth == 0:
+        elif depth == 0:
             return False
     return depth == 0
 
@@ -193,7 +199,9 @@ def validate_category(c: FinCat) -> ValidationReport:
     pairs are walked only when there are more of them than that count, to
     list the missing ones.  Repeated ids are checked last.  Once every other
     law holds, a triple with an identity in it is associative by the unit
-    laws, so it is skipped."""
+    laws, so it is skipped; and if the category is thin, with at most one
+    arrow per hom-set, no triple is walked, since both composites of each
+    lie in one hom-set."""
     objects, by_id, identity = c._obj_index, c._by_id, c.identity
     for i, m in enumerate(c.morphisms):
         if m.src not in objects:
@@ -248,6 +256,8 @@ def validate_category(c: FinCat) -> ValidationReport:
         if lid is not None and compose.get(lid, _NO_ROW).get(m.id, m.id) != m.id:
             violations.append(_violation("left-unit", (lid, m.id)))
     # associativity, only meaningful where the table is total enough
+    if not violations and len({(m.src, m.tgt) for m in c.morphisms}) == len(c.morphisms):
+        return ValidationReport()
     skip = () if violations else set(identity.values())
     into = {o: [m for m in c.into(o) if m.id not in skip] for o in c.objects}
     for h in c.morphisms:

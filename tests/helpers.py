@@ -738,6 +738,21 @@ def scan_validate_category(c: FinCat, entries=None):
     return tuple(violations)
 
 
+def scan_is_plain_id(s):
+    """fincat.is_plain_id by its former walk over every character of s."""
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif ch == "|" and depth == 0:
+            return False
+    return depth == 0
+
+
 # --- the loader's former category builder ----------------------------------
 
 _ID_RULE = "brackets must nest and '|' may appear only inside them"

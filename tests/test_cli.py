@@ -88,6 +88,40 @@ class TestLoadSave:
         assert text.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({"format": 1, "categories": {"C\ud800": {"objects": 5}}}, ["validate"]),
+            (None, ["fibres", "p"]),
+            (None, ["comma", "p", "p"]),
+            (None, ["dot", "C"]),
+        ],
+        ids=["validate", "fibres", "comma", "dot"],
+    )
+    def test_a_lone_surrogate_is_refused_at_load(self, tmp_path, doc, argv):
+        # json.dumps writes it as the escape \ud800; printed, it would raise
+        # UnicodeEncodeError on any UTF-8 output
+        doc = doc or self._one_object_workspace("a\ud800")
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        code, text = run([argv[0], str(path), *argv[1:]])
+        assert (code, text) == (2, "ERROR: $: a \\u escape gives a lone surrogate\n")
+
+    def test_an_escaped_surrogate_pair_loads(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(self._one_object_workspace("a\U0001F600")))
+        assert "\\ud83d\\ude00" in path.read_text()
+        assert run(["fibres", str(path), "p"]) == (0, "a\U0001F600: a\U0001F600\n")
+
+    @staticmethod
+    def _one_object_workspace(obj):
+        """A category C on obj alone and its identity functor p."""
+        return {
+            "format": 1,
+            "categories": {"C": {"objects": [obj], "morphisms": []}},
+            "functors": {"p": {"dom": "C", "cod": "C", "omap": {obj: obj}, "mmap": {}}},
+        }
+
+    @pytest.mark.parametrize(
         "version, result",
         [
             (True, (2, "ERROR: format: expected format 1\n")),  # True == 1 in Python

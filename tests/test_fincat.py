@@ -168,7 +168,7 @@ MUTATIONS = (
 
 class TestValidateCategoryOracle:
     """validate_category against the full pair and triple loops it had before
-    it counted totality and skipped identity triples."""
+    it counted totality and skipped identity triples and thin categories."""
 
     def test_matches_the_scan_on_random_categories(self, rng):
         laws, malformed = set(), 0
@@ -220,6 +220,32 @@ class TestValidateCategoryOracle:
             (v["law"], v["witness"]) for v in violations
         ]
         assert violations[0]["law"] == "right-unit"
+
+    def test_a_thin_category_with_a_redirected_composite_walks_its_triples(self):
+        # mcg(3) stays thin, but (b->c).(a->b) = (a->b) breaks endpoint
+        # coherence, so the triples through that entry are checked too
+        c = mcg("abc")
+        c.compose["(b->c)"]["(a->b)"] = "(a->b)"
+        violations = validate_category(c).violations
+        assert violations == scan_validate_category(c)
+        assert [v["law"] for v in violations][:1] == ["endpoint-coherence"]
+        assert "associativity" in {v["law"] for v in violations}
+
+    def test_no_triple_of_a_lawful_thin_category_is_read(self):
+        reads = []
+
+        class Row(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        c = mcg("abcd")
+        rows = {g: Row(row) for g, row in c.compose.items()}
+        assert validate_category(FinCat(c.objects, c.morphisms, c.identity, rows)).ok
+        assert reads == []
+        rows["(b->c)"]["(a->b)"] = "(a->b)"  # not lawful: the triples are read
+        assert not validate_category(FinCat(c.objects, c.morphisms, c.identity, rows)).ok
+        assert reads
 
     def test_the_first_repeated_id_matches_the_scan(self, rng):
         for _ in range(200):

@@ -6,6 +6,10 @@ construction (no two non-identity morphisms compose), a presheaf on it, its
 identity functor and a functor to the terminal category.  Only the ids are
 adversarial.
 
+``is_plain_id`` is compared with its former walk over every character
+(``helpers.scan_is_plain_id``) on text that mixes the brackets with
+characters of every UTF-8 length and lone surrogates.
+
 The loader's category builder is compared with the one it replaced,
 ``helpers.scan_build_category``, on generated category documents whose ids,
 references and shapes are adversarial.
@@ -75,6 +79,7 @@ from helpers import (
     scan_comma,
     scan_discrete_opfibration,
     scan_elements,
+    scan_is_plain_id,
     scan_longest_match,
     scan_validate_category,
 )
@@ -120,6 +125,26 @@ def workspaces(draw):
         },
         "presheaves": {"W": {"base": "C", "eltset": eltset, "action": action}},
     }
+
+
+# The brackets, ASCII, characters of 2, 3 and 4 UTF-8 bytes, and lone
+# surrogates, which a library caller such as mcg() may still pass.
+id_chars = st.one_of(
+    st.sampled_from("()|"),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF),
+    st.characters(min_codepoint=0x10000),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+
+
+@given(st.lists(id_chars, max_size=12).map("".join))
+@example("(\ud800|\udfff)")
+@example("(é|ü)|")
+@settings(max_examples=300, deadline=None)
+def test_is_plain_id_matches_the_walk_over_every_character(s):
+    assert is_plain_id(s) == scan_is_plain_id(s)
 
 
 plain_ids = st.text("ab()|->:*", max_size=5).filter(is_plain_id)
