@@ -1,13 +1,14 @@
 """Pregroup types, contraction-based reduction, and the corpus-driven toy
 semantics.
 
-Types are strings of simple types carrying an adjoint exponent; reduction
-contracts adjacent pairs (b, z)(b, z+1) only, each time the leftmost pair
-after which the target can still be reached.  A convention is the sign of
-the exponent of ^l, and ^r has the opposite sign: the default "paper"
-convention takes ^l to +1 so that n . n^l contracts; "lambek" takes ^l to
--1, so it negates every exponent of the paper reading.  ``parse_type``
-reads the paper convention only, and ``in_convention`` converts its result.
+Types are strings of simple types carrying an adjoint exponent, the number
+of its l markers less the number of its r markers, so a type reads the same
+in every convention.  A convention only chooses which adjoint cancels:
+reduction contracts adjacent pairs (b, z)(b, z + d) only, with d the
+convention's entry in CONVENTIONS, each time the leftmost pair after which
+the target can still be reached.  The default "paper" convention (d = +1)
+contracts n . n^l and n^r . n; "lambek" (d = -1) contracts n^l . n and
+n . n^r.
 
 ``build_semantics`` assembles a finite base category from corpus parses,
 assigns each constituent the set of corpus sentences containing its
@@ -31,7 +32,7 @@ from .fincat import (
     tuple_id,
 )
 
-CONVENTIONS = {"paper": +1, "lambek": -1}  # the exponent of ^l; ^r is its negative
+CONVENTIONS = {"paper": +1, "lambek": -1}  # (b, z) contracts with a next (b, z + d)
 
 
 @dataclass(frozen=True)
@@ -43,19 +44,12 @@ class SimpleType:
 # a pregroup type is a tuple of SimpleType; the empty tuple is the unit
 
 
-def in_convention(t, convention):
-    """The type t, parsed in the paper convention, as `convention` reads it."""
-    sign = CONVENTIONS[convention]
-    return tuple(SimpleType(st.base, sign * st.exponent) for st in t)
-
-
-def format_type(t, convention="paper"):
+def format_type(t):
     if not t:
         return "1"
-    sign = CONVENTIONS[convention]
     parts = []
     for st in t:
-        z = sign * st.exponent  # the number of l markers, or minus that of r
+        z = st.exponent  # the number of l markers, or minus that of r
         parts.append(st.base + ("^" + ("l" if z > 0 else "r") * abs(z) if z else ""))
     return ".".join(parts)
 
@@ -64,8 +58,7 @@ _TOKEN = re.compile(r"([^\s.^]+)(?:\^([lr]+))?$")
 
 
 def parse_type(text):
-    """The type that text denotes in the paper convention; ``in_convention``
-    reads it in another."""
+    """The type that text denotes, in every convention."""
     simples = []
     for chunk in re.finditer(r"[^.\s]+", text):
         col, m = chunk.start(), _TOKEN.match(chunk.group())
@@ -84,7 +77,7 @@ def parse_type(text):
 class ReductionStep:
     position: int
     cancelled_base: str
-    cancelled_exponents: tuple  # (z, z+1)
+    cancelled_exponents: tuple  # (z, z + d), as written
 
 
 @dataclass(frozen=True)
@@ -100,16 +93,12 @@ class NoReduction:
     target: tuple
 
 
-def _contractible(a: SimpleType, b: SimpleType):
-    return a.base == b.base and b.exponent == a.exponent + 1
-
-
-def apply_step(t, step: ReductionStep):
+def apply_step(t, step: ReductionStep, convention="paper"):
     i = step.position
     if i < 0 or i + 1 >= len(t):
         raise ValueError("step position out of range")
     a, b = t[i], t[i + 1]
-    if not _contractible(a, b):
+    if a.base != b.base or b.exponent != a.exponent + CONVENTIONS[convention]:
         raise ValueError(f"pair at {i} is not contractible")
     if a.base != step.cancelled_base or (a.exponent, b.exponent) != tuple(
         step.cancelled_exponents
@@ -118,25 +107,25 @@ def apply_step(t, step: ReductionStep):
     return t[:i] + t[i + 2 :]
 
 
-def replay(witness: ReductionWitness):
+def replay(witness: ReductionWitness, convention="paper"):
     cur = witness.start
     for step in witness.steps:
-        cur = apply_step(cur, step)
+        cur = apply_step(cur, step, convention)
     return cur == witness.end
 
 
-def reduce(t, target):
-    """The contractions from t to target, leftmost feasible first: each step
-    contracts the leftmost adjacent pair after which target can still be
-    reached.  That is the first success of a leftmost-first backtracking
-    search, found without backtracking.  Returns a NoReduction value when
-    t cannot reach target."""
-    t, target = tuple(t), tuple(target)
+def reduce(t, target, convention="paper"):
+    """The contractions from t to target by the convention's rule, leftmost
+    feasible first: each step contracts the leftmost adjacent pair after
+    which target can still be reached.  That is the first success of a
+    leftmost-first backtracking search, found without backtracking.
+    Returns a NoReduction value when t cannot reach target."""
+    t, target, d = tuple(t), tuple(target), CONVENTIONS[convention]
     code = {}  # (base, exponent) -> a small int
     cur = [code.setdefault((st.base, st.exponent), len(code)) for st in t]
     goal = [code.setdefault((st.base, st.exponent), len(code)) for st in target]
     simple = list(code)
-    succ = [code.get((b, z + 1), -1) for b, z in simple]  # x contracts with succ[x]
+    succ = [code.get((b, z + d), -1) for b, z in simple]  # x contracts with succ[x]
     at = [0] * len(code)  # the target indices that hold each code
     for j, c in enumerate(goal):
         at[c] |= 1 << j
@@ -164,7 +153,7 @@ def reduce(t, target):
         else:  # a reachable target always leaves some contraction feasible
             raise AssertionError(f"no feasible contraction in {cur}")
         b, z = simple[cur[i]]
-        steps.append(ReductionStep(position=i, cancelled_base=b, cancelled_exponents=(z, z + 1)))
+        steps.append(ReductionStep(position=i, cancelled_base=b, cancelled_exponents=(z, z + d)))
         cur, E, R, occ = nxt, E2, R2, occ2
     return ReductionWitness(start=t, steps=tuple(steps), end=target)
 
@@ -218,8 +207,7 @@ class Lexicon:
 
 
 def make_lexicon(pairs):
-    """Build a Lexicon from (phrase string, type string) pairs, the types in
-    the paper convention."""
+    """Build a Lexicon from (phrase string, type string) pairs."""
     return Lexicon(
         entries=tuple((tuple(phrase.split()), parse_type(text)) for phrase, text in pairs)
     )
@@ -238,17 +226,17 @@ class ParseResult:
     witness: ReductionWitness
 
 
-def describe(failure, convention="paper"):
+def describe(failure):
     """The detail of a ParseFailure as text: the unknown word, or the
     NoReduction with both types in type syntax."""
     d = failure.detail
     if failure.kind == "unknown-phrase":
         return d
-    start, target = (format_type(t, convention) for t in (d.start, d.target))
+    start, target = (format_type(t) for t in (d.start, d.target))
     return f"NoReduction(start={start}, target={target})"
 
 
-def parse_sentence(tokens, lex: Lexicon, target):
+def parse_sentence(tokens, lex: Lexicon, target, convention="paper"):
     """Longest-match segmentation left to right, then contraction search."""
     tokens = tuple(tokens)
     segmentation, types = [], []
@@ -262,7 +250,7 @@ def parse_sentence(tokens, lex: Lexicon, target):
         types.append(ptype)
         pos += len(phrase)
     concat = tuple(st for t in types for st in t)
-    witness = reduce(concat, target)
+    witness = reduce(concat, target, convention)
     if isinstance(witness, NoReduction):
         return ParseFailure(kind="no-reduction", detail=witness)
     return ParseResult(
@@ -281,8 +269,8 @@ class SpeakerFibration:
     fibration: object  # ElementsResult
 
 
-def _constituent_id(phrase, ptype, convention):
-    return f"({' '.join(phrase)}, {format_type(ptype, convention)})"
+def _constituent_id(phrase, ptype):
+    return f"({' '.join(phrase)}, {format_type(ptype)})"
 
 
 def _tuple_elt(parts):
@@ -301,9 +289,9 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     for i, tokens in enumerate(corpus):
         tokens = tuple(tokens)
         if tokens not in sentences:
-            result = parse_sentence(tokens, lex, target)
+            result = parse_sentence(tokens, lex, target, convention)
             if isinstance(result, ParseFailure):
-                raise UnparsedSentence(i, result, describe(result, convention))
+                raise UnparsedSentence(i, result, describe(result))
             sentences[tokens] = (" ".join(tokens), result)
 
     eltset = {}  # in insertion order, which is the order of the objects
@@ -313,7 +301,7 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
             eltset[oid] = tuple(elts)
 
     parts = [
-        tuple(_constituent_id(ph, ty, convention) for ph, ty in zip(r.segmentation, r.types))
+        tuple(_constituent_id(ph, ty) for ph, ty in zip(r.segmentation, r.types))
         for _, r in sentences.values()
     ]
     # A sentence that is one phrase of the target type has the id of that
@@ -324,9 +312,9 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
     # per parse: sentence id, sentence object, phrases, constituent ids, tensor id
     shapes = []
     for (sid, result), part_ids in zip(sentences.values(), parts):
-        sent_obj = _constituent_id((sid,), result.witness.end, convention)
+        sent_obj = _constituent_id((sid,), result.witness.end)
         if sent_obj in shared:
-            sent_obj = tuple_id(sid, format_type(result.witness.end, convention))
+            sent_obj = tuple_id(sid, format_type(result.witness.end))
         shapes.append((sid, sent_obj, result.segmentation, part_ids, "⊗".join(part_ids)))
     # sentence objects first: they win when a lexicon phrase is itself a
     # full corpus sentence of the target type that no other sentence uses

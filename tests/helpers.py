@@ -29,11 +29,11 @@ from fibcat.fib import is_fib_morphism
 from fibcat.fincat import validate_functor
 from fibcat.mcg import mcg
 from fibcat.pregroup import (
+    CONVENTIONS,
     NoReduction,
     ReductionStep,
     ReductionWitness,
     SimpleType,
-    _contractible,
 )
 
 
@@ -847,19 +847,12 @@ def built_category(build, doc):
 
 # --- pregroup oracles -------------------------------------------------------
 
-# one exponent delta per adjoint marker and convention
-_DELTAS = {
-    "paper": {"l": +1, "r": -1},
-    "lambek": {"l": -1, "r": +1},
-}
+_DELTAS = {"l": +1, "r": -1}  # one exponent delta per adjoint marker
 _TOKEN = re.compile(r"([^\s.^]+)(?:\^([lr]+))?$")
 
 
-def parse_type_by_deltas(text, convention="paper"):
+def parse_type_by_deltas(text):
     """pregroup.parse_type read through a table of marker deltas."""
-    if convention not in _DELTAS:
-        raise ValueError(f"unknown convention {convention!r}")
-    deltas = _DELTAS[convention]
     simples = []
     col = 0
     for chunk in re.split(r"([.\s]+)", text):
@@ -876,7 +869,7 @@ def parse_type_by_deltas(text, convention="paper"):
             if markers:
                 raise TypeSyntaxError("unit type takes no adjoint", col)
         else:
-            simples.append(SimpleType(base, sum(deltas[ch] for ch in markers)))
+            simples.append(SimpleType(base, sum(_DELTAS[ch] for ch in markers)))
         col += len(chunk)
     return tuple(simples)
 
@@ -892,10 +885,17 @@ def scan_longest_match(lex, tokens, start):
     return best
 
 
+def in_convention(t, convention):
+    """t with every exponent times the convention's d: the lambek rule on t
+    is the paper rule on the result."""
+    d = CONVENTIONS[convention]
+    return tuple(SimpleType(st.base, d * st.exponent) for st in t)
+
+
 def search_reduce(t, target):
-    """pregroup.reduce by a backtracking search for a contraction sequence
-    from t to target, leftmost contraction first.  Returns a NoReduction
-    value when the exhaustive search fails."""
+    """pregroup.reduce in the paper convention by a backtracking search for
+    a contraction sequence from t to target, leftmost contraction first.
+    Returns a NoReduction value when the exhaustive search fails."""
     t, target = tuple(t), tuple(target)
     steps = _search(t, (), target, set())
     if steps is None:
@@ -912,7 +912,7 @@ def _search(cur, steps, target, seen):
         return None
     seen.add(cur)
     for i in range(len(cur) - 1):
-        if _contractible(cur[i], cur[i + 1]):
+        if cur[i].base == cur[i + 1].base and cur[i + 1].exponent == cur[i].exponent + 1:
             step = ReductionStep(
                 position=i,
                 cancelled_base=cur[i].base,

@@ -356,17 +356,6 @@ class TestCommands:
         # two distinct type texts among the three lexicon entries, then the target
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("convention", ["paper", "lambek"])
-    def test_each_type_is_converted_once(self, fig2, monkeypatch, convention):
-        calls = []
-        in_convention = cli.pregroup.in_convention
-        monkeypatch.setattr(
-            cli.pregroup, "in_convention", lambda *a: calls.append(a) or in_convention(*a)
-        )
-        run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
-        # two distinct type texts among the three lexicon entries, then the target
-        assert len(calls) == 3
-
     @pytest.mark.parametrize(
         "lexicons, error",
         [
@@ -547,6 +536,26 @@ class TestIdsAndAliases:
         assert back.presheaves["W"].base is back.categories["b"]
         cli.save(back, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_save_names_a_category_held_under_two_names_by_the_first(self, tmp_path):
+        from fibcat.fincat import SetValuedFunctor, identity_functor
+
+        c = mcg("xy")
+        W = SetValuedFunctor(
+            base=c,
+            variance="contravariant",
+            eltset={"x": ("e",), "y": ("e",)},
+            action={m.id: {"e": "e"} for m in c.morphisms},
+        )
+        # "b" is declared first, so it wins though "a" sorts first
+        ws = cli.Workspace(
+            categories={"b": c, "a": c}, functors={"F": identity_functor(c)}, presheaves={"W": W}
+        )
+        path = tmp_path / "ws.json"
+        cli.save(ws, str(path))
+        doc = json.loads(path.read_text())
+        assert (doc["functors"]["F"]["dom"], doc["functors"]["F"]["cod"]) == ("b", "b")
+        assert doc["presheaves"]["W"]["base"] == "b"
 
     def test_colliding_element_ids_are_rejected_at_load(self, tmp_path):
         # objects A|x and A with elements y and x|y would both give (A|x|y)

@@ -11,10 +11,10 @@ from fibcat.pregroup import (
     ParseFailure,
     ParseResult,
     ReductionStep,
+    ReductionWitness,
     SimpleType,
     build_semantics,
     format_type,
-    in_convention,
     make_lexicon,
     parse_sentence,
     parse_type,
@@ -22,7 +22,7 @@ from fibcat.pregroup import (
     replay,
 )
 
-from helpers import search_reduce
+from helpers import in_convention, search_reduce
 
 TOY_LEXICON = [
     ("the cat", "n"),
@@ -46,7 +46,12 @@ class TestTypeSyntax:
         assert parse_type("n^ll") == (SimpleType("n", 2),)
 
     def test_lambek_convention_flips_the_signs(self):
-        assert in_convention(parse_type("n^l"), "lambek") == (SimpleType("n", -1),)
+        # one reading of n^l, and the convention's rule picks which neighbour it cancels
+        assert parse_type("n^l") == (SimpleType("n", 1),)
+        witness = reduce(parse_type("n^l.n"), (), "lambek")
+        assert witness.steps == (ReductionStep(0, "n", (1, 0)),)
+        assert isinstance(reduce(parse_type("n.n^l"), (), "lambek"), NoReduction)
+        assert isinstance(reduce(parse_type("n^l.n"), ()), NoReduction)
 
     def test_unit(self):
         assert parse_type("1") == ()
@@ -172,6 +177,32 @@ class TestReduce:
     @settings(max_examples=500, deadline=None)
     def test_equals_the_leftmost_first_search(self, case):
         assert reduce(*case) == search_reduce(*case)
+
+    # few random types reduce, so planted paper reductions, negated, add lambek ones
+    @given(
+        st.one_of(
+            type_and_target(), planted().map(lambda c: [in_convention(t, "lambek") for t in c])
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_lambek_equals_the_search_on_negated_types(self, case):
+        # lambek's rule on t is the paper rule on t with every exponent negated
+        t, target = case
+        found = search_reduce(in_convention(t, "lambek"), in_convention(target, "lambek"))
+        if isinstance(found, NoReduction):
+            expected = NoReduction(start=t, target=target)
+        else:
+            steps = tuple(
+                ReductionStep(s.position, s.cancelled_base, tuple(-z for z in s.cancelled_exponents))
+                for s in found.steps
+            )
+            expected = ReductionWitness(start=t, steps=steps, end=target)
+        result = reduce(t, target, "lambek")
+        assert result == expected
+        if isinstance(result, ReductionWitness) and result.steps:
+            assert replay(result, "lambek")
+            with pytest.raises(ValueError, match="not contractible"):
+                replay(result, "paper")
 
     @given(planted())
     @settings(max_examples=300, deadline=None)
@@ -308,9 +339,9 @@ class TestSemantics:
 
         calls = []
 
-        def counted(tokens, lex, target):
+        def counted(tokens, lex, target, convention):
             calls.append(tuple(tokens))
-            return parse_sentence(tokens, lex, target)
+            return parse_sentence(tokens, lex, target, convention)
 
         monkeypatch.setattr(pregroup, "parse_sentence", counted)
         lex = make_lexicon(TOY_LEXICON)
@@ -344,7 +375,7 @@ class TestSemantics:
         "corpus, convention, text",
         [
             ([["sleeps", "the", "cat"]], "paper", "NoReduction(start=n^l.s.n, target=s)"),
-            ([["sleeps", "the", "cat"]], "lambek", "NoReduction(start=n^r.s.n, target=s)"),
+            ([["sleeps", "the", "cat"]], "lambek", "NoReduction(start=n^l.s.n, target=s)"),
             ([["the", "cat", "purrs"]], "paper", "unknown phrase 'purrs'"),
         ],
     )

@@ -64,7 +64,6 @@ from fibcat.pregroup import (
     Lexicon,
     SimpleType,
     format_type,
-    in_convention,
     parse_type,
 )
 from helpers import (
@@ -436,29 +435,24 @@ def type_texts(draw, bad=False):
     return text
 
 
-def _read(text, convention):
-    """The type text in the convention, read as the CLI reads it."""
-    return in_convention(parse_type(text), convention)
-
-
-def _parsed(parse, text, convention):
+def _parsed(parse, text):
     try:
-        return parse(text, convention)
+        return parse(text)
     except TypeSyntaxError as exc:
         return str(exc)
 
 
-@given(type_texts(bad=True), st.sampled_from(sorted(CONVENTIONS)))
+@given(type_texts(bad=True))
 @settings(max_examples=200, deadline=None)
-def test_parse_type_matches_the_delta_table(text, convention):
-    assert _parsed(_read, text, convention) == _parsed(parse_type_by_deltas, text, convention)
+def test_parse_type_matches_the_delta_table(text):
+    assert _parsed(parse_type, text) == _parsed(parse_type_by_deltas, text)
 
 
-@given(type_texts(), st.sampled_from(sorted(CONVENTIONS)))
+@given(type_texts())
 @settings(max_examples=200, deadline=None)
-def test_format_type_parses_back_to_the_same_type(text, convention):
-    t = _read(text, convention)
-    assert _read(format_type(t, convention), convention) == t
+def test_format_type_parses_back_to_the_same_type(text):
+    t = parse_type(text)
+    assert parse_type(format_type(t)) == t
 
 
 # Phrases over three words, so that many share a prefix.
