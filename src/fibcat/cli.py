@@ -60,10 +60,10 @@ from .fincat import (
     Morphism,
     SetValuedFunctor,
     ValidationReport,
-    comma,
+    comma_walk,
     complete_units,
     is_plain_id,
-    pullback,
+    pullback_walk,
     validate_category,
     validate_functor,
     validate_set_valued,
@@ -526,11 +526,13 @@ def cmd_check_comma(args, ws, out):
 
 
 def cmd_comma(args, ws, out):
-    """comma and pullback, looked up on each call like cmd_check_comma's check."""
+    """comma and pullback print the objects and morphisms of their walk and
+    build no table or projection; the walk is looked up on each call like
+    cmd_check_comma's check."""
     F = _get(ws.functors, args.F, "functor")
     G = _get(ws.functors, args.G, "functor")
-    construct = comma if args.command == "comma" else pullback
-    _print_category(construct(F, G).cat, out)
+    walk = comma_walk if args.command == "comma" else pullback_walk
+    _print_category(walk(F, G)[0], out)
 
 
 def cmd_mcg(args, ws, out):

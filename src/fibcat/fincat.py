@@ -16,11 +16,21 @@ from functools import cached_property
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Morphism:
     id: str
     src: str
     tgt: str
+
+    def __init__(self, id, src, tgt):
+        # the slot descriptors write past the frozen __setattr__ at half the
+        # cost of the generated __init__'s object.__setattr__ calls
+        _set_id(self, id)
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+
+
+_set_id, _set_src, _set_tgt = Morphism.id.__set__, Morphism.src.__set__, Morphism.tgt.__set__
 
 
 @dataclass(frozen=True)
@@ -471,51 +481,69 @@ def comma(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     record both comparison arrows because the pair (u, v) alone does not
     determine its endpoints in a non-thin codomain.
     """
-    return _comma(F, G, F.cod.hom)
+    return _with_table(F, G, *comma_walk(F, G))
 
 
 def pullback(F: FunctorSpec, G: FunctorSpec) -> CommaResult:
     """Strict pullback: the full subcategory of (F/G) on the objects whose
     comparison arrow is an identity, with the same ids and order."""
+    return _with_table(F, G, *pullback_walk(F, G))
+
+
+def comma_walk(F: FunctorSpec, G: FunctorSpec):
+    """The walk of comma(F, G): its category with an empty table, and the
+    parts of its objects and morphisms."""
+    return _walk(F, G, F.cod.hom)
+
+
+def pullback_walk(F: FunctorSpec, G: FunctorSpec):
+    """The walk of pullback(F, G), as comma_walk."""
     identity = F.cod.identity
-    return _comma(F, G, lambda x, y: (identity[x],) if x == y else ())
+    return _walk(F, G, lambda x, y: (identity[x],) if x == y else ())
 
 
-def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
-    """The full subcategory of (F/G) on the objects whose comparison arrow
-    Fa -> Gb is one of arrows(Fa, Gb)."""
+def _walk(F: FunctorSpec, G: FunctorSpec, arrows):
+    """The objects, morphisms and identities of the full subcategory of
+    (F/G) on the objects whose comparison arrow Fa -> Gb is one of
+    arrows(Fa, Gb), as a FinCat with an empty table; with {(a, b, f): object
+    id} and the parts (u, v, f, f2) of each morphism, in declaration order.
+    An identity is recorded as the morphism (id_a, id_b, f, f) is made."""
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
-    C = F.cod
-    # each id is rendered once and found again from its parts
+    C, id_a, id_b = F.cod, F.dom.identity, G.dom.identity
     pairs = ((a, b) for a in F.dom.objects for b in G.dom.objects)
     arrows_at = {(a, b): arrows(F.omap[a], G.omap[b]) for a, b in pairs}
     obj_id = {(a, b, f): tuple_id(a, b, f) for (a, b), fs in arrows_at.items() for f in fs}
-    morphisms, mor_data, mor_id = [], {}, {}
+    morphisms, parts, identity = [], [], {}
     for u in F.dom.morphisms:
-        Fu = F.mmap[u.id]
+        Fu, u_is_id = F.mmap[u.id], id_a[u.src] == u.id
         for v in G.dom.morphisms:
             sources = arrows_at[u.src, v.src]
             if not sources:
                 continue
             row_v, targets = C.compose[G.mmap[v.id]], arrows_at[u.tgt, v.tgt]
+            both_ids = u_is_id and id_b[v.src] == v.id
             for f in sources:
                 left = row_v[f]
                 for f2 in targets:
                     if C.compose[f2][Fu] != left:
                         continue
                     mid = tuple_id(u.id, v.id, f, f2)
-                    src, tgt = obj_id[u.src, v.src, f], obj_id[u.tgt, v.tgt, f2]
-                    morphisms.append(Morphism(mid, src, tgt))
-                    mor_data[mid] = (u.id, v.id, f, f2)
-                    mor_id[u.id, v.id, f, f2] = mid
-    identity = {
-        oid: mor_id[F.dom.identity[a], G.dom.identity[b], f, f]
-        for (a, b, f), oid in obj_id.items()
-    }
-    cat = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {})
-    for g in cat.morphisms:
-        u2, v2, _, f3 = mor_data[g.id]
+                    src = obj_id[u.src, v.src, f]
+                    morphisms.append(Morphism(mid, src, obj_id[u.tgt, v.tgt, f2]))
+                    parts.append((u.id, v.id, f, f2))
+                    if both_ids and f2 == f:
+                        identity[src] = mid
+    return FinCat(tuple(obj_id.values()), tuple(morphisms), identity, {}), obj_id, parts
+
+
+def _with_table(F: FunctorSpec, G: FunctorSpec, cat, obj_id, parts) -> CommaResult:
+    """The walked category with its table filled in place, and both
+    projections: the composite of (u1, v1, f1, f2) and (u2, v2, f2, f3) is
+    (u2 . u1, v2 . v1, f1, f3)."""
+    ids = [m.id for m in cat.morphisms]
+    mor_data, mor_id = dict(zip(ids, parts)), dict(zip(parts, ids))
+    for g, (u2, v2, _, f3) in zip(cat.morphisms, parts):
         row_u, row_v, row = F.dom.compose[u2], G.dom.compose[v2], {}
         for f in cat.into(g.src):
             u1, v1, f1, _ = mor_data[f.id]
@@ -523,8 +551,8 @@ def _comma(F: FunctorSpec, G: FunctorSpec, arrows) -> CommaResult:
         cat.compose[g.id] = row
 
     def projection(i, D):
-        omap = {oid: parts[i] for parts, oid in obj_id.items()}
-        return FunctorSpec(cat, D, omap, {mid: parts[i] for mid, parts in mor_data.items()})
+        omap = {oid: key[i] for key, oid in obj_id.items()}
+        return FunctorSpec(cat, D, omap, {mid: key[i] for mid, key in mor_data.items()})
 
     return CommaResult(cat=cat, projA=projection(0, F.dom), projB=projection(1, G.dom))
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from fibcat import cli, factor
+from fibcat import cli, factor, fincat
 from fibcat.errors import MalformedSpec, SchemaError, ValidationError
 from fibcat.fib import is_discrete_fibration
 from fibcat.mcg import mcg, product_with_mcg
@@ -268,6 +268,23 @@ class TestCommands:
         assert code == 0
         assert "OBJECT:" in text
 
+    @pytest.mark.parametrize("command", ["comma", "pullback"])
+    def test_comma_and_pullback_build_no_table_and_no_projection(
+        self, fig2, monkeypatch, command
+    ):
+        # they print the objects and morphisms only, so the category they
+        # build keeps its empty table and neither projection is made
+        built, functors = [], []
+        real_cat, real_functor = fincat.FinCat, fincat.FunctorSpec
+        monkeypatch.setattr(fincat, "FinCat", lambda *a: built.append(real_cat(*a)) or built[-1])
+        monkeypatch.setattr(fincat, "FunctorSpec", lambda *a: functors.append(a) or real_functor(*a))
+        code, text = run([command, fig2, "p", "p"])
+        assert code == 0 and "MORPHISM: " in text
+        objects = tuple(line[len("OBJECT: "):] for line in text.splitlines() if "OBJECT: " in line)
+        assert [c.objects for c in built] == [objects]
+        assert built[0].compose == {}
+        assert functors == []
+
     def test_mcg_command(self):
         code, text = run(["mcg", "3"])
         assert code == 0
@@ -392,8 +409,8 @@ class TestOneParser:
         [
             (["check-initial", "WS", "p"], factor, "is_initial"),
             (["check-final", "WS", "p"], factor, "is_final"),
-            (["comma", "WS", "p", "p"], cli, "comma"),
-            (["pullback", "WS", "p", "p"], cli, "pullback"),
+            (["comma", "WS", "p", "p"], cli, "comma_walk"),
+            (["pullback", "WS", "p", "p"], cli, "pullback_walk"),
         ],
         ids=["check-initial", "check-final", "comma", "pullback"],
     )

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from fibcat import cli
@@ -51,6 +55,56 @@ def arrow_category():
         {"u": {"id:a": "u"}, "id:b": {"u": "u", "id:b": "id:b"}, "id:a": {"id:a": "id:a"}},
     )
     return cat
+
+
+class TestMorphism:
+    """Morphism's hand-written __init__ keeps the generated dataclass's
+    behaviour."""
+
+    def test_keyword_construction(self):
+        m = Morphism(tgt="b", id="f", src="a")
+        assert (m.id, m.src, m.tgt) == ("f", "a", "b")
+        assert m == Morphism("f", "a", "b")
+
+    def test_a_missing_or_unknown_field_is_refused(self):
+        with pytest.raises(TypeError):
+            Morphism("f", "a")
+        with pytest.raises(TypeError):
+            Morphism("f", "a", "b", dom="a")
+
+    def test_equality_and_hash_are_by_value(self):
+        m = Morphism("f", "a", "b")
+        assert m == Morphism("f", "a", "b") and hash(m) == hash(Morphism("f", "a", "b"))
+        assert m != Morphism("f", "a", "c") and m != ("f", "a", "b")
+        assert len({m, Morphism("f", "a", "b"), Morphism("g", "a", "b")}) == 2
+
+    def test_repr(self):
+        assert repr(Morphism("f", "a", "b")) == "Morphism(id='f', src='a', tgt='b')"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        m = Morphism("(f|g)", "a", "b")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) == m
+        assert copy.deepcopy(m) == m and copy.copy(m) == m
+
+    def test_replace(self):
+        m = Morphism("f", "a", "b")
+        assert dataclasses.replace(m, tgt="c") == Morphism("f", "a", "c")
+        assert m.tgt == "b"
+
+    def test_match_on_positional_fields(self):
+        match Morphism("f", "a", "b"):
+            case Morphism(mid, src, tgt):
+                assert (mid, src, tgt) == ("f", "a", "b")
+            case _:
+                pytest.fail("no match")
+
+    def test_assignment_is_refused(self):
+        m = Morphism("f", "a", "b")
+        for field in ("id", "src", "tgt"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, field, "x")
+        assert (m.id, m.src, m.tgt) == ("f", "a", "b") and not hasattr(m, "__dict__")
 
 
 class TestValidateCategory:

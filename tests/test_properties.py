@@ -31,6 +31,7 @@ convention and with the target s or the unit.
 
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -53,12 +54,13 @@ from fibcat.fincat import (
     is_plain_id,
     opposite,
     opposite_functor,
+    pullback,
     terminal_category,
     tuple_id,
     validate_category,
 )
 from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf
-from fibcat.mcg import mcg
+from fibcat.mcg import mcg, mcg_on_function
 from fibcat.pregroup import (
     CONVENTIONS,
     Lexicon,
@@ -374,6 +376,35 @@ def test_the_legs_of_a_comma_square_over_a_concrete_category(W):
     cm = comma(elements(W).projection, identity_functor(W.base))
     assert is_fibration(cm.projA).ok
     assert is_opfibration(cm.projB).ok
+
+
+def _category_lines(cat):
+    lines = [f"OBJECT: {o}" for o in cat.objects]
+    morphisms = (m for m in cat.morphisms if not cat.is_identity(m.id))
+    return lines + [f"MORPHISM: {m.id} : {m.src} -> {m.tgt}" for m in morphisms]
+
+
+@given(small_concrete_categories, st.lists(st.sampled_from("xyz"), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_comma_and_pullback_commands_print_the_library_categories(W, images):
+    # the commands build only the objects and morphisms they print; the
+    # library builds the whole result, which helpers.scan_comma checks
+    h = mcg_on_function(dict(zip("abc", images)), "abc"[: len(images)], "xyz")
+    p, idC, idM = elements(W).projection, identity_functor(W.base), identity_functor(h.cod)
+    categories = {"C": W.base, "E": p.dom, "A": h.dom, "M": h.cod}
+    functors = {"p": p, "id": idC, "h": h, "idM": idM}
+    ws = cli.Workspace(categories=categories, functors=functors)
+    pairs = [("p", "id"), ("id", "p"), ("id", "id"), ("h", "idM"), ("idM", "h")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ws.json")
+        cli.save(ws, path)
+        for (name, build), (F, G) in itertools.product(
+            [("comma", comma), ("pullback", pullback)], pairs
+        ):
+            out = io.StringIO()
+            assert cli.main([name, path, F, G], out=out) == 0
+            expected = _category_lines(build(functors[F], functors[G]).cat)
+            assert out.getvalue().splitlines() == expected
 
 
 # Type texts that parse, and ones that break the id rule or the type syntax.
