@@ -19,8 +19,12 @@ kept, uncopied, as the category's row, with the unit composites filled in.
 structure's place in the workspace, reads a missing composite off its
 composition-totality violations, and raises the law violations of all
 structures in one ValidationError.  Each distinct lexicon type text is
-parsed, and each phrase split, once per load.  ``save`` emits a canonical
-form, with sorted rows, so save . load is byte-stable.
+parsed, each phrase split, and each lexicon's pregroup.Lexicon built, once
+per load; a phrase or string sentence without "(", ")" or "|" needs none
+of its words checked against the id rule.  ``save`` writes the lexicon
+entries as the file wrote them, and emits a canonical form, with sorted
+rows, so save . load is byte-stable.  Each command writes its output to
+``out``, one write per line.
 """
 
 from __future__ import annotations
@@ -77,13 +81,20 @@ class Workspace:
     categories: dict = field(default_factory=dict)
     functors: dict = field(default_factory=dict)
     presheaves: dict = field(default_factory=dict)
-    lexicons: dict = field(default_factory=dict)  # name -> [(phrase, words, text, type)]
+    # name -> (pregroup.Lexicon, ((phrase, type text), ...) as written)
+    lexicons: dict = field(default_factory=dict)
     corpora: dict = field(default_factory=dict)  # name -> list of token lists
 
 
 def _require(cond, path, message):
     if not cond:
         raise SchemaError(path, message)
+
+
+def _bracketed(text):
+    """True if text holds "(", ")" or "|"; without them, text and each of
+    its words pass the id rule."""
+    return "(" in text or ")" in text or "|" in text
 
 
 def _require_ids(ids, path):
@@ -249,27 +260,28 @@ def _type(text, path):
 
 
 def _build_lexicon(name, entries, parsed):
-    """(phrase, words, type text, type) entries; each type must parse, each
-    phrase occurs once and is non-empty.  parsed maps each type text already
-    parsed in this load to its type, so each is parsed once."""
+    """The Lexicon of entries, and their (phrase, type text) pairs as
+    written; each type must parse, each phrase occurs once and is
+    non-empty.  parsed maps each type text already parsed in this load to
+    its type, so each is parsed once."""
     lpath = f"lexicons.{name}"
     _require(isinstance(entries, list), lpath, "expected a list")
-    lexicon, phrases = [], set()
+    index, written = {}, []  # phrase words -> type
     for i, rec in enumerate(entries):
         if not (isinstance(rec, dict) and "phrase" in rec and "type" in rec):
             raise SchemaError(f"{lpath}[{i}]", "expected {phrase, type}")
         phrase, text = rec["phrase"], rec["type"]
         tokens = tuple(phrase.split()) if isinstance(phrase, str) else ()
-        if not tokens or tokens in phrases or not all(map(is_plain_id, tokens)):
+        if (not tokens or tokens in index
+                or (_bracketed(phrase) and not all(map(is_plain_id, tokens)))):
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
             raise SchemaError(f"{lpath}[{i}].phrase", problem)
-        phrases.add(tokens)
         try:
-            ptype = parsed[text]
+            index[tokens] = parsed[text]
         except (KeyError, TypeError):  # a new text, or a list or object
-            ptype = parsed[text] = _type(text, f"{lpath}[{i}].type")
-        lexicon.append((phrase, tokens, text, ptype))
-    return lexicon
+            index[tokens] = parsed[text] = _type(text, f"{lpath}[{i}].type")
+        written.append((phrase, text))
+    return pregroup.Lexicon(tuple(index.items())), tuple(written)
 
 
 def _build_corpus(name, sentences):
@@ -279,6 +291,8 @@ def _build_corpus(name, sentences):
     for i, s in enumerate(sentences):
         if isinstance(s, str):
             toks.append(s.split())
+            if not _bracketed(s):
+                continue
         elif isinstance(s, list) and all(isinstance(t, str) for t in s):
             toks.append(list(s))
         else:
@@ -354,7 +368,7 @@ def save(ws: Workspace, path):
         }
     for name in sorted(ws.lexicons):
         doc["lexicons"][name] = [
-            {"phrase": phrase, "type": text} for phrase, _, text, _ in ws.lexicons[name]
+            {"phrase": phrase, "type": text} for phrase, text in ws.lexicons[name][1]
         ]
     for name in sorted(ws.corpora):
         doc["corpora"][name] = [list(s) for s in ws.corpora[name]]
@@ -420,7 +434,7 @@ def dot_export(ws: Workspace, name) -> str:
 
 
 def _emit(out, key, value):
-    print(f"{key}: {value}", file=out)
+    out.write(f"{key}: {value}\n")
 
 
 def _verdict(out, report, ok_text, fail_text):
@@ -464,7 +478,7 @@ def cmd_fibres(args, ws, out):
 def cmd_reindex(args, ws, out):
     r = reindex(_functor(ws, args), args.morphism)
     for x, y in r.table.items():
-        print(f"{x} -> {y}", file=out)
+        out.write(f"{x} -> {y}\n")
 
 
 def cmd_check_fib(args, ws, out):
@@ -556,18 +570,13 @@ def cmd_classify_mcg(args, ws, out):
         _emit(out, "H", f"{e} -> {cls.iso.omap[e]}")
 
 
-def _grammar(entries, args):
-    """The lexicon and the target type, as written."""
-    lex = pregroup.Lexicon(tuple((tokens, t) for _, tokens, _, t in entries))
-    return lex, _type(args.target, "--target")
-
-
 def cmd_parse(args, ws, out):
     if not args.lexicon_name and len(ws.lexicons) != 1:
         what = "several lexicons; pass --lexicon-name" if ws.lexicons else "no lexicon"
         raise UnknownName(f"workspace has {what}")
-    entries = _get(ws.lexicons, args.lexicon_name or next(iter(ws.lexicons)), "lexicon")
-    result = pregroup.parse_sentence(args.sentence.split(), *_grammar(entries, args), args.convention)
+    lex, _ = _get(ws.lexicons, args.lexicon_name or next(iter(ws.lexicons)), "lexicon")
+    target = _type(args.target, "--target")
+    result = pregroup.parse_sentence(args.sentence.split(), lex, target, args.convention)
     if isinstance(result, pregroup.ParseFailure):
         _emit(out, "FAIL", result.kind)
         _emit(out, "DETAIL", pregroup.describe(result))
@@ -584,9 +593,9 @@ def cmd_parse(args, ws, out):
 
 
 def cmd_semantics(args, ws, out):
-    entries = _get(ws.lexicons, args.lexicon, "lexicon")
+    lex, _ = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
-    sem = pregroup.build_semantics(corpus, *_grammar(entries, args), args.convention)
+    sem = pregroup.build_semantics(corpus, lex, _type(args.target, "--target"), args.convention)
     for oid in sem.presheaf.base.objects:
         _emit(out, "FIBRE-SIZE", f"{oid} = {len(sem.presheaf.eltset[oid])}")
     ok = is_discrete_fibration(sem.fibration.projection).ok
@@ -595,7 +604,7 @@ def cmd_semantics(args, ws, out):
 
 
 def cmd_dot(args, ws, out):
-    print(dot_export(ws, args.name), file=out, end="")
+    out.write(dot_export(ws, args.name))
 
 
 @functools.cache

@@ -16,8 +16,11 @@ from functools import cached_property
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Morphism:
+    # slots of its own, not slots=True: that rebuilds the class, and the
+    # generated frozen __setattr__ would then name the discarded one
+    __slots__ = ("id", "src", "tgt")
     id: str
     src: str
     tgt: str
@@ -28,6 +31,10 @@ class Morphism:
         _set_id(self, id)
         _set_src(self, src)
         _set_tgt(self, tgt)
+
+    def __reduce__(self):
+        # the default reduce restores the slots through the frozen __setattr__
+        return Morphism, (self.id, self.src, self.tgt)
 
 
 _set_id, _set_src, _set_tgt = Morphism.id.__set__, Morphism.src.__set__, Morphism.tgt.__set__

@@ -139,6 +139,16 @@ class TestLoadSave:
         with pytest.raises(IoError):
             cli.load(str(tmp_path / "absent.json"))
 
+    def test_save_keeps_each_phrase_and_type_text_as_written(self, tmp_path):
+        lexicon = [{"phrase": "big  deal", "type": "n . n^l"}, {"phrase": " deal", "type": "n"}]
+        doc = {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": ["big  deal deal"]}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        cli.save(cli.load(str(path)), str(path))
+        saved = json.loads(path.read_text())
+        assert saved["lexicons"] == {"L": lexicon}
+        assert saved["corpora"] == {"K": [["big", "deal", "deal"]]}
+
     def test_save_to_a_missing_directory(self, fig2, tmp_path):
         from fibcat.errors import IoError
 
@@ -372,6 +382,32 @@ class TestCommands:
         run(["parse", "--lexicon", fig2, "--convention", convention, "the cat sleeps"])
         # two distinct type texts among the three lexicon entries, then the target
         assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "--lexicon", "WS", "--lexicon-name", "b", "the cat sleeps"],
+            ["semantics", "WS", "--lexicon", "b", "--corpus", "toy"],
+        ],
+        ids=["parse", "semantics"],
+    )
+    def test_each_lexicon_is_indexed_once_at_load(self, fig2, tmp_path, monkeypatch, argv):
+        with open(fig2, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["lexicons"]["b"] = doc["lexicons"]["toy"]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        calls, Lexicon = [], cli.pregroup.Lexicon
+        monkeypatch.setattr(
+            cli.pregroup, "Lexicon", lambda *a, **k: calls.append(a) or Lexicon(*a, **k)
+        )
+        ws = cli.load(str(path))
+        assert len(calls) == 2  # one for each lexicon
+        argv = [str(path) if a == "WS" else a for a in argv]
+        args = cli.build_parser().parse_args(argv)
+        args.fn(args, ws, io.StringIO())
+        assert len(calls) == 2  # none in the command
+        assert run(argv)[0] == 0 and len(calls) == 4  # main loads once
 
     @pytest.mark.parametrize(
         "lexicons, error",

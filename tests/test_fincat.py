@@ -106,6 +106,15 @@ class TestMorphism:
                 setattr(m, field, "x")
         assert (m.id, m.src, m.tgt) == ("f", "a", "b") and not hasattr(m, "__dict__")
 
+    def test_a_new_attribute_or_a_deletion_is_refused(self):
+        m = Morphism("f", "a", "b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.extra = 1
+        for name in ("id", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(m, name)
+        assert (m.id, m.src, m.tgt) == ("f", "a", "b") and not hasattr(m, "extra")
+
 
 class TestValidateCategory:
     def test_terminal_ok(self):

@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -105,6 +106,15 @@ def test_cli_output_matches_the_recording(argv):
     rec = _golden()[tuple(argv)]
     code, text = run(argv)
     assert (code, text) == (rec["code"], rec["stdout"])
+
+
+def test_no_command_calls_print():
+    """Each command writes its lines to out itself, so the output of every
+    case stays the recorded one with print made to raise."""
+    with mock.patch("builtins.print", side_effect=AssertionError("print called")):
+        for argv in CASES:
+            rec = _golden()[tuple(argv)]
+            assert run(argv) == (rec["code"], rec["stdout"]), argv
 
 
 def test_recording_covers_every_case():

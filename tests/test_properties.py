@@ -24,7 +24,10 @@ also through every CLI command on a saved workspace.
 
 The pregroup properties compare type parsing and longest-match lookup with
 the oracles in tests/helpers.py; a generated lexicon repeats type texts,
-good and bad, to pin which entry a bad one is reported at.  No ``parse`` or
+good and bad, to pin which entry a bad one is reported at.  A lexicon and a
+corpus whose words mix brackets, "|" and letters, spaced by runs of
+spaces, load exactly when every word passes ``scan_is_plain_id``, and
+otherwise fail at the first word that does not.  No ``parse`` or
 ``semantics`` command raises on a generated lexicon and corpus, under either
 convention and with the target s or the unit.
 """
@@ -439,8 +442,63 @@ def test_a_lexicon_parses_each_text_once_and_reports_the_first_bad_entry(texts):
             assert (exc.path, exc.message) == (f"lexicons.L[{bad}].type", problems[bad])
         else:
             assert bad is None
-            assert [t for *_, t in ws.lexicons["L"]] == [parse_type(t) for t in texts]
+            lex, written = ws.lexicons["L"]
+            assert [t for _, t in lex.entries] == [parse_type(t) for t in texts]
+            assert written == tuple((e["phrase"], e["type"]) for e in entries)
     assert parse.call_count == len({t for t in read if is_plain_id(t)})
+
+
+# Words of brackets, "|" and letters, plain ones often enough that a whole
+# lexicon passes and its corpus is read, and texts that join them by runs
+# of spaces, with or without spaces at either end.
+bracket_words = st.one_of(
+    st.sampled_from(["a", "(a|b)", "()"]), st.text("()|ab", min_size=1, max_size=4)
+)
+
+
+@st.composite
+def spaced_texts(draw, min_size):
+    pieces = [draw(st.text(" ", max_size=2))]
+    for word in draw(st.lists(bracket_words, min_size=min_size, max_size=3)):
+        pieces += [word, draw(st.text(" ", min_size=1, max_size=3))]
+    return "".join(pieces if draw(st.booleans()) else pieces[:-1])
+
+
+def _first_bad_word(doc):
+    """(path, message) of the first word of doc's lexicon, then of its
+    corpus, that fails the id rule by the walk over every character."""
+    problem = f"expected a new, non-empty phrase; in its words {cli._ID_RULE}"
+    for i, rec in enumerate(doc["lexicons"]["L"]):
+        if not all(map(scan_is_plain_id, rec["phrase"].split())):
+            return f"lexicons.L[{i}].phrase", problem
+    for i, sentence in enumerate(doc["corpora"]["K"]):
+        words = sentence.split() if isinstance(sentence, str) else sentence
+        for j, word in enumerate(words):
+            if not scan_is_plain_id(word):
+                return f"corpora.K[{i}][{j}]", cli._ID_RULE
+    return None
+
+
+@given(
+    st.lists(spaced_texts(1), min_size=1, max_size=4, unique_by=lambda p: tuple(p.split())),
+    st.lists(st.one_of(spaced_texts(0), st.lists(bracket_words, max_size=3)), max_size=4),
+)
+@example(["(a b)"], [])
+@example(["a"], ["(a  |b)"])
+@settings(max_examples=300, deadline=None)
+def test_lexicons_and_corpora_load_iff_every_word_is_plain(phrases, corpus):
+    entries = [{"phrase": p, "type": "n"} for p in phrases]
+    doc = {"format": 1, "lexicons": {"L": entries}, "corpora": {"K": corpus}}
+    bad = _first_bad_word(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            ws = cli.load(_saved(doc, tmp))
+        except SchemaError as exc:
+            assert (exc.path, exc.message) == bad
+        else:
+            assert bad is None
+            assert ws.lexicons["L"][1] == tuple((p, "n") for p in phrases)
+            assert ws.corpora["K"] == [s.split() if isinstance(s, str) else s for s in corpus]
 
 
 # Simple types with up to three mixed adjoint markers, and the unit, joined
