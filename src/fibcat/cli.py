@@ -33,6 +33,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -550,15 +551,14 @@ def cmd_comma(args, ws, out):
 
 
 def cmd_mcg(args, ws, out):
-    ids = args.objects.split(",") if "," in args.objects else None
-    if ids is None:
-        try:
-            n = int(args.objects)
-        except ValueError:
-            ids = [args.objects] if args.objects else []
-        else:
-            _require(n >= 0, "objects", "negative count")
-            ids = [str(i) for i in range(n)]
+    arg = args.objects  # a count only as ASCII digits: "1_0", "+3" and "٣" are names
+    if re.fullmatch(r"-?[0-9]+", arg):
+        # int() refuses more digits (Python 3.11), and no such mcg could be built
+        _require(len(arg) <= 4300, "objects", "count too large")
+        _require(int(arg) >= 0, "objects", "negative count")
+        ids = [str(i) for i in range(int(arg))]
+    else:
+        ids = arg.split(",") if arg else []
     _print_category(make_mcg(ids), out)
 
 
@@ -593,12 +593,16 @@ def cmd_parse(args, ws, out):
 
 
 def cmd_semantics(args, ws, out):
+    """W's fibre sizes, and DISCRETE-FIBRATION as validate_set_valued(W).ok:
+    the projection of elements(W) has one lift per element and arrow iff each
+    action is a total function into the right set, elements(W) is a category
+    iff W is functorial, and plain ids keep element ids distinct."""
     lex, _ = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
-    sem = pregroup.build_semantics(corpus, lex, _type(args.target, "--target"), args.convention)
-    for oid in sem.presheaf.base.objects:
-        _emit(out, "FIBRE-SIZE", f"{oid} = {len(sem.presheaf.eltset[oid])}")
-    ok = is_discrete_fibration(sem.fibration.projection).ok
+    W = pregroup.build_semantics(corpus, lex, _type(args.target, "--target"), args.convention)
+    for oid in W.base.objects:
+        _emit(out, "FIBRE-SIZE", f"{oid} = {len(W.eltset[oid])}")
+    ok = validate_set_valued(W).ok
     _emit(out, "DISCRETE-FIBRATION", str(ok).lower())
     return 0 if ok else 1
 

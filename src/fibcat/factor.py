@@ -32,9 +32,12 @@ from .groth import elements
 @dataclass(frozen=True)
 class Factorization:
     s: FunctorSpec  # C -> E
-    mid: FinCat
     p: FunctorSpec  # E -> D
     variant: str  # "opfibration" | "fibration"
+
+    @property
+    def mid(self) -> FinCat:
+        return self.p.dom
 
 
 def _op(pair, contra):
@@ -131,7 +134,7 @@ def _factor(F: FunctorSpec, contra):
         raise WitnessFailure(f"middle projection is not a discrete {variant}")
     if not check_s(s).ok:
         raise WitnessFailure(f"first factor is not {'final' if contra else 'initial'}")
-    return Factorization(s=s, mid=mid, p=p, variant=variant)
+    return Factorization(s=s, p=p, variant=variant)
 
 
 def is_initial(s: FunctorSpec) -> ValidationReport:

@@ -10,10 +10,9 @@ the target can still be reached.  The default "paper" convention (d = +1)
 contracts n . n^l and n^r . n; "lambek" (d = -1) contracts n^l . n and
 n . n^r.
 
-``build_semantics`` assembles a finite base category from corpus parses,
-assigns each constituent the set of corpus sentences containing its
-phrase, and produces a genuine discrete fibration via the category of
-elements.
+``build_semantics`` assembles a finite base category from corpus parses and
+assigns each constituent the set of corpus sentences containing its phrase:
+the speaker's presheaf W, whose discrete fibration is ``groth.elements(W)``.
 """
 
 from __future__ import annotations
@@ -263,12 +262,6 @@ def _contains(haystack, needle):
     return any(tuple(haystack[i : i + k]) == needle for i in range(n - k + 1))
 
 
-@dataclass(frozen=True)
-class SpeakerFibration:
-    presheaf: SetValuedFunctor
-    fibration: object  # ElementsResult
-
-
 def _constituent_id(phrase, ptype):
     return f"({' '.join(phrase)}, {format_type(ptype)})"
 
@@ -278,13 +271,11 @@ def _tuple_elt(parts):
     return tuple_id(*parts) if len(parts) != 1 else parts[0]
 
 
-def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SpeakerFibration:
-    """The toy semantics: each constituent's meaning set is the set of
-    corpus sentences employing it; sentence meanings are singletons;
-    tensor meanings are cartesian products; reduction acts by the
-    diagonal."""
-    from .groth import elements
-
+def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValuedFunctor:
+    """The toy semantics as the speaker's contravariant presheaf W on the
+    grammar category: each constituent's meaning set is the set of corpus
+    sentences employing it; sentence meanings are singletons; tensor
+    meanings are cartesian products; reduction acts by the diagonal."""
     sentences = {}  # tokens -> (sentence id, parse), once per distinct sentence
     for i, tokens in enumerate(corpus):
         tokens = tuple(tokens)
@@ -350,7 +341,4 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> Speaker
         raise ValueError(
             f"corpus induces a non-identity composite {g} . {f}; unsupported"
         )
-    presheaf = SetValuedFunctor(
-        base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action
-    )
-    return SpeakerFibration(presheaf=presheaf, fibration=elements(presheaf))
+    return SetValuedFunctor(base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action)

@@ -18,14 +18,13 @@ from fibcat.fincat import (
     comma,
     constant_functor,
     is_plain_id,
-    opposite,
     opposite_functor,
     terminal_category,
     tuple_id,
 )
 from fibcat.factor import Factorization, comprehensive_factor_opfib
 from fibcat.groth import ElementsResult, elements
-from fibcat.fib import is_fib_morphism
+from fibcat.fib import is_discrete_fibration, is_fib_morphism
 from fibcat.fincat import validate_functor
 from fibcat.mcg import mcg
 from fibcat.pregroup import (
@@ -393,7 +392,7 @@ def factor_fib_via_opposite(F: FunctorSpec):
     way: factor the opposite functor, then transport every piece back."""
     opf = comprehensive_factor_opfib(opposite_functor(F))
     s, p = opposite_functor(opf.s), opposite_functor(opf.p)
-    return Factorization(s=s, mid=opposite(opf.mid), p=p, variant="fibration")
+    return Factorization(s=s, p=p, variant="fibration")
 
 
 def strict_pullback(F: FunctorSpec, G: FunctorSpec):
@@ -922,3 +921,10 @@ def _search(cur, steps, target, seen):
             if found is not None:
                 return found
     return None
+
+
+def scan_semantics_verdict(W: SetValuedFunctor):
+    """The DISCRETE-FIBRATION verdict of ``fibcat semantics`` as it was
+    computed: build the speaker's category of elements and check its
+    projection for unique lifts."""
+    return is_discrete_fibration(elements(W).projection).ok

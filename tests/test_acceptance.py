@@ -151,8 +151,7 @@ def test_criterion_7_pregroup_parses(capsys):
 def test_criterion_8_toy_semantics(capsys):
     lex = make_lexicon([("the cat", "n"), ("sleeps", "n^l.s"), ("is fat", "n^l.s")])
     corpus = [["the", "cat", "sleeps"], ["the", "cat", "is", "fat"]]
-    model = build_semantics(corpus, lex, parse_type("s"))
-    W = model.presheaf
+    W = build_semantics(corpus, lex, parse_type("s"))
     tensor = "(the cat, n)⊗(sleeps, n^l.s)"
     sizes_ok = (
         len(W.eltset["(the cat sleeps, s)"]) == 1
@@ -169,7 +168,7 @@ def test_criterion_8_toy_semantics(capsys):
     diagonal_ok = W.action["reduce:(the cat sleeps)"] == {
         "the cat sleeps": "(the cat sleeps|the cat sleeps)"
     }
-    fib_ok = is_discrete_fibration(model.fibration.projection).ok
+    fib_ok = is_discrete_fibration(elements(W).projection).ok
     _verdict(
         capsys,
         "toy semantics: meaning sizes, product tensors, diagonal reduction",

@@ -3,6 +3,7 @@ import glob
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -303,6 +304,11 @@ class TestCommands:
         code, text = run(["mcg", "a,b"])
         assert "OBJECT: a" in text
 
+    # only ASCII digits, with an optional "-", are a count
+    @pytest.mark.parametrize("name", ["1_0", "٣", "+3"])
+    def test_mcg_reads_what_int_would_count_as_one_name(self, name):
+        assert run(["mcg", name]) == (0, f"OBJECT: {name}\n")
+
     def test_classify_mcg(self, tmp_path):
         base = mcg("ab")
         total, proj = product_with_mcg(("x0", "x1"), base)
@@ -371,6 +377,48 @@ class TestCommands:
         argv = ["semantics", str(path), "--lexicon", "L", "--corpus", "K", "--target", target]
         code, text = run(argv)
         assert (code, text.splitlines()) == (0, lines + ["DISCRETE-FIBRATION: true"])
+
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [
+            ("fig2.json", ["--lexicon", "toy", "--corpus", "toy"]),
+            ("pregroup.json", ["--lexicon", "lambek", "--corpus", "lambek", "--convention", "lambek"]),
+        ],
+    )
+    def test_semantics_builds_no_category_of_elements(self, fixtures_dir, fixture, argv):
+        # calls are matched by code object, whichever module's name for the function runs
+        watched = {
+            f.__code__
+            for f in (cli.pregroup.build_semantics, cli.groth.elements, is_discrete_fibration)
+        }
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append(frame.f_code.co_name)
+
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code, text = run(["semantics", os.path.join(fixtures_dir, fixture), *argv])
+        finally:
+            sys.setprofile(before)
+        assert (code, text.splitlines()[-1]) == (0, "DISCRETE-FIBRATION: true")
+        assert calls == ["build_semantics"]
+
+    def test_semantics_computes_its_verdict(self, fig2, monkeypatch):
+        argv = ["semantics", fig2, "--lexicon", "toy", "--corpus", "toy"]
+        code, text = run(argv)
+        build = cli.pregroup.build_semantics
+
+        def without_one_reduction_entry(*args):
+            W = build(*args)
+            W.action[next(m for m in W.action if m.startswith("reduce:"))].popitem()
+            return W
+
+        monkeypatch.setattr(cli.pregroup, "build_semantics", without_one_reduction_entry)
+        sizes = text.removesuffix("DISCRETE-FIBRATION: true\n")
+        assert (code, run(argv)) == (0, (1, sizes + "DISCRETE-FIBRATION: false\n"))
 
     @pytest.mark.parametrize("convention", ["paper", "lambek"])
     def test_each_type_is_parsed_once(self, fig2, monkeypatch, convention):
@@ -669,6 +717,7 @@ class TestUnknownNames:
             ("a,", "objects[1]: empty object name"),
             (",a", "objects[0]: empty object name"),
             ("-1", "objects: negative count"),
+            ("9" * 4301, "objects: count too large"),
             ("a,(b", "objects[1]: brackets must nest and '|' may appear only inside them"),
             ("x|y", "objects[0]: brackets must nest and '|' may appear only inside them"),
             ("a,b,a", "objects: duplicate object names"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fibcat.errors import TypeSyntaxError, UnparsedSentence
 from fibcat.fib import is_discrete_fibration, reindex
+from fibcat.groth import elements
 from fibcat.pregroup import (
     NoReduction,
     ParseFailure,
@@ -280,34 +281,35 @@ class TestParseSentence:
 
 class TestSemantics:
     @pytest.fixture
-    def model(self):
+    def W(self):
         return build_semantics(TOY_CORPUS, make_lexicon(TOY_LEXICON), parse_type("s"))
 
-    def test_sentence_meanings_are_singletons(self, model):
-        assert model.presheaf.eltset["(the cat sleeps, s)"] == ("the cat sleeps",)
-        assert model.presheaf.eltset["(the cat is fat, s)"] == ("the cat is fat",)
+    def test_sentence_meanings_are_singletons(self, W):
+        assert W.eltset["(the cat sleeps, s)"] == ("the cat sleeps",)
+        assert W.eltset["(the cat is fat, s)"] == ("the cat is fat",)
 
-    def test_constituent_meanings_collect_sentences(self, model):
-        assert set(model.presheaf.eltset["(the cat, n)"]) == {
+    def test_constituent_meanings_collect_sentences(self, W):
+        assert set(W.eltset["(the cat, n)"]) == {
             "the cat sleeps",
             "the cat is fat",
         }
-        assert model.presheaf.eltset["(sleeps, n^l.s)"] == ("the cat sleeps",)
+        assert W.eltset["(sleeps, n^l.s)"] == ("the cat sleeps",)
 
-    def test_tensor_meanings_are_products(self, model):
+    def test_tensor_meanings_are_products(self, W):
         tensor = "(the cat, n)⊗(sleeps, n^l.s)"
-        assert set(model.presheaf.eltset[tensor]) == {
+        assert set(W.eltset[tensor]) == {
             "(the cat sleeps|the cat sleeps)",
             "(the cat is fat|the cat sleeps)",
         }
 
-    def test_reduction_acts_by_the_diagonal(self, model):
-        table = model.presheaf.action["reduce:(the cat sleeps)"]
+    def test_reduction_acts_by_the_diagonal(self, W):
+        table = W.action["reduce:(the cat sleeps)"]
         assert table == {"the cat sleeps": "(the cat sleeps|the cat sleeps)"}
 
-    def test_fibration_is_discrete(self, model):
-        assert is_discrete_fibration(model.fibration.projection).ok
-        table = reindex(model.fibration.projection, "reduce:(the cat sleeps)").table
+    def test_fibration_is_discrete(self, W):
+        p = elements(W).projection
+        assert is_discrete_fibration(p).ok
+        table = reindex(p, "reduce:(the cat sleeps)").table
         assert table == {
             "((the cat sleeps, s)|the cat sleeps)": (
                 "((the cat, n)⊗(sleeps, n^l.s)|(the cat sleeps|the cat sleeps))"
@@ -317,24 +319,24 @@ class TestSemantics:
     def test_a_sentence_that_is_one_phrase_gets_no_reduction(self):
         # "it rains" parses in zero steps, so its tensor is its sentence object
         lex = make_lexicon(TOY_LEXICON + [("it rains", "s")])
-        model = build_semantics(TOY_CORPUS + [["it", "rains"]], lex, parse_type("s"))
-        assert model.presheaf.eltset["(it rains, s)"] == ("it rains",)
-        reductions = [m.id for m in model.presheaf.base.morphisms if m.id.startswith("reduce:")]
+        W = build_semantics(TOY_CORPUS + [["it", "rains"]], lex, parse_type("s"))
+        assert W.eltset["(it rains, s)"] == ("it rains",)
+        reductions = [m.id for m in W.base.morphisms if m.id.startswith("reduce:")]
         assert reductions == ["reduce:(the cat sleeps)", "reduce:(the cat is fat)"]
 
     def test_a_one_phrase_sentence_that_another_sentence_uses_keeps_its_own_object(self):
         # the constituent (it rains, s) of "it rains now" is no singleton
         lex = make_lexicon([("it rains", "s"), ("now", "s^r.s")])
         corpus = [["it", "rains"], ["it", "rains", "now"]]
-        model = build_semantics(corpus, lex, parse_type("s"))
-        assert model.presheaf.eltset["(it rains|s)"] == ("it rains",)
-        assert model.presheaf.eltset["(it rains, s)"] == ("it rains", "it rains now")
-        reduction = model.presheaf.base.morphism("reduce:(it rains)")
+        W = build_semantics(corpus, lex, parse_type("s"))
+        assert W.eltset["(it rains|s)"] == ("it rains",)
+        assert W.eltset["(it rains, s)"] == ("it rains", "it rains now")
+        reduction = W.base.morphism("reduce:(it rains)")
         assert (reduction.src, reduction.tgt) == ("(it rains, s)", "(it rains|s)")
-        assert model.presheaf.action["reduce:(it rains)"] == {"it rains": "it rains"}
-        assert is_discrete_fibration(model.fibration.projection).ok
+        assert W.action["reduce:(it rains)"] == {"it rains": "it rains"}
+        assert is_discrete_fibration(elements(W).projection).ok
 
-    def test_each_distinct_sentence_is_parsed_once(self, model, monkeypatch):
+    def test_each_distinct_sentence_is_parsed_once(self, W, monkeypatch):
         from fibcat import pregroup
 
         calls = []
@@ -347,7 +349,7 @@ class TestSemantics:
         lex = make_lexicon(TOY_LEXICON)
         again = build_semantics(TOY_CORPUS * 3, lex, parse_type("s"))
         assert sorted(calls) == sorted(map(tuple, TOY_CORPUS))
-        assert again == model
+        assert again == W
         with pytest.raises(UnparsedSentence) as exc:
             build_semantics(TOY_CORPUS * 2 + [["cat"]] * 2, lex, parse_type("s"))
         assert exc.value.index == 4

@@ -29,7 +29,10 @@ corpus whose words mix brackets, "|" and letters, spaced by runs of
 spaces, load exactly when every word passes ``scan_is_plain_id``, and
 otherwise fail at the first word that does not.  No ``parse`` or
 ``semantics`` command raises on a generated lexicon and corpus, under either
-convention and with the target s or the unit.
+convention and with the target s or the unit; where the corpus parses,
+``semantics`` prints the fibre sizes of the category of elements of the
+presheaf ``build_semantics`` returns, and the verdict that
+``helpers.scan_semantics_verdict`` reads off its projection.
 """
 
 import copy
@@ -44,7 +47,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat import cli
-from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError
+from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError, UnparsedSentence
 from fibcat.factor import comprehensive_factor_fib, comprehensive_factor_opfib
 from fibcat.fib import fibre, is_discrete_opfibration, is_fibration, is_opfibration
 from fibcat.fincat import (
@@ -68,6 +71,7 @@ from fibcat.pregroup import (
     CONVENTIONS,
     Lexicon,
     SimpleType,
+    build_semantics,
     format_type,
     parse_type,
 )
@@ -85,6 +89,7 @@ from helpers import (
     scan_elements,
     scan_is_plain_id,
     scan_longest_match,
+    scan_semantics_verdict,
     scan_validate_category,
 )
 
@@ -586,6 +591,49 @@ def test_no_grammar_command_raises(doc):
         for argv in argvs:
             argv = [path if a == "WS" else a for a in argv]
             assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
+
+
+@given(grammar_workspaces())
+@example({"format": 1, "lexicons": {"L": [{"phrase": "a", "type": "1"}]}, "corpora": {"K": [""]}})
+@example(  # a sentence that is a phrase of another
+    {
+        "format": 1,
+        "lexicons": {"L": [{"phrase": "a b", "type": "s"}, {"phrase": "c", "type": "s^r.s"}]},
+        "corpora": {"K": ["a b", "a b c"]},
+    }
+)
+@example(  # sentences that share a word
+    {
+        "format": 1,
+        "lexicons": {
+            "L": [
+                {"phrase": "a", "type": "n"},
+                {"phrase": "b", "type": "n^r.s"},
+                {"phrase": "c", "type": "n^r.s"},
+            ]
+        },
+        "corpora": {"K": ["a b", "a c", "a b"]},
+    }
+)
+@settings(max_examples=40, deadline=None)
+def test_semantics_prints_the_verdict_and_fibres_of_the_category_of_elements(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _saved(doc, tmp)
+        ws = cli.load(path)
+        (lex, _), corpus = ws.lexicons["L"], ws.corpora["K"]
+        for convention in CONVENTIONS:
+            for target in ("s", "1"):
+                try:
+                    W = build_semantics(corpus, lex, parse_type(target), convention)
+                except UnparsedSentence:
+                    continue
+                p, ok = elements(W).projection, scan_semantics_verdict(W)
+                lines = [f"FIBRE-SIZE: {c} = {len(fibre(p, c).elements)}\n" for c in W.base.objects]
+                lines.append(f"DISCRETE-FIBRATION: {str(ok).lower()}\n")
+                argv = ["semantics", path, "--lexicon", "L", "--corpus", "K"]
+                out = io.StringIO()
+                code = cli.main([*argv, "--convention", convention, "--target", target], out=out)
+                assert (code, out.getvalue()) == (0 if ok else 1, "".join(lines))
 
 
 @given(small_concrete_categories)
