@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from . import factor as factor_mod
 from . import groth, pregroup
-from .mcg import classify_over_mcg, mcg as make_mcg
+from .mcg import classify_over_mcg, mcg_walk
 from .errors import (
     FibcatError,
     IoError,
@@ -551,6 +551,8 @@ def cmd_comma(args, ws, out):
 
 
 def cmd_mcg(args, ws, out):
+    """mcg prints the objects and morphisms of mcg_walk, which checks every
+    name before the first line is written and builds no table."""
     arg = args.objects  # a count only as ASCII digits: "1_0", "+3" and "٣" are names
     if re.fullmatch(r"-?[0-9]+", arg):
         # int() refuses more digits (Python 3.11), and no such mcg could be built
@@ -559,7 +561,7 @@ def cmd_mcg(args, ws, out):
         ids = [str(i) for i in range(int(arg))]
     else:
         ids = arg.split(",") if arg else []
-    _print_category(make_mcg(ids), out)
+    _print_category(mcg_walk(ids), out)
 
 
 def cmd_classify_mcg(args, ws, out):
@@ -593,16 +595,21 @@ def cmd_parse(args, ws, out):
 
 
 def cmd_semantics(args, ws, out):
-    """W's fibre sizes, and DISCRETE-FIBRATION as validate_set_valued(W).ok:
-    the projection of elements(W) has one lift per element and arrow iff each
-    action is a total function into the right set, elements(W) is a category
-    iff W is functorial, and plain ids keep element ids distinct."""
+    """W's fibre sizes, a tensor's the product of its factors' sizes, and
+    DISCRETE-FIBRATION as pregroup.semantics_verdict(W), which reads
+    validate_set_valued(W).ok off the generating data: the projection of
+    elements(W) has one lift per element and arrow iff each action is a
+    total function into the right set, elements(W) is a category iff W is
+    functorial, and plain ids keep element ids distinct.  No product is
+    listed, so the command takes time linear in the corpus and lexicon."""
     lex, _ = _get(ws.lexicons, args.lexicon, "lexicon")
     corpus = _get(ws.corpora, args.corpus, "corpus")
     W = pregroup.build_semantics(corpus, lex, _type(args.target, "--target"), args.convention)
     for oid in W.base.objects:
-        _emit(out, "FIBRE-SIZE", f"{oid} = {len(W.eltset[oid])}")
-    ok = validate_set_valued(W).ok
+        elts = W.eltset[oid]
+        size = elts.size if isinstance(elts, pregroup.Product) else len(elts)
+        _emit(out, "FIBRE-SIZE", f"{oid} = {size}")
+    ok = pregroup.semantics_verdict(W)
     _emit(out, "DISCRETE-FIBRATION", str(ok).lower())
     return 0 if ok else 1
 

@@ -20,13 +20,25 @@ from .fincat import (
 
 def mcg(A) -> FinCat:
     """The groupoid with object set A and exactly one morphism per ordered
-    pair; n objects give n^2 morphisms.
+    pair; n objects give n^2 morphisms and n^3 composites.
 
     The morphism from a to b is named "(a->b)", so the names of A must be
     distinct, nonempty and plain ids, and none may contain "->"; otherwise
     two arrows could share an id, and MalformedSpec names the first name at
     fault.
     """
+    cat = mcg_walk(A)
+    A, arrow = cat.objects, {(m.src, m.tgt): m.id for m in cat.morphisms}
+    cat.compose.update(
+        (arrow[b, c], {arrow[a, b]: arrow[a, c] for a in A}) for b in A for c in A
+    )
+    return cat
+
+
+def mcg_walk(A) -> FinCat:
+    """The objects, morphisms and identities of mcg(A), as a FinCat with an
+    empty table, so it costs time in n^2, not n^3; its names are checked as
+    mcg checks them, before anything is built."""
     A = tuple(A)
     for i, a in enumerate(A):
         if not a:
@@ -41,8 +53,7 @@ def mcg(A) -> FinCat:
     arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
     morphisms = tuple(Morphism(mid, a, b) for (a, b), mid in arrow.items())
     identity = {a: arrow[a, a] for a in A}
-    compose = {arrow[b, c]: {arrow[a, b]: arrow[a, c] for a in A} for b in A for c in A}
-    return FinCat(objects=A, morphisms=morphisms, identity=identity, compose=compose)
+    return FinCat(objects=A, morphisms=morphisms, identity=identity, compose={})
 
 
 def mcg_on_function(fn: dict, A, B) -> FunctorSpec:

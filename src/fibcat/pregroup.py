@@ -13,13 +13,20 @@ n . n^r.
 ``build_semantics`` assembles a finite base category from corpus parses and
 assigns each constituent the set of corpus sentences containing its phrase:
 the speaker's presheaf W, whose discrete fibration is ``groth.elements(W)``.
+A tensor's meaning set is a Product held by its factors, and each identity
+acts as an Identity, so W is built, and ``semantics_verdict`` checks it, in
+time linear in the corpus and the lexicon; only a caller that lists a
+product pays for its elements.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 from .errors import TypeSyntaxError, UnparsedSentence
 from .fincat import (
@@ -257,11 +264,6 @@ def parse_sentence(tokens, lex: Lexicon, target, convention="paper"):
     )
 
 
-def _contains(haystack, needle):
-    n, k = len(haystack), len(needle)
-    return any(tuple(haystack[i : i + k]) == needle for i in range(n - k + 1))
-
-
 def _constituent_id(phrase, ptype):
     return f"({' '.join(phrase)}, {format_type(ptype)})"
 
@@ -271,11 +273,74 @@ def _tuple_elt(parts):
     return tuple_id(*parts) if len(parts) != 1 else parts[0]
 
 
+@dataclass(frozen=True)
+class Product:
+    """A tensor's meaning set: the cartesian product of its factors, each an
+    ordered set of element ids (a dict's keys).  Its elements are the tuple
+    ids of the combinations, in itertools.product order, listed only when it
+    is iterated.  ``size`` is a plain int; len() refuses one past
+    sys.maxsize."""
+
+    factors: tuple  # of dicts
+
+    @property
+    def size(self):
+        return prod(map(len, self.factors))
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(_tuple_elt, iproduct(*self.factors))
+
+
+@dataclass(frozen=True, eq=False)
+class Identity(Mapping):
+    """The identity action on a fibre, as a mapping that lists its entries
+    only when iterated; it equals the table {x: x for x in fibre}."""
+
+    fibre: object  # a tuple or a Product
+
+    @cached_property
+    def _members(self):
+        return frozenset(self.fibre)
+
+    def __getitem__(self, x):
+        if x not in self._members:
+            raise KeyError(x)
+        return x
+
+    def __iter__(self):
+        return iter(self.fibre)
+
+    def __len__(self):
+        return len(self.fibre)
+
+
+def _occurrences(sentences, phrases):
+    """{phrase: the ids of the sentences that contain it, each once, in
+    sentence order}, from one pass over each sentence's windows of the
+    phrase lengths."""
+    found = {phrase: [] for phrase in phrases}
+    lengths = {len(phrase) for phrase in phrases}
+    for tokens, (sid, _) in sentences.items():
+        for k in lengths:
+            for i in range(len(tokens) - k + 1):
+                hits = found.get(tokens[i : i + k])
+                if hits is not None and (not hits or hits[-1] != sid):
+                    hits.append(sid)
+    return found
+
+
 def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValuedFunctor:
     """The toy semantics as the speaker's contravariant presheaf W on the
-    grammar category: each constituent's meaning set is the set of corpus
+    grammar category: each constituent's meaning set is the tuple of corpus
     sentences employing it; sentence meanings are singletons; tensor
-    meanings are cartesian products; reduction acts by the diagonal."""
+    meanings are cartesian products, held as Products; each identity acts
+    as an Identity, and reduction acts by the diagonal.  It takes time
+    linear in the corpus and the lexicon, since no product is listed here:
+    a caller that iterates a Product, or builds groth.elements(W), pays for
+    it."""
     sentences = {}  # tokens -> (sentence id, parse), once per distinct sentence
     for i, tokens in enumerate(corpus):
         tokens = tuple(tokens)
@@ -289,7 +354,7 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
 
     def add_object(oid, elts):
         if oid not in eltset:
-            eltset[oid] = tuple(elts)
+            eltset[oid] = elts
 
     parts = [
         tuple(_constituent_id(ph, ty) for ph, ty in zip(r.segmentation, r.types))
@@ -311,19 +376,23 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
     # full corpus sentence of the target type that no other sentence uses
     for sid, sent_obj, _, _, _ in shapes:
         add_object(sent_obj, (sid,))
+    occurrences = _occurrences(sentences, {ph for _, _, phs, _, _ in shapes for ph in phs})
     for _, _, phrases, part_ids, _ in shapes:
         for phrase, cid in zip(phrases, part_ids):
-            add_object(cid, (sid for t, (sid, _) in sentences.items() if _contains(t, phrase)))
+            add_object(cid, tuple(occurrences[phrase]))
+    factor = {}  # object id -> its fibre as an ordered set, made once
     for _, _, _, part_ids, tid in shapes:
-        combos = iproduct(*(eltset[pid] for pid in part_ids))
-        add_object(tid, (_tuple_elt(combo) for combo in combos))
+        for pid in part_ids:
+            if pid not in factor:
+                factor[pid] = dict.fromkeys(eltset[pid])
+        add_object(tid, Product(tuple(factor[pid] for pid in part_ids)))
 
     morphisms, identity = [], {}
     for oid in eltset:
         mid = f"id:{oid}"
         morphisms.append(Morphism(mid, oid, oid))
         identity[oid] = mid
-    action = {identity[oid]: {x: x for x in elts} for oid, elts in eltset.items()}
+    action = {identity[oid]: Identity(elts) for oid, elts in eltset.items()}
     for sid, sent_obj, _, part_ids, tid in shapes:
         if tid == sent_obj:
             continue  # zero-step reduction collapses to the identity
@@ -342,3 +411,35 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
             f"corpus induces a non-identity composite {g} . {f}; unsupported"
         )
     return SetValuedFunctor(base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action)
+
+
+def semantics_verdict(W: SetValuedFunctor) -> bool:
+    """validate_set_valued(W).ok for a W that build_semantics returns, read
+    off its generating data in time linear in it, with no product listed.
+
+    Each identity must act as the Identity on its own fibre; then the unit
+    laws hold, and with them every composite, since build_semantics makes
+    no other.  Each reduce: action must be a total function from the
+    sentence's fibre into the tensor's; a value that is the diagonal of its
+    sentence lies in a product iff the sentence lies in each factor."""
+    for m in W.base.morphisms:
+        table, fibre = W.action.get(m.id), W.eltset[m.src]
+        if W.base.is_identity(m.id):
+            ok = isinstance(table, Identity) and table.fibre == fibre
+        else:
+            ok = (
+                table is not None
+                and set(table) == set(W.eltset[m.tgt])
+                and all(_has(fibre, sid, x) for sid, x in table.items())
+            )
+        if not ok:
+            return False
+    return True
+
+
+def _has(fibre, sid, x):
+    """x in fibre, tested factor by factor when x is the diagonal of sid in
+    a Product, so that no product is listed."""
+    if isinstance(fibre, Product) and x == _tuple_elt((sid,) * len(fibre.factors)):
+        return all(sid in f for f in fibre.factors)
+    return x in fibre

@@ -5,7 +5,7 @@ import re
 from collections import deque
 from itertools import product as iproduct
 
-from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError
+from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError, UnparsedSentence
 
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -30,9 +30,13 @@ from fibcat.mcg import mcg
 from fibcat.pregroup import (
     CONVENTIONS,
     NoReduction,
+    ParseFailure,
     ReductionStep,
     ReductionWitness,
     SimpleType,
+    describe,
+    format_type,
+    parse_sentence,
 )
 
 
@@ -921,6 +925,69 @@ def _search(cur, steps, target, seen):
             if found is not None:
                 return found
     return None
+
+
+def scan_semantics(corpus, lex, target, convention="paper"):
+    """pregroup.build_semantics as it was, materialized: each constituent's
+    meaning set found by sliding each of its phrases over every sentence,
+    each tensor's product listed with itertools.product, and each identity
+    action a {x: x} table.  Its objects, morphisms, element ids and their
+    order are the ones build_semantics gives."""
+    sentences = {}  # tokens -> (sentence id, parse), once per distinct sentence
+    for i, tokens in enumerate(corpus):
+        tokens = tuple(tokens)
+        if tokens not in sentences:
+            result = parse_sentence(tokens, lex, target, convention)
+            if isinstance(result, ParseFailure):
+                raise UnparsedSentence(i, result, describe(result))
+            sentences[tokens] = (" ".join(tokens), result)
+
+    def constituent(phrase, ptype):
+        return f"({' '.join(phrase)}, {format_type(ptype)})"
+
+    def element(parts):
+        return tuple_id(*parts) if len(parts) != 1 else parts[0]
+
+    def contains(haystack, needle):
+        n, k = len(haystack), len(needle)
+        return any(tuple(haystack[i : i + k]) == needle for i in range(n - k + 1))
+
+    eltset = {}
+    parts = [
+        tuple(constituent(ph, ty) for ph, ty in zip(r.segmentation, r.types))
+        for _, r in sentences.values()
+    ]
+    shared = {cid for part_ids in parts if len(part_ids) > 1 for cid in part_ids}
+    shapes = []
+    for (sid, result), part_ids in zip(sentences.values(), parts):
+        sent_obj = constituent((sid,), result.witness.end)
+        if sent_obj in shared:
+            sent_obj = tuple_id(sid, format_type(result.witness.end))
+        shapes.append((sid, sent_obj, result.segmentation, part_ids, "⊗".join(part_ids)))
+    for sid, sent_obj, _, _, _ in shapes:
+        eltset.setdefault(sent_obj, (sid,))
+    for _, _, phrases, part_ids, _ in shapes:
+        for phrase, cid in zip(phrases, part_ids):
+            if cid not in eltset:
+                eltset[cid] = tuple(
+                    sid for t, (sid, _) in sentences.items() if contains(t, phrase)
+                )
+    for _, _, _, part_ids, tid in shapes:
+        if tid not in eltset:
+            eltset[tid] = tuple(map(element, iproduct(*(eltset[p] for p in part_ids))))
+    morphisms = [Morphism(f"id:{oid}", oid, oid) for oid in eltset]
+    identity = {oid: f"id:{oid}" for oid in eltset}
+    action = {identity[oid]: {x: x for x in elts} for oid, elts in eltset.items()}
+    for sid, sent_obj, _, part_ids, tid in shapes:
+        if tid != sent_obj:
+            morphisms.append(Morphism(f"reduce:({sid})", tid, sent_obj))
+            action[f"reduce:({sid})"] = {sid: element((sid,) * len(part_ids))}
+    cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})
+    missing = scan_complete_units(cat)
+    if missing is not None:
+        g, f = missing
+        raise ValueError(f"corpus induces a non-identity composite {g} . {f}; unsupported")
+    return SetValuedFunctor(base=cat, variance=CONTRAVARIANT, eltset=eltset, action=action)
 
 
 def scan_semantics_verdict(W: SetValuedFunctor):

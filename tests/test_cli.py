@@ -296,6 +296,17 @@ class TestCommands:
         assert built[0].compose == {}
         assert functors == []
 
+    def test_mcg_builds_no_table(self, monkeypatch):
+        # it prints n + n^2 lines, so the one category it builds keeps its
+        # empty table rather than mcg's n^3 composites
+        module = sys.modules[mcg.__module__]  # fibcat.mcg names the function
+        built, real_cat = [], module.FinCat
+        monkeypatch.setattr(module, "FinCat", lambda *a, **k: built.append(real_cat(*a, **k)) or built[-1])
+        code, text = run(["mcg", "3"])
+        assert (code, len(text.splitlines())) == (0, 3 + 6)
+        assert [c.objects for c in built] == [("0", "1", "2")]
+        assert built[0].compose == {}
+
     def test_mcg_command(self):
         code, text = run(["mcg", "3"])
         assert code == 0
@@ -405,6 +416,32 @@ class TestCommands:
             sys.setprofile(before)
         assert (code, text.splitlines()[-1]) == (0, "DISCRETE-FIBRATION: true")
         assert calls == ["build_semantics"]
+
+    def test_semantics_sizes_are_products_and_no_product_is_listed(self, tmp_path, monkeypatch):
+        # the corpus big^k cat sleeps, k = 1..N: each word occurs in every
+        # sentence, so the tensor of sentence k has N^(k+2) elements, past
+        # sys.maxsize at N = 20; a listed product element raises
+        N, words = 20, [("big", "n.n^l"), ("cat", "n"), ("sleeps", "n^l.s")]
+        sentences = [["big"] * k + ["cat", "sleeps"] for k in range(1, N + 1)]
+        lexicon = [{"phrase": w, "type": t} for w, t in words]
+        doc = {"format": 1, "lexicons": {"L": lexicon}, "corpora": {"K": [" ".join(s) for s in sentences]}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+
+        def listed(*factors):
+            raise AssertionError("semantics listed a product")
+
+        monkeypatch.setattr(cli.pregroup, "iproduct", listed)
+        code, text = run(["semantics", str(path), "--lexicon", "L", "--corpus", "K", "--target", "s"])
+        part = dict(words)
+        lines = [f"FIBRE-SIZE: ({' '.join(s)}, s) = 1" for s in sentences]
+        lines += [f"FIBRE-SIZE: ({w}, {t}) = {N}" for w, t in words]
+        lines += [
+            f"FIBRE-SIZE: {'⊗'.join(f'({w}, {part[w]})' for w in s)} = {N ** len(s)}"
+            for s in sentences
+        ]
+        assert (code, text.splitlines()) == (0, lines + ["DISCRETE-FIBRATION: true"])
+        assert N ** len(sentences[-1]) > sys.maxsize
 
     def test_semantics_computes_its_verdict(self, fig2, monkeypatch):
         argv = ["semantics", fig2, "--lexicon", "toy", "--corpus", "toy"]

@@ -30,8 +30,9 @@ spaces, load exactly when every word passes ``scan_is_plain_id``, and
 otherwise fail at the first word that does not.  No ``parse`` or
 ``semantics`` command raises on a generated lexicon and corpus, under either
 convention and with the target s or the unit; where the corpus parses,
-``semantics`` prints the fibre sizes of the category of elements of the
-presheaf ``build_semantics`` returns, and the verdict that
+``build_semantics`` gives the presheaf that ``helpers.scan_semantics``
+materializes, element for element, and ``semantics`` prints the fibre sizes
+of the category of elements of that presheaf and the verdict that
 ``helpers.scan_semantics_verdict`` reads off its projection.
 """
 
@@ -89,6 +90,7 @@ from helpers import (
     scan_elements,
     scan_is_plain_id,
     scan_longest_match,
+    scan_semantics,
     scan_semantics_verdict,
     scan_validate_category,
 )
@@ -615,6 +617,20 @@ def test_no_grammar_command_raises(doc):
         "corpora": {"K": ["a b", "a c", "a b"]},
     }
 )
+@example(  # a word repeated within one sentence
+    {
+        "format": 1,
+        "lexicons": {"L": [{"phrase": "a", "type": "s.s^l"}, {"phrase": "b", "type": "s"}]},
+        "corpora": {"K": ["a a b", "a b"]},
+    }
+)
+@example(  # a phrase that occurs twice in one sentence
+    {
+        "format": 1,
+        "lexicons": {"L": [{"phrase": "a b", "type": "s.s^l"}, {"phrase": "c", "type": "s"}]},
+        "corpora": {"K": ["a b a b c", "a b c"]},
+    }
+)
 @settings(max_examples=40, deadline=None)
 def test_semantics_prints_the_verdict_and_fibres_of_the_category_of_elements(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -624,11 +640,15 @@ def test_semantics_prints_the_verdict_and_fibres_of_the_category_of_elements(doc
         for convention in CONVENTIONS:
             for target in ("s", "1"):
                 try:
-                    W = build_semantics(corpus, lex, parse_type(target), convention)
+                    scan = scan_semantics(corpus, lex, parse_type(target), convention)
                 except UnparsedSentence:
                     continue
-                p, ok = elements(W).projection, scan_semantics_verdict(W)
-                lines = [f"FIBRE-SIZE: {c} = {len(fibre(p, c).elements)}\n" for c in W.base.objects]
+                W = build_semantics(corpus, lex, parse_type(target), convention)
+                assert W.base == scan.base
+                assert {c: tuple(elts) for c, elts in W.eltset.items()} == scan.eltset
+                assert {m: dict(table) for m, table in W.action.items()} == scan.action
+                p, ok = elements(scan).projection, scan_semantics_verdict(scan)
+                lines = [f"FIBRE-SIZE: {c} = {len(fibre(p, c).elements)}\n" for c in scan.base.objects]
                 lines.append(f"DISCRETE-FIBRATION: {str(ok).lower()}\n")
                 argv = ["semantics", path, "--lexicon", "L", "--corpus", "K"]
                 out = io.StringIO()
