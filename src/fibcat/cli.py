@@ -536,7 +536,8 @@ def cmd_check_comma(args, ws, out):
     """check-initial and check-final; the check is looked up on each call,
     since the parser outlives a rebinding of factor.is_initial or is_final."""
     kind = args.command[len("check-"):]
-    report = getattr(factor_mod, f"is_{kind}")(_functor(ws, args))
+    check = factor_mod.is_initial if kind == "initial" else factor_mod.is_final
+    report = check(_functor(ws, args))
     return _verdict(out, report, f"{kind} functor", f"not {kind}")
 
 

@@ -40,11 +40,6 @@ class Factorization:
         return self.p.dom
 
 
-def _op(pair, contra):
-    """A pair of ends, read in the opposite with contra."""
-    return pair[::-1] if contra else pair
-
-
 def _comma_blocks(F: FunctorSpec, contra=False):
     """{d: the blocks of (F/d)}, each a list of its objects (c, f: Fc -> d),
     in declaration order.  The only comma morphisms are (u, id), so each
@@ -55,7 +50,7 @@ def _comma_blocks(F: FunctorSpec, contra=False):
     pairs = [(c, f.id) for c in F.dom.objects for f in out(F.omap[c])]
     edges = []
     for u in F.dom.morphisms:
-        (a, b), Fu = _op((u.src, u.tgt), contra), F.mmap[u.id]
+        (a, b), Fu = (u.tgt, u.src) if contra else (u.src, u.tgt), F.mmap[u.id]
         row = D.compose[Fu]  # Fu's row: with contra the composite is Fu . f2
         for f2 in out(F.omap[b]):
             edges.append(((a, row[f2.id] if contra else D.compose[f2.id][Fu]), (b, f2.id)))

@@ -337,10 +337,12 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
     grammar category: each constituent's meaning set is the tuple of corpus
     sentences employing it; sentence meanings are singletons; tensor
     meanings are cartesian products, held as Products; each identity acts
-    as an Identity, and reduction acts by the diagonal.  It takes time
-    linear in the corpus and the lexicon, since no product is listed here:
-    a caller that iterates a Product, or builds groth.elements(W), pays for
-    it."""
+    as an Identity, and reduction acts by the diagonal.  The objects are the
+    sentence objects, then the constituents, then the tensors, each in the
+    order the corpus first has them, and of two objects with one id the
+    first wins.  It takes time linear in the corpus and the lexicon, since
+    no product is listed here: a caller that iterates a Product, or builds
+    groth.elements(W), pays for it."""
     sentences = {}  # tokens -> (sentence id, parse), once per distinct sentence
     for i, tokens in enumerate(corpus):
         tokens = tuple(tokens)
@@ -349,43 +351,34 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
             if isinstance(result, ParseFailure):
                 raise UnparsedSentence(i, result, describe(result))
             sentences[tokens] = (" ".join(tokens), result)
-
-    eltset = {}  # in insertion order, which is the order of the objects
-
-    def add_object(oid, elts):
-        if oid not in eltset:
-            eltset[oid] = elts
-
-    parts = [
-        tuple(_constituent_id(ph, ty) for ph, ty in zip(r.segmentation, r.types))
-        for _, r in sentences.values()
+    parses = [  # (sentence id, parse, constituent ids)
+        (sid, r, tuple(_constituent_id(ph, ty) for ph, ty in zip(r.segmentation, r.types)))
+        for sid, r in sentences.values()
     ]
+
     # A sentence that is one phrase of the target type has the id of that
     # phrase's constituent.  When a sentence of more phrases uses the
     # constituent too, the sentence object takes a tuple id instead, and the
     # constituent reduces to it in zero steps.
-    shared = {cid for part_ids in parts if len(part_ids) > 1 for cid in part_ids}
-    # per parse: sentence id, sentence object, phrases, constituent ids, tensor id
-    shapes = []
-    for (sid, result), part_ids in zip(sentences.values(), parts):
-        sent_obj = _constituent_id((sid,), result.witness.end)
-        if sent_obj in shared:
-            sent_obj = tuple_id(sid, format_type(result.witness.end))
-        shapes.append((sid, sent_obj, result.segmentation, part_ids, "⊗".join(part_ids)))
+    shared = {cid for _, _, cids in parses if len(cids) > 1 for cid in cids}
+    eltset = {}  # in insertion order, which is the order of the objects
+    reductions = []  # (sentence id, tensor id, sentence object, arity)
     # sentence objects first: they win when a lexicon phrase is itself a
     # full corpus sentence of the target type that no other sentence uses
-    for sid, sent_obj, _, _, _ in shapes:
-        add_object(sent_obj, (sid,))
-    occurrences = _occurrences(sentences, {ph for _, _, phs, _, _ in shapes for ph in phs})
-    for _, _, phrases, part_ids, _ in shapes:
-        for phrase, cid in zip(phrases, part_ids):
-            add_object(cid, tuple(occurrences[phrase]))
-    factor = {}  # object id -> its fibre as an ordered set, made once
-    for _, _, _, part_ids, tid in shapes:
-        for pid in part_ids:
-            if pid not in factor:
-                factor[pid] = dict.fromkeys(eltset[pid])
-        add_object(tid, Product(tuple(factor[pid] for pid in part_ids)))
+    for sid, r, cids in parses:
+        sent_obj = _constituent_id((sid,), r.witness.end)
+        if sent_obj in shared:
+            sent_obj = tuple_id(sid, format_type(r.witness.end))
+        eltset.setdefault(sent_obj, (sid,))
+        reductions.append((sid, "⊗".join(cids), sent_obj, len(cids)))
+    occurrences = _occurrences(sentences, {ph for _, r, _ in parses for ph in r.segmentation})
+    factor = {}  # constituent id -> its fibre as an ordered set, made once
+    for _, r, cids in parses:
+        for phrase, cid in zip(r.segmentation, cids):
+            if cid not in factor:
+                factor[cid] = dict.fromkeys(eltset.setdefault(cid, tuple(occurrences[phrase])))
+    for _, _, cids in parses:
+        eltset.setdefault("⊗".join(cids), Product(tuple(factor[cid] for cid in cids)))
 
     morphisms, identity = [], {}
     for oid in eltset:
@@ -393,12 +386,12 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
         morphisms.append(Morphism(mid, oid, oid))
         identity[oid] = mid
     action = {identity[oid]: Identity(elts) for oid, elts in eltset.items()}
-    for sid, sent_obj, _, part_ids, tid in shapes:
+    for sid, tid, sent_obj, arity in reductions:
         if tid == sent_obj:
             continue  # zero-step reduction collapses to the identity
         mid = f"reduce:({sid})"
         morphisms.append(Morphism(mid, tid, sent_obj))
-        action[mid] = {sid: _tuple_elt((sid,) * len(part_ids))}
+        action[mid] = {sid: _tuple_elt((sid,) * arity)}
     # reductions run tensor -> sentence and nothing leaves a sentence
     # object, so the only composites involve identities
     cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})

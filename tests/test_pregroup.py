@@ -8,9 +8,11 @@ from fibcat.errors import TypeSyntaxError, UnparsedSentence
 from fibcat.fib import is_discrete_fibration, reindex
 from fibcat.groth import elements
 from fibcat.pregroup import (
+    Identity,
     NoReduction,
     ParseFailure,
     ParseResult,
+    Product,
     ReductionStep,
     ReductionWitness,
     SimpleType,
@@ -279,6 +281,25 @@ class TestParseSentence:
             make_lexicon([("the cat", "n"), ("sleeps", "n^l.s"), ("the  cat", "s")])
 
 
+class TestIdentity:
+    @pytest.mark.parametrize(
+        "fibre, elts",
+        [
+            (("x", "y"), ["x", "y"]),
+            (Product(({"a": None, "b": None}, {"c": None})), ["(a|c)", "(b|c)"]),
+        ],
+    )
+    def test_acts_as_the_identity_table_of_its_fibre(self, fibre, elts):
+        ident = Identity(fibre)
+        assert (len(ident), list(ident)) == (len(elts), elts)
+        assert all(x in ident and ident[x] == x for x in elts)
+        assert "(a|b)" not in ident
+        with pytest.raises(KeyError):
+            ident["(a|b)"]
+        assert ident == {x: x for x in elts}
+        assert ident != {x: x for x in elts[:1]}
+
+
 class TestSemantics:
     @pytest.fixture
     def W(self):
@@ -335,6 +356,32 @@ class TestSemantics:
         assert (reduction.src, reduction.tgt) == ("(it rains, s)", "(it rains|s)")
         assert W.action["reduce:(it rains)"] == {"it rains": "it rains"}
         assert is_discrete_fibration(elements(W).projection).ok
+
+    def test_the_first_object_of_an_id_wins(self):
+        # "it rains" is one phrase of the target type that no longer sentence
+        # parses through, so its sentence object comes first and keeps its
+        # singleton, although "so it rains" contains the phrase
+        lex = make_lexicon([("it rains", "s"), ("so it", "s.n^r"), ("rains", "n")])
+        W = build_semantics([["it", "rains"], ["so", "it", "rains"]], lex, parse_type("s"))
+        assert list(W.eltset) == [
+            "(it rains, s)",
+            "(so it rains, s)",
+            "(so it, s.n^r)",
+            "(rains, n)",
+            "(so it, s.n^r)⊗(rains, n)",
+        ]
+        assert W.eltset["(it rains, s)"] == ("it rains",)
+        assert W.eltset["(rains, n)"] == ("it rains", "so it rains")
+
+    def test_each_constituent_has_one_ordered_set(self):
+        # the tensors of "a b" and "a c" share the factor of (a, n)
+        lex = make_lexicon([("a", "n"), ("b", "n^l.s"), ("c", "n^l.s")])
+        W = build_semantics([["a", "b"], ["a", "c"]], lex, parse_type("s"))
+        ab, ac = W.eltset["(a, n)⊗(b, n^l.s)"], W.eltset["(a, n)⊗(c, n^l.s)"]
+        factors = ab.factors + ac.factors
+        assert (len(factors), len({id(f) for f in factors})) == (4, 3)
+        assert ab.factors[0] is ac.factors[0]
+        assert list(ab.factors[0]) == ["a b", "a c"]
 
     def test_each_distinct_sentence_is_parsed_once(self, W, monkeypatch):
         from fibcat import pregroup

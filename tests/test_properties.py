@@ -631,6 +631,19 @@ def test_no_grammar_command_raises(doc):
         "corpora": {"K": ["a b a b c", "a b c"]},
     }
 )
+@example(  # a one-phrase sentence whose id comes before the constituent's
+    {
+        "format": 1,
+        "lexicons": {
+            "L": [
+                {"phrase": "it rains", "type": "s"},
+                {"phrase": "so it", "type": "s.n^r"},
+                {"phrase": "rains", "type": "n"},
+            ]
+        },
+        "corpora": {"K": ["it rains", "so it rains"]},
+    }
+)
 @settings(max_examples=40, deadline=None)
 def test_semantics_prints_the_verdict_and_fibres_of_the_category_of_elements(doc):
     with tempfile.TemporaryDirectory() as tmp:
