@@ -4,7 +4,10 @@ A workspace is a single JSON document with named categories, functors,
 presheaves, lexicons and corpora.  Identity morphisms may be omitted in
 files and are synthesized on load (named "id:<object>"), together with the
 composition entries forced by the unit laws; any other missing composite
-is a SchemaError, as is any id that fails ``fincat.is_plain_id``.
+is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  The id
+rule is checked once per list of ids (a category's objects, its morphism
+ids, an element set, a sentence), and each id on its own only where the
+list fails, to name the first that does.
 
 ``load`` builds each category, functor and presheaf and validates it before
 it builds the next.  Each record field has one check, whose raise alone
@@ -18,10 +21,13 @@ kept, uncopied, as the category's row, with the unit composites filled in.
 ``load`` prefixes the path of the validator's MalformedSpec with the
 structure's place in the workspace, reads a missing composite off its
 composition-totality violations, and raises the law violations of all
-structures in one ValidationError.  Each distinct lexicon type text is
-parsed, each phrase split, and each lexicon's pregroup.Lexicon built, once
-per load; a phrase or string sentence without "(", ")" or "|" needs none
-of its words checked against the id rule.  ``save`` writes the lexicon
+structures in one ValidationError.  The validators keep their reports on
+the categories and presheaves they check, so a command that validates a
+loaded one again, as ``elements`` does, reads the kept report.  Each
+distinct lexicon type text is parsed, each phrase split, and each
+lexicon's pregroup.Lexicon built, once per load; a phrase or string
+sentence without "(", ")" or "|" needs none of its words checked against
+the id rule.  ``save`` writes the lexicon
 entries as the file wrote them, and emits a canonical form, with sorted
 rows, so save . load is byte-stable.  Each command writes its output to
 ``out``, one write per line.
@@ -65,6 +71,7 @@ from .fincat import (
     Morphism,
     SetValuedFunctor,
     ValidationReport,
+    _first_bad_id,
     comma_walk,
     complete_units,
     is_plain_id,
@@ -99,9 +106,9 @@ def _bracketed(text):
 
 
 def _require_ids(ids, path):
-    for i, s in enumerate(ids):
-        if not is_plain_id(s):
-            raise SchemaError(f"{path}[{i}]", _ID_RULE)
+    i = _first_bad_id(ids)
+    if i is not None:
+        raise SchemaError(f"{path}[{i}]", _ID_RULE)
 
 
 def _object(doc, key, path):
@@ -148,17 +155,28 @@ def _validated(where, validate, x, violations, filled):
     return report
 
 
-def _morphism(rec, path, i):
-    """The Morphism of record path[i]; a SchemaError names its first defect."""
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{path}[{i}]", "expected an object")
-    mid, src, tgt = rec.get("id"), rec.get("src"), rec.get("tgt")
-    for key, value in (("id", mid), ("src", src), ("tgt", tgt)):
-        if not isinstance(value, str):
-            raise SchemaError(f"{path}[{i}].{key}", "missing or non-string")
-    if not is_plain_id(mid):
+def _morphisms(records, path):
+    """The Morphisms of the records at path; a SchemaError names the first
+    defect, where a record's fields are checked before its id's rule."""
+    morphisms = []
+    for i, rec in enumerate(records):
+        if isinstance(rec, dict):
+            mid, src, tgt = rec.get("id"), rec.get("src"), rec.get("tgt")
+            if isinstance(mid, str) and isinstance(src, str) and isinstance(tgt, str):
+                morphisms.append(Morphism(mid, src, tgt))
+                continue
+        _require_morphism_ids(morphisms, path)  # an earlier bad id is the first defect
+        _require(isinstance(rec, dict), f"{path}[{i}]", "expected an object")
+        key = next(k for k in ("id", "src", "tgt") if not isinstance(rec.get(k), str))
+        raise SchemaError(f"{path}[{i}].{key}", "missing or non-string")
+    _require_morphism_ids(morphisms, path)
+    return morphisms
+
+
+def _require_morphism_ids(morphisms, path):
+    i = _first_bad_id([m.id for m in morphisms])
+    if i is not None:
         raise SchemaError(f"{path}[{i}].id", _ID_RULE)
-    return Morphism(mid, src, tgt)
 
 
 def _build_category(name, doc, violations, filled):
@@ -170,7 +188,7 @@ def _build_category(name, doc, violations, filled):
     _require("morphisms" in doc, mpath, "missing 'morphisms'")
     objects = _id_list(doc["objects"], f"{path}.objects")
     _require(isinstance(doc["morphisms"], list), mpath, "expected a list")
-    morphisms = [_morphism(rec, mpath, i) for i, rec in enumerate(doc["morphisms"])]
+    morphisms = _morphisms(doc["morphisms"], mpath)
     identity = _str_map(doc.get("identity", {}), f"{path}.identity")
     declared = {m.id for m in morphisms}
     for obj in objects:

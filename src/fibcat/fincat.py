@@ -6,12 +6,19 @@ the three types defined here.  Categories carry an explicit, total
 composition table so every law is exhaustively checkable.  Values are
 immutable once built, except that a constructor may fill a new category's
 ``compose`` in place before handing it out.
+
+A value is immutable once validated, too: ``validate_category`` and
+``validate_set_valued`` keep their report on the value they checked and
+return it on the next call.  No copy (``copy.copy``, ``copy.deepcopy``,
+``pickle``, ``dataclasses.replace``) carries the kept report, so a copy that
+is changed is checked afresh.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
@@ -54,6 +61,35 @@ def _violation(law, witness):
     return {"law": law, "witness": witness}
 
 
+def _kept(validate):
+    """validate, keeping its report on the value it checked and returning
+    that on the next call."""
+
+    @wraps(validate)
+    def kept(x):
+        report = x.__dict__.get("_report")
+        if report is None:
+            report = validate(x)
+            object.__setattr__(x, "_report", report)
+        return report
+
+    return kept
+
+
+def _kept_valid(x):
+    """True if x keeps a report with no violation."""
+    report = x.__dict__.get("_report")
+    return report is not None and report.ok
+
+
+class _Unkept:
+    """A value whose copies are checked afresh: the state that copy and
+    pickle take has no kept report."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_report"}
+
+
 # the laws a validator checks at each entry of a composition table, in one walk
 _TABLE_LAWS = {"composition-composability", "endpoint-coherence",
                "composition-preservation", "composition-action"}
@@ -68,7 +104,7 @@ def _grouped(pairs):
 
 
 @dataclass(frozen=True)
-class FinCat:
+class FinCat(_Unkept):
     """A finite category given by explicit data.
 
     objects and morphisms are kept in declaration order; every enumeration
@@ -154,6 +190,9 @@ _ID_RULE = "brackets must nest and '|' may appear only inside them"
 # every byte but those of "(", ")" and "|", which UTF-8 gives no other character
 _NOT_A_BRACKET = bytes(b for b in range(256) if b not in b"()|")
 _OPEN, _CLOSE = b"()"
+_NOT_A_SKELETON = bytes(b for b in range(256) if b not in b"()|\n")
+_INNERMOST = re.compile(rb"\(\|*\)")
+_ROUNDS = 8  # each round lifts one level of nesting; a deeper id is checked alone
 
 
 def is_plain_id(s):
@@ -172,6 +211,29 @@ def is_plain_id(s):
         elif depth == 0:
             return False
     return depth == 0
+
+
+def _first_bad_id(ids):
+    """The index of the first id in the list ids that fails is_plain_id,
+    or None.
+
+    The ids are checked as one text, an id a line.  Its skeleton of
+    brackets, bars and line breaks loses its innermost groups "(|*)" a
+    level a round; if only line breaks are left, every id passes.  A line
+    break in an id only splits its skeleton, so it can fail this test but
+    never pass it.  Where the test fails, or nesting is deeper than
+    _ROUNDS, is_plain_id checks each id."""
+    text = "\n".join(ids)
+    if "(" not in text and ")" not in text and "|" not in text:
+        return None
+    skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SKELETON)
+    for _ in range(_ROUNDS):
+        skeleton, n = _INNERMOST.subn(b"", skeleton)
+        if not n:
+            break
+    if not skeleton.strip(b"\n"):
+        return None
+    return next((i for i, s in enumerate(ids) if not is_plain_id(s)), None)
 
 
 _NO_ROW = {}  # the row of a morphism with no composites; never written
@@ -206,6 +268,7 @@ def _repeated(ids, path, what):
         seen.add(x)
 
 
+@_kept
 def validate_category(c: FinCat) -> ValidationReport:
     """Check the category laws; a dangling or repeated id raises MalformedSpec.
 
@@ -319,7 +382,12 @@ class FunctorSpec:
 
 
 def validate_functor(F: FunctorSpec) -> ValidationReport:
-    """Check the functor laws; a missing or unknown image raises MalformedSpec."""
+    """Check the functor laws; a missing or unknown image raises MalformedSpec.
+
+    Once F preserves endpoints and identities, and F.dom and F.cod each
+    keep a report with no violation, the entries of the domain's table with
+    an identity in them are preserved by the unit laws of both, so only
+    the others are walked."""
     omap, mmap, cod = F.omap, F.mmap, F.cod
     for c in F.dom.objects:
         if c not in omap:
@@ -338,10 +406,14 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     for c in F.dom.objects:
         if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append(_violation("identity-preservation", (c,)))
+    settled = not violations and _kept_valid(F.dom) and _kept_valid(cod)
+    units = set(F.dom.identity.values()) if settled else ()
     for g, row in F.dom.compose.items():
+        if g in units:
+            continue
         cod_row = cod.compose.get(mmap[g], _NO_ROW)
         for f, h in row.items():
-            if cod_row.get(mmap[f]) != mmap[h]:
+            if f not in units and cod_row.get(mmap[f]) != mmap[h]:
                 violations.append(_violation("composition-preservation", (g, f)))
     return ValidationReport(tuple(violations))
 
@@ -404,7 +476,7 @@ COVARIANT = "covariant"
 
 
 @dataclass(frozen=True)
-class SetValuedFunctor:
+class SetValuedFunctor(_Unkept):
     """A finite set per object and a function per morphism.
 
     For contravariant W and f: A -> B, action(f) maps eltset(B) to
@@ -417,7 +489,15 @@ class SetValuedFunctor:
     action: dict  # morphism id -> {element id -> element id}
 
 
+@_kept
 def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
+    """Check the functor laws; a malformed presheaf raises MalformedSpec.
+
+    The composition action is walked only where every action is a function
+    between the right sets.  Once each identity also acts as one, on a base
+    that keeps a report with no violation, the entries of the base's table
+    with an identity in them act rightly by the unit laws, so only the
+    others are walked."""
     if W.variance not in (CONTRAVARIANT, COVARIANT):
         raise MalformedSpec("variance", "bad variance")
     for c, elts in W.eltset.items():
@@ -446,17 +526,27 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         table = W.action[W.base.identity[c]]
         if any(table.get(x) != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
-    action, contra = W.action, W.variance == CONTRAVARIANT
-    for g, row in W.base.compose.items():
-        src, action_g = W.base.src(g), action[g]
+    settled = not violations and _kept_valid(W.base)
+    units = set(W.base.identity.values()) if settled else ()
+    return ValidationReport(tuple(violations + _composition_action(W, units)))
+
+
+def _composition_action(W: SetValuedFunctor, units):
+    """The composition-action violations of W at the entries of its base's
+    table that have no morphism of units in them."""
+    base, action, contra, violations = W.base, W.action, W.variance == CONTRAVARIANT, []
+    for g, row in base.compose.items():
+        if g in units:
+            continue
+        src, action_g = base.src(g), action[g]
         for f, h in row.items():
-            if W.base.tgt(f) != src:
-                continue  # validate_category reports the pair
+            if f in units or base.tgt(f) != src:
+                continue  # validate_category reports a pair that does not compose
             # over the domain of the action applied first: h may have wrong endpoints
             first, then = (action_g, action[f]) if contra else (action[f], action_g)
             if {x: then[y] for x, y in first.items()} != action[h]:
                 violations.append(_violation("composition-action", (g, f)))
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 def opposite(c: FinCat) -> FinCat:

@@ -741,6 +741,80 @@ def scan_validate_category(c: FinCat, entries=None):
     return tuple(violations)
 
 
+def scan_validate_functor(F: FunctorSpec):
+    """fincat.validate_functor's violations by its former full walk, which
+    checks every entry of the domain's table, those with an identity in
+    them too.  A missing or unknown image raises MalformedSpec as the
+    library does."""
+    omap, mmap, cod = F.omap, F.mmap, F.cod
+    for c in F.dom.objects:
+        if c not in omap:
+            raise MalformedSpec(f"omap.{c}", "missing object image")
+        if omap[c] not in cod.objects:
+            raise MalformedSpec(f"omap.{c}", f"unknown object {omap[c]}")
+    by_id = {m.id: m for m in cod.morphisms}
+    violations = []
+    for m in F.dom.morphisms:
+        if m.id not in mmap:
+            raise MalformedSpec(f"mmap.{m.id}", "missing morphism image")
+        img = by_id.get(mmap[m.id])
+        if img is None:
+            raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {mmap[m.id]}")
+        if img.src != omap[m.src] or img.tgt != omap[m.tgt]:
+            violations.append({"law": "endpoint-preservation", "witness": (m.id,)})
+    for c in F.dom.objects:
+        if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
+            violations.append({"law": "identity-preservation", "witness": (c,)})
+    for g, row in F.dom.compose.items():
+        for f, h in row.items():
+            if cod.compose.get(mmap[g], {}).get(mmap[f]) != mmap[h]:
+                violations.append({"law": "composition-preservation", "witness": (g, f)})
+    return tuple(violations)
+
+
+def scan_validate_set_valued(W: SetValuedFunctor):
+    """fincat.validate_set_valued's violations by its former full walk,
+    which checks every entry of the base's table, those with an identity
+    in them too.  A malformed presheaf raises MalformedSpec as the library
+    does."""
+    if W.variance not in (CONTRAVARIANT, COVARIANT):
+        raise MalformedSpec("variance", "bad variance")
+    for c, elts in W.eltset.items():
+        if c not in W.base.objects:
+            raise MalformedSpec(f"eltset.{c}", "unknown object")
+        if len(set(elts)) != len(elts):
+            raise MalformedSpec(f"eltset.{c}", "duplicate elements")
+    for c in W.base.objects:
+        if c not in W.eltset:
+            raise MalformedSpec(f"eltset.{c}", "missing element set")
+    ends = {m.id: (m.src, m.tgt) for m in W.base.morphisms}
+    for mid in W.action:
+        if mid not in ends:
+            raise MalformedSpec(f"action.{mid}", "unknown morphism")
+    contra, violations = W.variance == CONTRAVARIANT, []
+    for m in W.base.morphisms:
+        if m.id not in W.action:
+            raise MalformedSpec(f"action.{m.id}", "missing action")
+        table = W.action[m.id]
+        a, b = (m.tgt, m.src) if contra else (m.src, m.tgt)
+        if set(table) != set(W.eltset[a]) or not set(table.values()) <= set(W.eltset[b]):
+            violations.append({"law": "action-endpoints", "witness": (m.id,)})
+    if violations:
+        return tuple(violations)
+    for c in W.base.objects:
+        table = W.action[W.base.identity[c]]
+        if any(table.get(x) != x for x in W.eltset[c]):
+            violations.append({"law": "identity-action", "witness": (c,)})
+    for g, row in W.base.compose.items():
+        for f, h in row.items():
+            if ends[f][1] != ends[g][0]:
+                continue
+            first, then = (W.action[g], W.action[f]) if contra else (W.action[f], W.action[g])
+            if {x: then[y] for x, y in first.items()} != W.action[h]:
+                violations.append({"law": "composition-action", "witness": (g, f)})
+    return tuple(violations)
+
+
 def scan_is_plain_id(s):
     """fincat.is_plain_id by its former walk over every character of s."""
     depth = 0

@@ -494,6 +494,16 @@ class TestCommands:
         assert len(calls) == 2  # none in the command
         assert run(argv)[0] == 0 and len(calls) == 4  # main loads once
 
+    def test_elements_walks_the_composition_action_once_at_load(self, fig2, monkeypatch):
+        calls, walk = [], fincat._composition_action
+        monkeypatch.setattr(fincat, "_composition_action", lambda *a: calls.append(a) or walk(*a))
+        ws = cli.load(fig2)
+        assert len(calls) == 1  # W's, at load
+        args = cli.build_parser().parse_args(["elements", fig2, "W"])
+        args.fn(args, ws, io.StringIO())
+        assert len(calls) == 1  # none in the command: elements reads the kept report
+        assert run(["elements", fig2, "W"])[0] == 0 and len(calls) == 2  # main loads once
+
     @pytest.mark.parametrize(
         "lexicons, error",
         [
@@ -647,6 +657,41 @@ class TestIdsAndAliases:
         code, text = run(["elements", str(path), "W"])
         assert code == 2
         assert text.startswith("ERROR: categories.C.morphisms[0].id: ")
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            ([{"id": "f|g", "src": "A", "tgt": "B"}, {"id": "h", "src": 7, "tgt": "B"}],
+             f"categories.C.morphisms[0].id: {fincat._ID_RULE}"),
+            ([{"id": "f", "src": 7, "tgt": "B"}, {"id": "h|", "src": "A", "tgt": "B"}],
+             "categories.C.morphisms[0].src: missing or non-string"),
+            ([{"id": "f", "src": "A", "tgt": "B"}, {"id": "h|", "tgt": "B"}],
+             "categories.C.morphisms[1].src: missing or non-string"),
+            ([{"id": "f", "src": "A", "tgt": "B"}, {"id": "h|", "src": "A", "tgt": "B"}, []],
+             f"categories.C.morphisms[1].id: {fincat._ID_RULE}"),
+        ],
+        ids=["bad-id-first", "missing-field-first", "own-field-first", "bad-id-then-no-object"],
+    )
+    def test_the_first_defective_record_is_reported(self, tmp_path, records, line):
+        doc = {"format": 1, "categories": {"C": {"objects": ["A", "B"], "morphisms": records}}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == (2, f"ERROR: {line}\n")
+
+    def test_ids_with_line_breaks_in_brackets_load(self, tmp_path):
+        doc = {
+            "format": 1,
+            "categories": {
+                "C": {
+                    "objects": ["(a\nb)", "c\n"],
+                    "morphisms": [{"id": "(f|\n)", "src": "(a\nb)", "tgt": "c\n"}],
+                }
+            },
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        c = cli.load(str(path)).categories["C"]
+        assert c.objects == ("(a\nb)", "c\n") and c.morphisms[0].id == "(f|\n)"
 
     def test_save_load_keeps_equal_categories_apart(self, tmp_path):
         from fibcat.fincat import SetValuedFunctor, identity_functor
@@ -1024,7 +1069,7 @@ def test_every_composite_of_the_fixtures_can_be_swapped(fixtures_dir, tmp_path):
                         assert run(["validate", str(ws)])[0] in (0, 1, 2), (path, f, mid)
                         swaps += 1
                     inner[f] = h
-    assert swaps == 467
+    assert swaps == 470
 
 
 def test_each_structure_is_checked_before_the_next_is_built(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -608,6 +609,47 @@ def test_an_identity_that_is_no_loop_breaks_the_identity_action():
     assert [(v["law"], v["witness"]) for v in validate_set_valued(W).violations] == [
         ("identity-action", ("a",))
     ]
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "replace": dataclasses.replace,
+}
+
+
+class TestKeptReports:
+    """validate_category and validate_set_valued keep their report on the
+    value they checked; no copy carries it, so a changed copy is checked
+    afresh."""
+
+    def test_a_validated_value_returns_its_kept_report(self, fixtures_dir):
+        ws = cli.load(os.path.join(fixtures_dir, "fig2.json"))
+        c, W = ws.categories["ABC"], ws.presheaves["W"]
+        assert validate_category(c) is validate_category(c)
+        assert validate_set_valued(W) is validate_set_valued(W)
+        assert validate_category(c).ok and validate_set_valued(W).ok
+
+    @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+    def test_a_changed_copy_of_a_validated_category_is_reported(self, fixtures_dir, copier):
+        c = cli.load(os.path.join(fixtures_dir, "fig2.json")).categories["ABC"]
+        assert validate_category(c).ok
+        copied = copier(c)
+        assert "_report" not in vars(copied)
+        copied.compose["g"]["f"] = "f"
+        violation = {"law": "endpoint-coherence", "witness": ("g", "f", "f")}
+        assert validate_category(copied).violations == (violation,)
+
+    @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+    def test_a_changed_copy_of_a_validated_presheaf_is_reported(self, fixtures_dir, copier):
+        W = cli.load(os.path.join(fixtures_dir, "fig2.json")).presheaves["W"]
+        assert validate_set_valued(W).ok
+        copied = copier(W)
+        assert "_report" not in vars(copied)
+        copied.action["f"]["B0"] = "A1"
+        violation = {"law": "composition-action", "witness": ("g", "f")}
+        assert validate_set_valued(copied).violations == (violation,)
 
 
 class TestReferencePaths:

@@ -8,7 +8,18 @@ adversarial.
 
 ``is_plain_id`` is compared with its former walk over every character
 (``helpers.scan_is_plain_id``) on text that mixes the brackets with
-characters of every UTF-8 length and lone surrogates.
+characters of every UTF-8 length and lone surrogates.  The list form of the
+rule, ``fincat._first_bad_id``, names the first id of a list that the walk
+refuses, on lists of ids nested up to depth 6 with line breaks inside and
+outside brackets, and checks a list of plain ids without calling
+``is_plain_id``.
+
+``validate_functor`` and ``validate_set_valued`` skip the table entries that
+the unit laws settle; they are compared with their former full walks
+(``helpers.scan_validate_functor``, ``helpers.scan_validate_set_valued``) on
+random functors and presheaves, as drawn and with a wrong unit composite,
+an identity that is no loop, a broken identity image or a broken identity
+action, with and without kept reports on the categories.
 
 The loader's category builder is compared with the one it replaced,
 ``helpers.scan_build_category``, on generated category documents whose ids,
@@ -47,13 +58,14 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibcat import cli
+from fibcat import cli, fincat
 from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError, UnparsedSentence
 from fibcat.factor import comprehensive_factor_fib, comprehensive_factor_opfib
 from fibcat.fib import fibre, is_discrete_opfibration, is_fibration, is_opfibration
 from fibcat.fincat import (
     CONTRAVARIANT,
     FinCat,
+    FunctorSpec,
     SetValuedFunctor,
     comma,
     constant_functor,
@@ -65,6 +77,8 @@ from fibcat.fincat import (
     terminal_category,
     tuple_id,
     validate_category,
+    validate_functor,
+    validate_set_valued,
 )
 from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf
 from fibcat.mcg import mcg, mcg_on_function
@@ -83,6 +97,9 @@ from helpers import (
     factor_fib_via_opposite,
     parse_type_by_deltas,
     rand_concrete_category,
+    rand_dag_category,
+    rand_functor,
+    rand_presheaf,
     scan_build_category,
     scan_cloven_fibration,
     scan_comma,
@@ -93,6 +110,8 @@ from helpers import (
     scan_semantics,
     scan_semantics_verdict,
     scan_validate_category,
+    scan_validate_functor,
+    scan_validate_set_valued,
 )
 
 # Each workspace draws its ids from two atoms joined by "|", sometimes in
@@ -156,6 +175,44 @@ id_chars = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_is_plain_id_matches_the_walk_over_every_character(s):
     assert is_plain_id(s) == scan_is_plain_id(s)
+
+
+# Lists of ids nested up to depth 6, with line breaks inside and outside
+# brackets, lone surrogates, empty ids and, in some, a stray bracket or "|".
+def nested_ids(atoms, depth=6):
+    ids = atoms
+    for _ in range(depth):
+        ids = st.one_of(
+            ids,
+            st.lists(ids, max_size=2).map(lambda parts: "(" + "|".join(parts) + ")"),
+            st.lists(ids, min_size=2, max_size=2).map("".join),
+        )
+    return ids
+
+
+plain_atoms = st.sampled_from(["", "a", "é", "日", "😀", "\ud800", "->"])
+id_lists = st.lists(
+    nested_ids(st.one_of(plain_atoms, st.sampled_from(["\n", "|", "(", ")"]))), max_size=5
+)
+
+
+@given(id_lists)
+@example([])
+@example([""])
+@example(["(a\nb)", "a|b"])
+@example(["a\n(b|c)", "(\n|\n)", ")\n("])
+@example(["(((((((a)))))))", "((((((((((|))))))))))", "(((((((((a)))))))))|"])
+@settings(max_examples=300, deadline=None)
+def test_a_list_of_ids_fails_at_its_first_id_that_the_walk_refuses(ids):
+    first = next((i for i, s in enumerate(ids) if not scan_is_plain_id(s)), None)
+    assert fincat._first_bad_id(ids) == first
+
+
+@given(st.lists(nested_ids(plain_atoms), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_a_list_of_plain_ids_without_line_breaks_is_checked_in_one_call(ids):
+    with mock.patch.object(fincat, "is_plain_id", side_effect=AssertionError("one call per id")):
+        assert fincat._first_bad_id(ids) is None
 
 
 plain_ids = st.text("ab()|->:*", max_size=5).filter(is_plain_id)
@@ -329,6 +386,98 @@ def test_validate_category_matches_the_scan_on_concrete_categories(W, data):
         g, f, m = data.draw(st.sampled_from(parallel))
         bad = FinCat(c.objects, c.morphisms, c.identity, {**c.compose, g: {**c.compose[g], f: m}})
         assert validate_category(bad).violations == scan_validate_category(bad)
+
+
+def _with_wrong_unit(rng, c):
+    """c with one composite that has an identity in it set to another
+    morphism, a parallel one where there is one; c if it has none."""
+    identities = set(c.identity.values())
+    units = [(g, f) for g, row in c.compose.items() for f in row if {g, f} & identities]
+    if not units or len(c.morphisms) < 2:
+        return c
+    g, f = rng.choice(units)
+    h = c.compose[g][f]
+    ends = (c.src(h), c.tgt(h))
+    others = [m.id for m in c.morphisms if m.id != h]
+    parallel = [m for m in others if (c.src(m), c.tgt(m)) == ends]
+    compose = {**c.compose, g: {**c.compose[g], f: rng.choice(parallel or others)}}
+    return FinCat(c.objects, c.morphisms, c.identity, compose)
+
+
+def _with_a_non_loop_identity(rng, c):
+    """c with one object's identity named as a morphism out of or into it
+    that is no loop; c if it has none."""
+    non_loops = [m for m in c.morphisms if m.src != m.tgt]
+    if not non_loops:
+        return c
+    m = rng.choice(non_loops)
+    identity = {**c.identity, rng.choice((m.src, m.tgt)): m.id}
+    return FinCat(c.objects, c.morphisms, identity, c.compose)
+
+
+def _keep_reports(kept, *categories):
+    """Validate each category, so it keeps its report, when kept is set."""
+    for c in categories if kept else ():
+        validate_category(c)
+
+
+FUNCTOR_MUTATIONS = ("none", "dom-unit", "cod-unit", "dom-identity", "cod-identity", "image")
+
+
+# Random functors from a free DAG category to another or to a category of
+# functions, which has loops, as drawn and with one mutation.
+@given(st.randoms(use_true_random=False), st.sampled_from(FUNCTOR_MUTATIONS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_validate_functor_matches_the_full_walk(rng, mutation, kept):
+    dom = rand_dag_category(rng)
+    cod = rand_dag_category(rng).cat if rng.random() < 0.5 else rand_concrete_category(rng).base
+    F = rand_functor(rng, dom, cod)
+    dom, omap, mmap = F.dom, F.omap, dict(F.mmap)
+    if mutation == "dom-unit":
+        dom = _with_wrong_unit(rng, dom)
+    elif mutation == "cod-unit":
+        cod = _with_wrong_unit(rng, cod)
+    elif mutation == "dom-identity":
+        dom = _with_a_non_loop_identity(rng, dom)
+    elif mutation == "cod-identity":
+        cod = _with_a_non_loop_identity(rng, cod)
+    elif mutation == "image":
+        # another loop where there is one, so the endpoints are still preserved
+        c = rng.choice(dom.objects)
+        loops = [u for u in cod.hom(omap[c], omap[c]) if u != mmap[dom.identity[c]]]
+        mmap[dom.identity[c]] = rng.choice(loops or [m.id for m in cod.morphisms])
+    F = FunctorSpec(dom, cod, omap, mmap)
+    _keep_reports(kept, dom, cod)
+    assert validate_functor(F).violations == scan_validate_functor(F)
+
+
+PRESHEAF_MUTATIONS = ("none", "base-unit", "base-identity", "identity-action")
+
+
+# Random contravariant presheaves on free DAG categories and covariant
+# inclusions of categories of functions, as drawn and with one mutation.
+@given(st.randoms(use_true_random=False), st.sampled_from(PRESHEAF_MUTATIONS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_validate_set_valued_matches_the_full_walk(rng, mutation, kept):
+    if rng.random() < 0.5:
+        W = rand_presheaf(rng, rand_dag_category(rng), min_elts=1)
+    else:
+        W = rand_concrete_category(rng)
+    base, action = W.base, dict(W.action)
+    if mutation == "base-unit":
+        base = _with_wrong_unit(rng, base)
+    elif mutation == "base-identity":
+        base = _with_a_non_loop_identity(rng, base)
+    elif mutation == "identity-action":
+        # a total function on the set that is not the identity
+        objects = [c for c in base.objects if len(W.eltset[c]) > 1]
+        if objects:
+            c = rng.choice(objects)
+            elts = W.eltset[c]
+            action[base.identity[c]] = dict(zip(elts, elts[1:] + elts[:1]))
+    W = SetValuedFunctor(base, W.variance, W.eltset, action)
+    _keep_reports(kept, base)
+    assert validate_set_valued(W).violations == scan_validate_set_valued(W)
 
 
 @given(concrete_categories)
