@@ -2,22 +2,33 @@
 
 A discrete fibration is a functor where every base morphism into the image
 of a total object has exactly one lift with that codomain.  The general
-(cloven) check searches for cartesian lifts by exhaustive filler tests and
-records the first one found in declaration order as the cleavage.
+(cloven) check records the first cartesian lift of each pair in declaration
+order as the cleavage.  On a functor between categories that keep a valid
+report, and that validate_functor passes, a lift whose ends have unique
+lifts is cartesian by theorem (see is_fibration); every other lift, and
+every lift of any other functor, gets is_cartesian's exhaustive filler test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiscreteFibration, ShapeMismatch, UnknownMorphism, UnknownObject
+from .errors import (
+    MalformedSpec,
+    NotDiscreteFibration,
+    ShapeMismatch,
+    UnknownMorphism,
+    UnknownObject,
+)
 from .fincat import (
     FunctorSpec,
     ValidationReport,
     _grouped,
+    _kept_valid,
     _violation,
     identity_functor,
     opposite_functor,
+    validate_functor,
 )
 
 
@@ -83,6 +94,8 @@ def is_cartesian(p: FunctorSpec, f: str) -> ValidationReport:
     one violation."""
     E = p.dom
     C = p.cod
+    if not E.has_morphism(f):
+        raise UnknownMorphism(f"no total morphism named {f!r}")
     m = E.morphism(f)
     u = p.mmap[f]
     row_u, row_f = C.compose[u], E.compose[f]
@@ -103,17 +116,51 @@ def is_fibration(p: FunctorSpec) -> ValidationReport:
 
     The witness is the cleavage {(E, u): lift}, which records the first
     cartesian lift found in declaration order, so the choice is canonical.
+
+    Theorem: let f: e' -> e lie over u, where every base morphism into p(e')
+    has exactly one lift with target e', and every one into p(e) has at
+    most one with target e.  Then f is cartesian, with unique fillers.
+    Given g into e and w with u . w = p(g), let h0 be the one lift of w at
+    e'; f . h0 and g both lift p(g) at e, so they are equal, and h0 is the
+    filler.  The proof needs the composite f . h0 in the table and a p that
+    preserves endpoints and composition, so the theorem is used only when
+    dom(p) and cod(p) keep a valid report and validate_functor(p) holds.
+    The lift counts are read in the pass of the discrete check.  The test
+    is sufficient, not necessary: a lift it does not settle, and every
+    lift of any other p, gets is_cartesian's filler search, so the report
+    is the same either way.
     """
+    exact, at_most_one = _unique_lift_ends(p)
+    src = p.dom.src
     cleavage = {}
     violations = []
     for e in p.dom.objects:
+        settled = exact if e in at_most_one else ()  # a lift into e from these is cartesian
         for u in p.cod.into(p.omap[e]):
-            found = next((h for h in p.lifts(u.id, e) if is_cartesian(p, h).ok), None)
+            lifts = p.lifts(u.id, e)
+            found = next((h for h in lifts if src(h) in settled or is_cartesian(p, h).ok), None)
             if found is None:
                 violations.append(_violation("cartesian-lift", (e, u.id)))
             else:
                 cleavage[(e, u.id)] = found
     return ValidationReport(tuple(violations), cleavage)
+
+
+def _unique_lift_ends(p):
+    """The total objects e at which every base morphism into p(e) has exactly
+    one lift with target e, and those at which each has at most one, read
+    off the discrete check's violations.  Both are empty unless dom(p) and
+    cod(p) keep a valid report and validate_functor passes p."""
+    try:
+        settled = _kept_valid(p.dom) and _kept_valid(p.cod) and validate_functor(p).ok
+    except (MalformedSpec, TypeError):  # a missing, unknown or unhashable image, on
+        settled = False  # which the filler search raises as it always has
+    if not settled:
+        return (), ()
+    counts = [v["witness"] for v in is_discrete_fibration(p).violations]
+    objects = set(p.dom.objects)
+    exact = objects.difference(e for e, _, _ in counts)
+    return exact, objects.difference(e for e, _, n in counts if n > 1)
 
 
 def is_opfibration(p: FunctorSpec) -> ValidationReport:

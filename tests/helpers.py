@@ -140,26 +140,60 @@ def span_non_fibration():
     )
 
 
+def _category(objects, arrows, compose):
+    """The category on objects with the arrows {id: (src, tgt)}, then an
+    identity "id:<object>" per object, and compose completed by the unit
+    laws."""
+    morphisms = tuple(Morphism(m, s, t) for m, (s, t) in arrows.items())
+    cat = FinCat(
+        objects,
+        morphisms + tuple(Morphism(f"id:{o}", o, o) for o in objects),
+        {o: f"id:{o}" for o in objects},
+        compose,
+    )
+    scan_complete_units(cat)
+    return cat
+
+
+def _over(total, base, omap, mmap):
+    """The functor total -> base with omap, and mmap extended to the
+    identities of _category."""
+    units = {f"id:{e}": f"id:{c}" for e, c in omap.items()}
+    return FunctorSpec(total, base, omap, {**mmap, **units})
+
+
 def two_filler_functor():
     """x => y -> e over the chain A -> B -> C, where f . h1 = f . h2 = fh.
     f is the only morphism over g into e, and it is not cartesian: the pair
     (fh, f) has the two fillers h1 and h2."""
-    objects = ("x", "y", "e")
     arrows = {"h1": ("x", "y"), "h2": ("x", "y"), "f": ("y", "e"), "fh": ("x", "e")}
-    total = FinCat(
-        objects,
-        tuple(Morphism(m, s, t) for m, (s, t) in arrows.items())
-        + tuple(Morphism(f"id:{o}", o, o) for o in objects),
-        {o: f"id:{o}" for o in objects},
-        {"f": {"h1": "fh", "h2": "fh"}},
-    )
-    scan_complete_units(total)
-    return FunctorSpec(
+    total = _category(("x", "y", "e"), arrows, {"f": {"h1": "fh", "h2": "fh"}})
+    return _over(
         total,
         chain_base(),
         {"x": "A", "y": "B", "e": "C"},
-        {"h1": "f", "h2": "f", "f": "g", "fh": "gf", "id:x": "id:A", "id:y": "id:B", "id:e": "id:C"},
+        {"h1": "f", "h2": "f", "f": "g", "fh": "gf"},
     )
+
+
+def parallel_lifts_functor():
+    """f1, f2: e' -> e over u: a -> b.  Each arrow into a has one lift at
+    e', but u has two at e, and neither is cartesian: (f2, id:a) has no
+    filler through f1, nor (f1, id:a) through f2."""
+    base = _category(("a", "b"), {"u": ("a", "b")}, {})
+    total = _category(("e'", "e"), {"f1": ("e'", "e"), "f2": ("e'", "e")}, {})
+    return _over(total, base, {"e'": "a", "e": "b"}, {"f1": "u", "f2": "u"})
+
+
+def missing_lift_functor():
+    """x -g-> e <-f- e' over c -w-> a -u-> b, with g over u . w.  Each arrow
+    into b has one lift at e, but w has none at e', so f is not cartesian:
+    (g, w) has no filler."""
+    base = _category(
+        ("c", "a", "b"), {"w": ("c", "a"), "u": ("a", "b"), "uw": ("c", "b")}, {"u": {"w": "uw"}}
+    )
+    total = _category(("x", "e", "e'"), {"g": ("x", "e"), "f": ("e'", "e")}, {})
+    return _over(total, base, {"x": "c", "e": "b", "e'": "a"}, {"g": "uw", "f": "u"})
 
 # --- random structures ----------------------------------------------------
 

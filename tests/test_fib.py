@@ -1,6 +1,11 @@
+import copy
+import io
+import os
+
 import pytest
 
-from fibcat.errors import NotDiscreteFibration, ShapeMismatch, UnknownObject
+from fibcat import cli, fib
+from fibcat.errors import NotDiscreteFibration, ShapeMismatch, UnknownMorphism, UnknownObject
 from fibcat.fib import (
     CartesianWitness,
     fibre,
@@ -20,6 +25,7 @@ from fibcat.fincat import (
     identity_functor,
     opposite_functor,
     terminal_category,
+    validate_category,
 )
 from fibcat.groth import elements
 from fibcat.mcg import mcg
@@ -27,6 +33,8 @@ from fibcat.mcg import mcg
 from helpers import (
     chain_base,
     fig2_fibration,
+    missing_lift_functor,
+    parallel_lifts_functor,
     rand_dag_category,
     rand_functor,
     rand_presheaf,
@@ -156,6 +164,10 @@ class TestCartesian:
             g, w, n = v["witness"]
             assert n == 0
 
+    def test_unknown_morphism(self, p):
+        with pytest.raises(UnknownMorphism, match="no total morphism named 'f'"):
+            is_cartesian(p, "f")
+
 
 class TestClovenFibration:
     def test_discrete_implies_cloven(self, p):
@@ -209,12 +221,122 @@ class TestClovenFibration:
             self._matches_the_scan(is_fibration(p), p)
             self._matches_the_scan(is_opfibration(p), opposite_functor(p))
 
+    @staticmethod
+    def _validated(p):
+        """p, once its dom and cod keep a valid report, so is_fibration may
+        read a lift as cartesian by theorem."""
+        assert validate_category(p.dom).ok and validate_category(p.cod).ok
+        return p
+
+    def test_the_theorem_path_matches_a_scan_oracle(self, monkeypatch, rng):
+        calls = _counted_cartesian(monkeypatch)
+        outcomes, settled, searched = set(), 0, 0
+        for _ in range(150):
+            cod = rand_dag_category(rng, 3, 3).cat
+            p = self._validated(rand_functor(rng, rand_dag_category(rng, 4, 5), cod))
+            calls.clear()
+            report = is_fibration(p)
+            settled += len(calls)
+            calls.clear()
+            assert is_fibration(copy.deepcopy(p)) == report  # the copy keeps no report
+            searched += len(calls)
+            outcomes.add(self._matches_the_scan(report, p))
+        assert outcomes == {True, False}
+        assert settled < searched
+        p = self._validated(two_filler_functor())
+        self._matches_the_scan(is_fibration(p), p)
+        for k in (2, 3):
+            D = rand_dag_category(rng, 3, 2).cat
+            G = mcg([f"g{i}" for i in range(k)])
+            p = self._validated(constant_functor(G, D, D.objects[-1]))
+            self._matches_the_scan(is_fibration(p), p)
+
+    @pytest.mark.parametrize("build, violations", [
+        # two lifts of u at e: only "at most one lift at e" stops f1 being read as cartesian
+        (parallel_lifts_functor, [("e", "u")]),
+        # no lift of w at e': only "exactly one lift at e'" stops f being read as cartesian
+        (missing_lift_functor, [("e", "u"), ("e'", "w")]),
+    ])
+    def test_each_hypothesis_of_the_theorem_is_needed(self, build, violations):
+        p = self._validated(build())
+        report = is_fibration(p)
+        assert [v["witness"] for v in report.violations] == violations
+        assert not self._matches_the_scan(report, p)
+
+    def test_a_functor_that_fails_its_laws_takes_the_filler_search(self, monkeypatch):
+        q = self._validated(span_non_fibration())
+        # e2 over y, while b: e2 -> e0 lies over u: x -> y
+        broken = FunctorSpec(q.dom, q.cod, {**q.omap, "e2": "y"}, q.mmap)
+        calls = _counted_cartesian(monkeypatch)
+        report = is_fibration(broken)
+        theorem_calls, calls[:] = list(calls), []
+        assert is_fibration(copy.deepcopy(broken)) == report
+        assert theorem_calls == calls == ["id:e1", "a", "id:e0"]
+        # validate_functor raises MalformedSpec on the first, TypeError on the second
+        for omap, mmap in [
+            ({"e0": "y", "e2": "x"}, q.mmap),
+            (q.omap, {**{m: u for m, u in q.mmap.items() if m != "b"}, "a": ["u"]}),
+        ]:
+            with pytest.raises(KeyError):  # as the filler search raises
+                is_fibration(FunctorSpec(q.dom, q.cod, omap, mmap))
+
     def test_two_fillers_are_one_violation(self):
         p = two_filler_functor()
         assert is_cartesian(p, "f").violations == (
             {"law": "unique-filler", "witness": ("fh", "f", 2)},
         )
         assert {"law": "cartesian-lift", "witness": ("e", "g")} in is_fibration(p).violations
+
+
+def _counted_cartesian(monkeypatch):
+    """The list to which each call of is_cartesian from within fib appends
+    its lift, from now on."""
+    calls, real = [], fib.is_cartesian
+
+    def counted(p, f):
+        calls.append(f)
+        return real(p, f)
+
+    monkeypatch.setattr(fib, "is_cartesian", counted)
+    return calls
+
+
+class TestCartesianCalls:
+    """check-fib --cloven on a loaded functor runs the filler search only on
+    the lifts whose ends fail the theorem's hypotheses; on a copy, which
+    keeps no report, and on the opposite, it runs on every lift it tries."""
+
+    @staticmethod
+    def _calls(monkeypatch, fixtures_dir, fixture, functor):
+        calls = _counted_cartesian(monkeypatch)
+        path = os.path.join(fixtures_dir, fixture)
+        cli.main(["check-fib", "--cloven", path, functor], out=io.StringIO())
+        theorem_calls = list(calls)
+        p = cli.load(path).functors[functor]
+        report = is_fibration(p)
+        calls.clear()
+        assert is_fibration(copy.deepcopy(p)) == report
+        return theorem_calls, calls
+
+    @pytest.mark.parametrize("fixture, lifts", [("fig2.json", 15), ("mcg_fibration.json", 18)])
+    def test_none_on_a_loaded_discrete_fibration(self, monkeypatch, fixtures_dir, fixture, lifts):
+        theorem_calls, copy_calls = self._calls(monkeypatch, fixtures_dir, fixture, "p")
+        assert theorem_calls == []
+        assert len(copy_calls) == lifts  # one per (e, u): each has the one lift
+
+    def test_only_the_lifts_into_a_doubly_lifted_object(self, monkeypatch, fixtures_dir):
+        # u: x -> y has the two lifts a and b at e0; e1 and e2 have one lift of id:x each
+        theorem_calls, copy_calls = self._calls(monkeypatch, fixtures_dir, "span.json", "q")
+        assert theorem_calls == ["a", "b", "id:e0"]
+        assert copy_calls == ["id:e1", "a", "b", "id:e0", "id:e2"]
+
+    def test_the_opposite_takes_the_filler_search(self, monkeypatch, fixtures_dir):
+        p = cli.load(os.path.join(fixtures_dir, "fig2.json")).functors["p"]
+        calls = _counted_cartesian(monkeypatch)
+        report = is_opfibration(p)
+        opposite_calls, calls[:] = list(calls), []
+        assert is_fibration(opposite_functor(copy.deepcopy(p))) == report
+        assert opposite_calls == calls != []
 
 
 class TestFibMorphism:
