@@ -152,10 +152,10 @@ def _unique_lift_ends(p):
     off the discrete check's violations.  Both are empty unless dom(p) and
     cod(p) keep a valid report and validate_functor passes p."""
     try:
-        settled = _kept_valid(p.dom) and _kept_valid(p.cod) and validate_functor(p).ok
+        lawful = _kept_valid(p.dom) and _kept_valid(p.cod) and validate_functor(p).ok
     except (MalformedSpec, TypeError):  # a missing, unknown or unhashable image, on
-        settled = False  # which the filler search raises as it always has
-    if not settled:
+        lawful = False  # which the filler search raises as it always has
+    if not lawful:
         return (), ()
     counts = [v["witness"] for v in is_discrete_fibration(p).violations]
     objects = set(p.dom.objects)
