@@ -22,8 +22,9 @@ kept, uncopied, as the category's row, with the unit composites filled in.
 structure's place in the workspace, reads a missing composite off its
 composition-totality violations, and raises the law violations of all
 structures in one ValidationError.  The validators keep their reports on
-the categories and presheaves they check, so a command that validates a
-loaded one again, as ``elements`` does, reads the kept report.  Each
+the categories, functors and presheaves they check, so a command that
+validates a loaded one again, as ``elements`` does, or reads its report,
+as ``check-fib --cloven`` does, reads the kept report.  Each
 distinct lexicon type text is parsed, each phrase split, and each
 lexicon's pregroup.Lexicon built, once per load; a phrase or string
 sentence without "(", ")" or "|" needs none of its words checked against

@@ -3,10 +3,10 @@
 A discrete fibration is a functor where every base morphism into the image
 of a total object has exactly one lift with that codomain.  The general
 (cloven) check records the first cartesian lift of each pair in declaration
-order as the cleavage.  On a functor between categories that keep a valid
-report, and that validate_functor passes, a lift whose ends have unique
-lifts is cartesian by theorem (see is_fibration); every other lift, and
-every lift of any other functor, gets is_cartesian's exhaustive filler test.
+order as the cleavage.  When p, dom(p) and cod(p) each keep a valid report,
+given by their validators, a lift whose ends have unique lifts is cartesian
+by theorem (see is_fibration); every other lift, and every lift of any other
+functor, gets is_cartesian's exhaustive filler test.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    MalformedSpec,
     NotDiscreteFibration,
     ShapeMismatch,
     UnknownMorphism,
@@ -28,7 +27,6 @@ from .fincat import (
     _violation,
     identity_functor,
     opposite_functor,
-    validate_functor,
 )
 
 
@@ -124,11 +122,11 @@ def is_fibration(p: FunctorSpec) -> ValidationReport:
     e'; f . h0 and g both lift p(g) at e, so they are equal, and h0 is the
     filler.  The proof needs the composite f . h0 in the table and a p that
     preserves endpoints and composition, so the theorem is used only when
-    dom(p) and cod(p) keep a valid report and validate_functor(p) holds.
-    The lift counts are read in the pass of the discrete check.  The test
-    is sufficient, not necessary: a lift it does not settle, and every
-    lift of any other p, gets is_cartesian's filler search, so the report
-    is the same either way.
+    p, dom(p) and cod(p) each keep a valid report: a library caller gets
+    the theorem by validating them first, as load does.  The lift counts are read in the
+    pass of the discrete check.  The test is sufficient, not necessary: a
+    lift it does not settle, and every lift of any other p, gets
+    is_cartesian's filler search, so the report is the same either way.
     """
     exact, at_most_one = _unique_lift_ends(p)
     src = p.dom.src
@@ -149,13 +147,9 @@ def is_fibration(p: FunctorSpec) -> ValidationReport:
 def _unique_lift_ends(p):
     """The total objects e at which every base morphism into p(e) has exactly
     one lift with target e, and those at which each has at most one, read
-    off the discrete check's violations.  Both are empty unless dom(p) and
-    cod(p) keep a valid report and validate_functor passes p."""
-    try:
-        lawful = _kept_valid(p.dom) and _kept_valid(p.cod) and validate_functor(p).ok
-    except (MalformedSpec, TypeError):  # a missing, unknown or unhashable image, on
-        lawful = False  # which the filler search raises as it always has
-    if not lawful:
+    off the discrete check's violations.  Both are empty unless p, dom(p)
+    and cod(p) each keep a valid report."""
+    if not (_kept_valid(p.dom) and _kept_valid(p.cod) and _kept_valid(p)):
         return (), ()
     counts = [v["witness"] for v in is_discrete_fibration(p).violations]
     objects = set(p.dom.objects)

@@ -7,11 +7,11 @@ composition table so every law is exhaustively checkable.  Values are
 immutable once built, except that a constructor may fill a new category's
 ``compose`` in place before handing it out.
 
-A value is immutable once validated, too: ``validate_category`` and
-``validate_set_valued`` keep their report on the value they checked and
-return it on the next call.  No copy (``copy.copy``, ``copy.deepcopy``,
-``pickle``, ``dataclasses.replace``) carries the kept report, so a copy that
-is changed is checked afresh.
+A value is immutable once validated, too: ``validate_category``,
+``validate_functor`` and ``validate_set_valued`` keep their report on the
+value they checked and return it on the next call.  No copy
+(``copy.copy``, ``copy.deepcopy``, ``pickle``, ``dataclasses.replace``)
+carries the kept report, so a copy that is changed is checked afresh.
 """
 
 from __future__ import annotations
@@ -126,9 +126,7 @@ class FinCat(_Unkept):
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         # derived lookups: plain attributes, not constructor arguments
         object.__setattr__(self, "_by_id", {m.id: m for m in self.morphisms})
-        object.__setattr__(
-            self, "_obj_index", {c: i for i, c in enumerate(self.objects)}
-        )
+        object.__setattr__(self, "_object_set", set(self.objects))
         object.__setattr__(self, "_into", _grouped((m.tgt, m) for m in self.morphisms))
 
     @cached_property
@@ -140,7 +138,7 @@ class FinCat(_Unkept):
         return _grouped(((m.src, m.tgt), m.id) for m in self.morphisms)
 
     def has_object(self, c):
-        return c in self._obj_index
+        return c in self._object_set
 
     def morphism(self, mid):
         return self._by_id[mid]
@@ -282,7 +280,7 @@ def validate_category(c: FinCat) -> ValidationReport:
     laws, so it is skipped; and if the category is thin, with at most one
     arrow per hom-set, no triple is walked, since both composites of each
     lie in one hom-set."""
-    objects, by_id, identity = c._obj_index, c._by_id, c.identity
+    objects, by_id, identity = c._object_set, c._by_id, c.identity
     for i, m in enumerate(c.morphisms):
         if m.src not in objects:
             raise MalformedSpec(f"morphisms[{i}].src", f"unknown object {m.src}")
@@ -357,7 +355,7 @@ def validate_category(c: FinCat) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class FunctorSpec:
+class FunctorSpec(_Unkept):
     dom: FinCat
     cod: FinCat
     omap: dict  # object id -> object id
@@ -381,8 +379,11 @@ class FunctorSpec:
         return self._index[2].get((u, e), ())
 
 
+@_kept
 def validate_functor(F: FunctorSpec) -> ValidationReport:
     """Check the functor laws; a missing or unknown image raises MalformedSpec.
+    Like the other two validators, it keeps its report on F, where
+    fib.is_fibration's theorem reads it.
 
     Once F preserves endpoints and identities, and F.dom and F.cod each
     keep a report with no violation, the entries of the domain's table with
@@ -392,7 +393,7 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     for c in F.dom.objects:
         if c not in omap:
             raise MalformedSpec(f"omap.{c}", "missing object image")
-        if omap[c] not in cod._obj_index:
+        if omap[c] not in cod._object_set:
             raise MalformedSpec(f"omap.{c}", f"unknown object {omap[c]}")
     violations = []
     for m in F.dom.morphisms:

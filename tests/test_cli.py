@@ -504,6 +504,28 @@ class TestCommands:
         assert len(calls) == 1  # none in the command: elements reads the kept report
         assert run(["elements", fig2, "W"])[0] == 0 and len(calls) == 2  # main loads once
 
+    def test_check_fib_cloven_checks_the_functor_laws_once_at_load(self, fig2, monkeypatch):
+        walks, build = [], cli._build_category
+
+        class Counted(dict):
+            def items(self):
+                walks.append(self)
+                return super().items()
+
+        def counted(name, *args):
+            c = build(name, *args)
+            if name == "E":  # the domain of p, validated; count the walks over its table
+                object.__setattr__(c, "compose", Counted(c.compose))
+            return c
+
+        monkeypatch.setattr(cli, "_build_category", counted)
+        ws = cli.load(fig2)
+        assert len(walks) == 1  # validate_functor's on p, at load
+        args = cli.build_parser().parse_args(["check-fib", "--cloven", fig2, "p"])
+        args.fn(args, ws, io.StringIO())
+        assert len(walks) == 1  # none in the command: is_fibration reads p's kept report
+        assert run(["check-fib", "--cloven", fig2, "p"])[0] == 0 and len(walks) == 2
+
     @pytest.mark.parametrize(
         "lexicons, error",
         [

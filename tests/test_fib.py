@@ -26,6 +26,7 @@ from fibcat.fincat import (
     opposite_functor,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from fibcat.groth import elements
 from fibcat.mcg import mcg
@@ -223,9 +224,10 @@ class TestClovenFibration:
 
     @staticmethod
     def _validated(p):
-        """p, once its dom and cod keep a valid report, so is_fibration may
-        read a lift as cartesian by theorem."""
+        """p, once it, its dom and its cod keep a valid report, so
+        is_fibration may read a lift as cartesian by theorem."""
         assert validate_category(p.dom).ok and validate_category(p.cod).ok
+        assert validate_functor(p).ok
         return p
 
     def test_the_theorem_path_matches_a_scan_oracle(self, monkeypatch, rng):
@@ -267,12 +269,14 @@ class TestClovenFibration:
         q = self._validated(span_non_fibration())
         # e2 over y, while b: e2 -> e0 lies over u: x -> y
         broken = FunctorSpec(q.dom, q.cod, {**q.omap, "e2": "y"}, q.mmap)
+        assert not validate_functor(broken).ok  # kept, with its violations
         calls = _counted_cartesian(monkeypatch)
         report = is_fibration(broken)
         theorem_calls, calls[:] = list(calls), []
         assert is_fibration(copy.deepcopy(broken)) == report
         assert theorem_calls == calls == ["id:e1", "a", "id:e0"]
-        # validate_functor raises MalformedSpec on the first, TypeError on the second
+        # neither keeps a report, as validate_functor raises on both: a missing
+        # object image, and an unhashable morphism image with a missing one
         for omap, mmap in [
             ({"e0": "y", "e2": "x"}, q.mmap),
             (q.omap, {**{m: u for m, u in q.mmap.items() if m != "b"}, "a": ["u"]}),

@@ -620,16 +620,17 @@ COPIES = {
 
 
 class TestKeptReports:
-    """validate_category and validate_set_valued keep their report on the
-    value they checked; no copy carries it, so a changed copy is checked
-    afresh."""
+    """validate_category, validate_functor and validate_set_valued keep their
+    report on the value they checked; no copy carries it, so a changed copy
+    is checked afresh."""
 
     def test_a_validated_value_returns_its_kept_report(self, fixtures_dir):
         ws = cli.load(os.path.join(fixtures_dir, "fig2.json"))
-        c, W = ws.categories["ABC"], ws.presheaves["W"]
+        c, p, W = ws.categories["ABC"], ws.functors["p"], ws.presheaves["W"]
         assert validate_category(c) is validate_category(c)
+        assert validate_functor(p) is validate_functor(p)
         assert validate_set_valued(W) is validate_set_valued(W)
-        assert validate_category(c).ok and validate_set_valued(W).ok
+        assert validate_category(c).ok and validate_functor(p).ok and validate_set_valued(W).ok
 
     @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
     def test_a_changed_copy_of_a_validated_category_is_reported(self, fixtures_dir, copier):
@@ -640,6 +641,16 @@ class TestKeptReports:
         copied.compose["g"]["f"] = "f"
         violation = {"law": "endpoint-coherence", "witness": ("g", "f", "f")}
         assert validate_category(copied).violations == (violation,)
+
+    @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
+    def test_a_changed_copy_of_a_validated_functor_is_reported(self, fixtures_dir, copier):
+        p = cli.load(os.path.join(fixtures_dir, "fig2.json")).functors["p"]
+        assert validate_functor(p).ok and "_report" in vars(p)
+        copied = copier(p)
+        assert "_report" not in vars(copied)
+        copied.mmap["f:B0"] = "g"
+        violation = {"law": "endpoint-preservation", "witness": ("f:B0",)}
+        assert validate_functor(copied).violations[0] == violation
 
     @pytest.mark.parametrize("copier", COPIES.values(), ids=COPIES.keys())
     def test_a_changed_copy_of_a_validated_presheaf_is_reported(self, fixtures_dir, copier):
