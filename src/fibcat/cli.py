@@ -17,7 +17,10 @@ that gives a lone surrogate, which no output could encode.
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
 fincat validator of the structure.  Each ``compose`` row of the file is
-kept, uncopied, as the category's row, with the unit composites filled in.
+kept, uncopied, as the category's row, with the unit composites filled in
+after the file's entries.  When every identity has the right ends, the
+filled composites are lawful by construction, so the category's check reads
+only the file's own entries.
 ``load`` prefixes the path of the validator's MalformedSpec with the
 structure's place in the workspace, reads a missing composite off its
 composition-totality violations, and raises the law violations of all
@@ -66,6 +69,7 @@ from .fib import (
 from .fincat import (
     _ID_RULE,
     _TABLE_LAWS,
+    _validate_category,
     CONTRAVARIANT,
     FinCat,
     FunctorSpec,
@@ -77,7 +81,6 @@ from .fincat import (
     complete_units,
     is_plain_id,
     pullback_walk,
-    validate_category,
     validate_functor,
     validate_set_valued,
 )
@@ -210,11 +213,13 @@ def _build_category(name, doc, violations, filled):
                 raise SchemaError(f"{path}.compose.{g}.{f}", "unknown composite")
         if row:
             cat.compose[g] = row
+    written = {g: len(row) for g, row in cat.compose.items()}
     units = filled[name] = complete_units(cat)
     # every composite the unit laws force is in the table now, so a missing
     # one is not forced; validate_category checks references before laws,
     # so a dangling end is reported as such, not as a missing composite
-    report = _validated(path, validate_category, cat, violations, units)
+    validate = functools.partial(_validate_category, written=written)
+    report = _validated(path, validate, cat, violations, units)
     totality = (v["witness"] for v in report.violations if v["law"] == "composition-totality")
     missing = next(totality, None)
     if missing is not None:

@@ -3,6 +3,7 @@ import glob
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -11,6 +12,8 @@ from fibcat import cli, factor, fincat
 from fibcat.errors import MalformedSpec, SchemaError, ValidationError
 from fibcat.fib import is_discrete_fibration
 from fibcat.mcg import mcg, product_with_mcg
+
+from helpers import rand_dag_category
 
 
 def run(argv):
@@ -525,6 +528,36 @@ class TestCommands:
         args.fn(args, ws, io.StringIO())
         assert len(walks) == 1  # none in the command: is_fibration reads p's kept report
         assert run(["check-fib", "--cloven", fig2, "p"])[0] == 0 and len(walks) == 2
+
+    @pytest.mark.parametrize("workspace", ["fig2", "dag"])
+    def test_load_reads_only_the_table_entries_the_file_wrote(
+        self, workspace, fig2, tmp_path, category_reads
+    ):
+        path = fig2
+        if workspace == "dag":  # a free DAG category, its identities left to load
+            c = rand_dag_category(random.Random(5), max_objects=6, max_edges=9).cat
+            units = set(c.identity.values())
+            category = {
+                "objects": list(c.objects),
+                "morphisms": [
+                    {"id": m.id, "src": m.src, "tgt": m.tgt}
+                    for m in c.morphisms if m.id not in units
+                ],
+                "compose": {
+                    g: {f: h for f, h in row.items() if f not in units}
+                    for g, row in c.compose.items() if g not in units
+                },
+            }
+            path = tmp_path / "dag.json"
+            path.write_text(json.dumps({"format": 1, "categories": {"D": category}}))
+        with open(path, encoding="utf-8") as fh:
+            categories = json.load(fh)["categories"].values()
+        written = sum(len(row) for doc in categories for row in doc.get("compose", {}).values())
+        ws = cli.load(str(path))
+        assert sum(category_reads) == written > 0
+        # the unit entries load filled in are not read
+        rows = [row for c in ws.categories.values() for row in c.compose.values()]
+        assert sum(map(len, rows)) > written
 
     @pytest.mark.parametrize(
         "lexicons, error",

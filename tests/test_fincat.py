@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import glob
+import json
 import os
 import pickle
 
@@ -29,6 +31,7 @@ from fibcat.fincat import (
 )
 from fibcat.mcg import mcg, mcg_on_function
 
+from conftest import FIXTURES
 from helpers import (
     bfs_components,
     built_category,
@@ -311,6 +314,20 @@ class TestValidateCategoryOracle:
         assert not validate_category(FinCat(c.objects, c.morphisms, c.identity, rows)).ok
         assert reads
 
+    def test_a_triple_through_a_row_of_two_entries_is_checked(self):
+        # g's row holds its unit entry and g . f only, h's three entries;
+        # h . (g . f) = x but (h . g) . f = y, with x, y: A -> D parallel
+        arrows = [("f", "A", "B"), ("g", "B", "C"), ("h", "C", "D"), ("gf", "A", "C"),
+                  ("hg", "B", "D"), ("x", "A", "D"), ("y", "A", "D")]
+        composites = [("g", "f", "gf"), ("h", "g", "hg"), ("h", "gf", "x"), ("hg", "f", "y")]
+        c = with_units("ABCD", arrows, composites)
+        assert len(c.compose["g"]) == 2 and len(c.compose["h"]) == 3
+        violations = validate_category(c).violations
+        assert violations == scan_validate_category(c)
+        assert [(v["law"], v["witness"]) for v in violations] == [
+            ("associativity", ("h", "g", "f"))
+        ]
+
     def test_the_first_repeated_id_matches_the_scan(self, rng):
         for _ in range(200):
             c = rand_dag_category(rng, max_objects=4, max_edges=4).cat
@@ -464,6 +481,67 @@ class TestBuildCategoryOracle:
         got = built_category(cli._build_category, doc)
         assert got == built_category(scan_build_category, doc)
         assert got[0] == outcome
+
+
+def _negative_category(name, category):
+    with open(os.path.join(FIXTURES, "negative", f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)["categories"][category]
+
+
+class TestLoadPaths:
+    """Load validates a category on one of three paths: with every identity
+    rightly ended, it reads only the entries the file wrote and checks the
+    unit laws only if one of those is a wrong unit entry; otherwise it walks
+    every entry.  Each path gives what the scan gives."""
+
+    @pytest.mark.parametrize(
+        "doc, read, laws",
+        [
+            # two parallel composites and a file-given unit entry that is right:
+            # the file's three entries are read, the twelve filled ones are not
+            (
+                {
+                    "objects": ["a", "b", "c"],
+                    "morphisms": [
+                        {"id": "u", "src": "a", "tgt": "b"}, {"id": "v", "src": "a", "tgt": "b"},
+                        {"id": "w", "src": "b", "tgt": "c"}, {"id": "wu", "src": "a", "tgt": "c"},
+                        {"id": "wv", "src": "a", "tgt": "c"},
+                    ],
+                    "compose": {"w": {"u": "wu", "v": "wv"}, "u": {"id:a": "u"}},
+                },
+                3,
+                [],
+            ),
+            # the identity of b is f: a -> b, so the four filled entries are read too
+            (_negative_category("misended_identity", "C"), 9, [
+                "identity-endpoints", "composition-composability", "endpoint-coherence",
+                "endpoint-coherence",
+            ]),
+            # the file gives f . id:A = g, so the unit laws are checked
+            (_negative_category("wrong_unit_composite", "D"), 1, ["right-unit"]),
+            # one object, two loops: a . a = b but a . (a . a) != (a . a) . a
+            (_negative_category("broken_assoc", "loops"), 4, ["associativity"] * 2),
+        ],
+        ids=["filled-entries-skipped", "misended-identity", "wrong-unit-entry", "broken-triple"],
+    )
+    def test_each_path_matches_the_scan(self, category_reads, doc, read, laws):
+        got = built_category(cli._build_category, doc)
+        assert category_reads == [read]
+        assert got == built_category(scan_build_category, doc)
+        assert [v["law"].split(": ")[1] for v in got[5]] == laws
+
+    def test_a_loaded_category_keeps_the_report_of_a_fresh_check(self, fixtures_dir):
+        paths = glob.glob(os.path.join(fixtures_dir, "**", "*.json"), recursive=True)
+        checked = 0
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                categories = json.load(fh).get("categories", {})
+            for name, doc in categories.items():
+                c = cli._build_category(name, doc, [], {})
+                assert validate_category(c) is vars(c)["_report"]
+                assert validate_category(c) == validate_category(copy.deepcopy(c))
+                checked += 1
+        assert checked > 10
 
 
 class TestValidateFunctor:
