@@ -16,7 +16,8 @@ too deeply to decode, is a SchemaError at "$", as is one with a \\u escape
 that gives a lone surrogate, which no output could encode.
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
-fincat validator of the structure.  Each ``compose`` row of the file is
+fincat validator of the structure, which for a functor resolves the keys of
+its ``omap`` and ``mmap`` too.  Each ``compose`` row of the file is
 kept, uncopied, as the category's row, with the unit composites filled in
 after the file's entries.  When every identity has the right ends, the
 filled composites are lawful by construction, so the category's check reads
@@ -149,9 +150,7 @@ def _validated(where, validate, x, violations, filled):
     if walk and filled:
         rank = {pair: i for i, pair in enumerate(filled)}
         vs, at = list(report.violations), slice(walk[0], walk[-1] + 1)
-        own = [v for v in vs[at] if v["witness"][:2] not in rank]
-        late = [v for v in vs[at] if v["witness"][:2] in rank]
-        vs[at] = own + sorted(late, key=lambda v: rank[v["witness"][:2]])
+        vs[at] = sorted(vs[at], key=lambda v: rank.get(v["witness"][:2], -1))  # stable
         report = ValidationReport(tuple(vs))
     violations.extend(
         {"law": f"{where}: {v['law']}", "witness": v["witness"]} for v in report.violations
@@ -242,9 +241,9 @@ def _build_functor(name, doc, categories, violations, filled):
     dom, cod = categories[doc["dom"]], categories[doc["cod"]]
     omap = _str_map(doc["omap"], f"{path}.omap")
     mmap = _str_map(doc["mmap"], f"{path}.mmap")
-    for m in dom.morphisms:
-        if m.id not in mmap and dom.is_identity(m.id) and omap.get(m.src) in cod.identity:
-            mmap[m.id] = cod.identity[omap[m.src]]
+    for i in dom.identity.values():
+        if i not in mmap and dom.is_identity(i) and omap.get(dom.src(i)) in cod.identity:
+            mmap[i] = cod.identity[omap[dom.src(i)]]
     F = FunctorSpec(dom, cod, omap, mmap)
     _validated(path, validate_functor, F, violations, filled[doc["dom"]])
     return F
@@ -266,9 +265,9 @@ def _build_presheaf(name, doc, categories, violations, filled):
         mid: _str_map(table, f"{path}.action.{mid}")
         for mid, table in _object(doc, "action", f"{path}.action").items()
     }
-    for m in base.morphisms:
-        if m.id not in action and base.is_identity(m.id) and m.src in eltset:
-            action[m.id] = {x: x for x in eltset[m.src]}
+    for i in base.identity.values():
+        if i not in action and base.is_identity(i) and base.src(i) in eltset:
+            action[i] = {x: x for x in eltset[base.src(i)]}
     W = SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
     _validated(path, validate_set_valued, W, violations, filled[base_name])
     return W
@@ -297,8 +296,7 @@ def _build_lexicon(name, entries, parsed):
             raise SchemaError(f"{lpath}[{i}]", "expected {phrase, type}")
         phrase, text = rec["phrase"], rec["type"]
         tokens = tuple(phrase.split()) if isinstance(phrase, str) else ()
-        if (not tokens or tokens in index
-                or (_bracketed(phrase) and not all(map(is_plain_id, tokens)))):
+        if not tokens or tokens in index or _first_bad_id(tokens) is not None:
             problem = f"expected a new, non-empty phrase; in its words {_ID_RULE}"
             raise SchemaError(f"{lpath}[{i}].phrase", problem)
         try:

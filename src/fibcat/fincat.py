@@ -112,9 +112,9 @@ class FinCat(_Unkept):
     in the library iterates in that order, so constructions are
     deterministic.  ``compose`` holds a non-empty row ``{f: g after f}`` per
     g, for the f with tgt(f) = src(g), so a reader indexes a row it holds.
-    The derived indexes read ``objects`` and ``morphisms`` only, so a
-    constructor may fill ``compose`` after building the category; the
-    ``out_of`` and ``hom`` indexes are built on first use.
+    The indexes read ``objects``, ``morphisms`` and ``identity`` only, so a
+    constructor may fill ``compose``, never ``identity``, after building the
+    category; the ``out_of`` and ``hom`` indexes are built on first use.
     """
 
     objects: tuple
@@ -128,6 +128,7 @@ class FinCat(_Unkept):
         # derived lookups: plain attributes, not constructor arguments
         object.__setattr__(self, "_by_id", {m.id: m for m in self.morphisms})
         object.__setattr__(self, "_object_set", set(self.objects))
+        object.__setattr__(self, "_identity_set", set(self.identity.values()))
         object.__setattr__(self, "_into", _grouped((m.tgt, m) for m in self.morphisms))
 
     @cached_property
@@ -247,7 +248,7 @@ def complete_units(cat: FinCat):
 
     Only the pairs with an identity in them are visited.  A composite that
     is still missing is validate_category's composition-totality."""
-    identities = set(cat.identity.values())
+    identities = cat._identity_set
     units_into = _grouped((m.tgt, m) for m in cat.morphisms if m.id in identities)
     compose, filled = cat.compose, []
     for g in cat.morphisms:
@@ -319,7 +320,7 @@ def _validate_category(c: FinCat, written=None) -> ValidationReport:
     compose, composable, entry_violations = c.compose, 0, []
     trusted = written is not None and not violations  # the filled entries are lawful
     if trusted:
-        rows, units = written, set(identity.values())
+        rows, units = written, c._identity_set
         composable = sum(map(len, compose.values())) - sum(written.values())
     else:
         rows, units = dict.fromkeys(compose), ()
@@ -362,7 +363,7 @@ def _validate_category(c: FinCat, written=None) -> ValidationReport:
     if not violations and len({(m.src, m.tgt) for m in c.morphisms}) == len(c.morphisms):
         return ValidationReport()
     # once every other law holds, a row shorter than 2 holds only its unit entry
-    skip, least = ((), 0) if violations else (set(identity.values()), 2)
+    skip, least = ((), 0) if violations else (c._identity_set, 2)
     for h in c.morphisms:
         row_h = compose.get(h.id, _NO_ROW)
         if h.id in skip or len(row_h) < least:
@@ -411,9 +412,9 @@ class FunctorSpec(_Unkept):
 
 @_kept
 def validate_functor(F: FunctorSpec) -> ValidationReport:
-    """Check the functor laws; a missing or unknown image raises MalformedSpec.
-    Like the other two validators, it keeps its report on F, where
-    fib.is_fibration's theorem reads it.
+    """Check the functor laws; a missing or unknown image, or a key of omap or
+    mmap outside F.dom, raises MalformedSpec.  Like the other two validators,
+    it keeps its report on F, where fib.is_fibration's theorem reads it.
 
     Once F preserves endpoints and identities, and F.dom and F.cod each
     keep a report with no violation, the entries of the domain's table with
@@ -434,11 +435,18 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
             raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {mmap[m.id]}")
         if img.src != omap[m.src] or img.tgt != omap[m.tgt]:
             violations.append(_violation("endpoint-preservation", (m.id,)))
+    # every object and morphism of F.dom has an image, so a longer map has a stray key
+    if len(omap) != len(F.dom._object_set):
+        key = next(k for k in omap if k not in F.dom._object_set)
+        raise MalformedSpec(f"omap.{key}", "unknown object")
+    if len(mmap) != len(F.dom._by_id):
+        key = next(k for k in mmap if k not in F.dom._by_id)
+        raise MalformedSpec(f"mmap.{key}", "unknown morphism")
     for c in F.dom.objects:
         if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append(_violation("identity-preservation", (c,)))
     settled = not violations and _kept_valid(F.dom) and _kept_valid(cod)
-    units = set(F.dom.identity.values()) if settled else ()
+    units = F.dom._identity_set if settled else ()
     for g, row in F.dom.compose.items():
         if g in units:
             continue
@@ -472,7 +480,10 @@ def compose_functors(G: FunctorSpec, F: FunctorSpec) -> FunctorSpec:
 
 def check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: FunctorSpec):
     """Raise WitnessFailure unless H: dom(p) -> dom(q) and Hinv are inverse
-    functors over the base: q . H = p and p . Hinv = q."""
+    functors over the base: q . H = p and p . Hinv = q.  The second is not
+    composed: given Hinv . H = id, H . Hinv = id and q . H = p, p . Hinv =
+    q . H . Hinv = q, if q's maps hold only dom(q)'s keys, as those of a
+    validated functor, an elements projection and a product projection do."""
     for F in (H, Hinv):
         if not validate_functor(F).ok:
             raise WitnessFailure("witness map is not a functor")
@@ -480,7 +491,7 @@ def check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: Functor
         raise WitnessFailure("H has no left inverse")
     if compose_functors(H, Hinv) != identity_functor(q.dom):
         raise WitnessFailure("H has no right inverse")
-    if compose_functors(q, H) != p or compose_functors(p, Hinv) != q:
+    if compose_functors(q, H) != p:
         raise WitnessFailure("triangle over the base fails")
 
 
@@ -558,7 +569,7 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         if any(table.get(x) != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
     settled = not violations and _kept_valid(W.base)
-    units = set(W.base.identity.values()) if settled else ()
+    units = W.base._identity_set if settled else ()
     return ValidationReport(tuple(violations + _composition_action(W, units)))
 
 

@@ -12,8 +12,8 @@ from .fincat import (
     FinCat,
     FunctorSpec,
     Morphism,
+    _first_bad_id,
     check_iso_over,
-    is_plain_id,
     tuple_id,
 )
 
@@ -45,9 +45,9 @@ def mcg_walk(A) -> FinCat:
             raise MalformedSpec(f"objects[{i}]", "empty object name")
         if "->" in a:
             raise MalformedSpec(f"objects[{i}]", "an object name may not contain '->'")
-    for i, a in enumerate(A):
-        if not is_plain_id(a):
-            raise MalformedSpec(f"objects[{i}]", _ID_RULE)
+    i = _first_bad_id(A)
+    if i is not None:
+        raise MalformedSpec(f"objects[{i}]", _ID_RULE)
     if len(set(A)) != len(A):
         raise MalformedSpec("objects", "duplicate object names")
     arrow = {(a, b): f"({a}->{b})" for a in A for b in A}
@@ -82,7 +82,8 @@ class MCGClassification:
 
 
 def product_with_mcg(X, base: FinCat):
-    """The category X x G with X a discrete set, plus its projection."""
+    """The category X x G with X a discrete set, plus its projection.  Its
+    objects and morphisms are listed for x in X, for a (or m) in G."""
     obj = {(x, a): tuple_id(x, a) for x in X for a in base.objects}
     mor = {(x, m.id): tuple_id(x, m.id) for x in X for m in base.morphisms}
     morphisms = tuple(
@@ -114,22 +115,17 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     a0 = base.objects[0] if base.objects else None  # then X and every map are empty
     # reindexing along an isomorphism is a bijection, so every fibre has X's size
     X = fibre(p, a0).elements if base.objects else ()
-    transports = {a: _reindex(p, base.hom(a0, a)[0]) for a in base.objects}
-    transport = {}
-    for e in p.dom.objects:
-        a = p.omap[e]
-        transport[e] = transports[a][e]
+    # the fibres partition the total objects, so each is transported once
+    transport = {e: x for a in base.objects for e, x in _reindex(p, base.hom(a0, a)[0]).items()}
     product, projection = product_with_mcg(X, base)
-    omap = {e: tuple_id(transport[e], p.omap[e]) for e in p.dom.objects}
-    mmap = {h.id: tuple_id(transport[h.src], p.mmap[h.id]) for h in p.dom.morphisms}
+    obj = dict(zip([(x, a) for x in X for a in base.objects], product.objects))
+    mor = dict(zip([(x, m.id) for x in X for m in base.morphisms], product.morphisms))
+    omap = {e: obj[transport[e], p.omap[e]] for e in p.dom.objects}
+    mmap = {h.id: mor[transport[h.src], p.mmap[h.id]].id for h in p.dom.morphisms}
     H = FunctorSpec(p.dom, product, omap, mmap)
     back = {a: _reindex(p, base.hom(a, a0)[0]) for a in base.objects}
-    inv_omap = {tuple_id(x, a): back[a][x] for x in X for a in base.objects}
-    inv_mmap = {
-        tuple_id(x, m.id): p.lifts(m.id, back[m.tgt][x])[0]
-        for x in X
-        for m in base.morphisms
-    }
+    inv_omap = {oid: back[a][x] for (x, a), oid in obj.items()}
+    inv_mmap = {m.id: p.lifts(u, back[base.tgt(u)][x])[0] for (x, u), m in mor.items()}
     Hinv = FunctorSpec(product, p.dom, inv_omap, inv_mmap)
     check_iso_over(H, Hinv, p, projection)
     return MCGClassification(

@@ -362,7 +362,7 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
     # constituent reduces to it in zero steps.
     shared = {cid for _, _, cids in parses if len(cids) > 1 for cid in cids}
     eltset = {}  # in insertion order, which is the order of the objects
-    reductions = []  # (sentence id, tensor id, sentence object, arity)
+    reductions = []  # (sentence id, tensor id, its constituent ids, sentence object)
     # sentence objects first: they win when a lexicon phrase is itself a
     # full corpus sentence of the target type that no other sentence uses
     for sid, r, cids in parses:
@@ -370,15 +370,15 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
         if sent_obj in shared:
             sent_obj = tuple_id(sid, format_type(r.witness.end))
         eltset.setdefault(sent_obj, (sid,))
-        reductions.append((sid, "⊗".join(cids), sent_obj, len(cids)))
+        reductions.append((sid, "⊗".join(cids), cids, sent_obj))
     occurrences = _occurrences(sentences, {ph for _, r, _ in parses for ph in r.segmentation})
     factor = {}  # constituent id -> its fibre as an ordered set, made once
     for _, r, cids in parses:
         for phrase, cid in zip(r.segmentation, cids):
             if cid not in factor:
                 factor[cid] = dict.fromkeys(eltset.setdefault(cid, tuple(occurrences[phrase])))
-    for _, _, cids in parses:
-        eltset.setdefault("⊗".join(cids), Product(tuple(factor[cid] for cid in cids)))
+    for _, tid, cids, _ in reductions:
+        eltset.setdefault(tid, Product(tuple(factor[cid] for cid in cids)))
 
     morphisms, identity = [], {}
     for oid in eltset:
@@ -386,12 +386,12 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
         morphisms.append(Morphism(mid, oid, oid))
         identity[oid] = mid
     action = {identity[oid]: Identity(elts) for oid, elts in eltset.items()}
-    for sid, tid, sent_obj, arity in reductions:
+    for sid, tid, cids, sent_obj in reductions:
         if tid == sent_obj:
             continue  # zero-step reduction collapses to the identity
         mid = f"reduce:({sid})"
         morphisms.append(Morphism(mid, tid, sent_obj))
-        action[mid] = {sid: _tuple_elt((sid,) * arity)}
+        action[mid] = {sid: _tuple_elt((sid,) * len(cids))}
     # reductions run tensor -> sentence and nothing leaves a sentence
     # object, so the only composites involve identities
     cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})

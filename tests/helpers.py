@@ -5,7 +5,13 @@ import re
 from collections import deque
 from itertools import product as iproduct
 
-from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError, UnparsedSentence
+from fibcat.errors import (
+    MalformedSpec,
+    SchemaError,
+    TypeSyntaxError,
+    UnparsedSentence,
+    WitnessFailure,
+)
 
 from fibcat.fincat import (
     CONTRAVARIANT,
@@ -16,7 +22,9 @@ from fibcat.fincat import (
     Morphism,
     SetValuedFunctor,
     comma,
+    compose_functors,
     constant_functor,
+    identity_functor,
     is_plain_id,
     opposite_functor,
     terminal_category,
@@ -778,8 +786,8 @@ def scan_validate_category(c: FinCat, entries=None):
 def scan_validate_functor(F: FunctorSpec):
     """fincat.validate_functor's violations by its former full walk, which
     checks every entry of the domain's table, those with an identity in
-    them too.  A missing or unknown image raises MalformedSpec as the
-    library does."""
+    them too.  A missing or unknown image, or a key outside F.dom, raises
+    MalformedSpec as the library does."""
     omap, mmap, cod = F.omap, F.mmap, F.cod
     for c in F.dom.objects:
         if c not in omap:
@@ -796,6 +804,12 @@ def scan_validate_functor(F: FunctorSpec):
             raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {mmap[m.id]}")
         if img.src != omap[m.src] or img.tgt != omap[m.tgt]:
             violations.append({"law": "endpoint-preservation", "witness": (m.id,)})
+    for key in omap:
+        if key not in F.dom.objects:
+            raise MalformedSpec(f"omap.{key}", "unknown object")
+    for key in mmap:
+        if all(m.id != key for m in F.dom.morphisms):
+            raise MalformedSpec(f"mmap.{key}", "unknown morphism")
     for c in F.dom.objects:
         if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append({"law": "identity-preservation", "witness": (c,)})
@@ -804,6 +818,20 @@ def scan_validate_functor(F: FunctorSpec):
             if cod.compose.get(mmap[g], {}).get(mmap[f]) != mmap[h]:
                 violations.append({"law": "composition-preservation", "witness": (g, f)})
     return tuple(violations)
+
+
+def scan_check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: FunctorSpec):
+    """fincat.check_iso_over by its former four comparisons, which compose
+    both triangles over the base."""
+    for F in (H, Hinv):
+        if not validate_functor(F).ok:
+            raise WitnessFailure("witness map is not a functor")
+    if compose_functors(Hinv, H) != identity_functor(p.dom):
+        raise WitnessFailure("H has no left inverse")
+    if compose_functors(H, Hinv) != identity_functor(q.dom):
+        raise WitnessFailure("H has no right inverse")
+    if compose_functors(q, H) != p or compose_functors(p, Hinv) != q:
+        raise WitnessFailure("triangle over the base fails")
 
 
 def scan_validate_set_valued(W: SetValuedFunctor):

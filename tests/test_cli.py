@@ -193,6 +193,37 @@ class TestNegativeFixtures:
         assert {"law": "unique-lift", "witness": ("C0", "g", 0)} in report.violations
 
 
+class TestStrayMapKeys:
+    """A functor map key outside the domain is refused at load, so no later
+    command fails on it."""
+
+    @pytest.mark.parametrize(
+        "fixture, key, image, argv",
+        [
+            ("fig2.json", "omap", "B", ["validate"]),
+            ("fig2.json", "omap", "B", ["roundtrip", "p"]),
+            ("fig2.json", "omap", "B", ["factorize", "--opfib", "p"]),
+            ("fig2.json", "mmap", "g", ["factorize", "--fib", "p"]),
+            ("mcg_fibration.json", "omap", "m0", ["classify-mcg", "p"]),
+            ("mcg_fibration.json", "mmap", "(m0->m0)", ["classify-mcg", "p"]),
+        ],
+    )
+    def test_a_stray_key_exits_two(self, fixtures_dir, tmp_path, fixture, key, image, argv):
+        with open(os.path.join(fixtures_dir, fixture), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["functors"]["p"][key]["zzz"] = image
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        what = "object" if key == "omap" else "morphism"
+        error = f"ERROR: functors.p.{key}.zzz: unknown {what}\n"
+        assert run([argv[0], str(path), *argv[1:]]) == (2, error)
+
+    def test_a_repeated_domain_id_is_no_stray_key(self):
+        i = fincat.Morphism("i", "A", "A")
+        c = fincat.FinCat(("A", "A"), (i, i), {"A": "i"}, {"i": {"i": "i"}})
+        assert fincat.validate_functor(fincat.identity_functor(c)).ok
+
+
 class TestCommands:
     def test_validate_ok(self, fig2):
         code, text = run(["validate", fig2])
@@ -824,6 +855,17 @@ class TestIdsAndAliases:
         code, text = run(["elements", str(path), "W"])
         assert code == 0
         assert text.splitlines() == ["OBJECT: ((a|b)|(p|(q)))"]
+
+
+@pytest.mark.parametrize("phrases, i", [(["a", "b (c"], 1), (["(a|b) c", "x|y"], 1), (["a)"], 0)])
+def test_a_lexicon_phrase_whose_word_breaks_the_id_rule(tmp_path, phrases, i):
+    doc = {"format": 1, "lexicons": {"L": [{"phrase": p, "type": "n"} for p in phrases]}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        cli.load(str(path))
+    problem = f"expected a new, non-empty phrase; in its words {cli._ID_RULE}"
+    assert (exc.value.path, exc.value.message) == (f"lexicons.L[{i}].phrase", problem)
 
 
 class TestUnknownNames:

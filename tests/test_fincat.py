@@ -43,6 +43,7 @@ from helpers import (
     scan_check_category_wellformed,
     scan_comma,
     scan_validate_category,
+    scan_validate_functor,
     strict_pullback,
 )
 
@@ -760,6 +761,17 @@ class TestReferencePaths:
         with pytest.raises(MalformedSpec) as exc:
             validate_functor(F)
         assert exc.value.path == "omap.B"
+
+    @pytest.mark.parametrize(
+        "key, image, message", [("omap", "A", "unknown object"), ("mmap", "f", "unknown morphism")]
+    )
+    def test_a_key_outside_the_domain(self, key, image, message):
+        one = identity_functor(chain_base())
+        F = dataclasses.replace(one, **{key: {**getattr(one, key), "Z": image}})
+        for validate in (validate_functor, scan_validate_functor):
+            with pytest.raises(MalformedSpec) as exc:
+                validate(F)
+            assert (exc.value.path, exc.value.message) == (f"{key}.Z", message)
 
 
 class TestCheckIsoOver:

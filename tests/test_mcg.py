@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from fibcat.errors import MalformedSpec, NotDiscreteFibration, NotOverMCG
@@ -174,3 +177,18 @@ def test_classify_over_a_one_object_category_with_its_own_ids():
     cls = classify_over_mcg(proj)
     assert cls.fibre_set == ("(x0|*)", "(x1|*)")
     assert cls.iso.omap["(x1|*)"] == "((x1|*)|*)"
+
+
+def test_classify_renders_each_product_id_once(fixtures_dir, monkeypatch):
+    from fibcat import cli
+
+    mcg_module = sys.modules[classify_over_mcg.__module__]  # fibcat.mcg is also a function
+    p = cli.load(os.path.join(fixtures_dir, "mcg_fibration.json")).functors["p"]
+    rendered, tuple_id = [], mcg_module.tuple_id
+    def counted(*parts):
+        rendered.append(parts)
+        return tuple_id(*parts)
+
+    monkeypatch.setattr(mcg_module, "tuple_id", counted)
+    product = classify_over_mcg(p).product_projection.dom
+    assert len(rendered) == len(product.objects) + len(product.morphisms) > 0

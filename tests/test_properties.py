@@ -19,7 +19,11 @@ the unit laws settle; they are compared with their former full walks
 (``helpers.scan_validate_functor``, ``helpers.scan_validate_set_valued``) on
 random functors and presheaves, as drawn and with a wrong unit composite,
 an identity that is no loop, a broken identity image or a broken identity
-action, with and without kept reports on the categories.
+action, with and without kept reports on the categories.  ``check_iso_over``
+composes one triangle over the base, not two; it is compared with its
+former four comparisons (``helpers.scan_check_iso_over``) on the witnesses
+of ``roundtrip_fibration`` and ``classify_over_mcg``, as built and with one
+value of one map changed.
 
 The loader's category builder is compared with the one it replaced,
 ``helpers.scan_build_category``, on generated category documents whose ids,
@@ -50,6 +54,7 @@ of the category of elements of that presheaf and the verdict that
 """
 
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -61,7 +66,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat import cli, fincat
-from fibcat.errors import MalformedSpec, SchemaError, TypeSyntaxError, UnparsedSentence
+from fibcat.errors import (
+    FibcatError,
+    MalformedSpec,
+    SchemaError,
+    TypeSyntaxError,
+    UnparsedSentence,
+)
 from fibcat.factor import comprehensive_factor_fib, comprehensive_factor_opfib
 from fibcat.fib import fibre, is_discrete_opfibration, is_fibration, is_opfibration
 from fibcat.fincat import (
@@ -69,6 +80,7 @@ from fibcat.fincat import (
     FinCat,
     FunctorSpec,
     SetValuedFunctor,
+    check_iso_over,
     comma,
     constant_functor,
     identity_functor,
@@ -82,8 +94,8 @@ from fibcat.fincat import (
     validate_functor,
     validate_set_valued,
 )
-from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf
-from fibcat.mcg import mcg, mcg_on_function
+from fibcat.groth import elements, roundtrip_fibration, roundtrip_presheaf, straighten
+from fibcat.mcg import classify_over_mcg, mcg, mcg_on_function
 from fibcat.pregroup import (
     CONVENTIONS,
     Lexicon,
@@ -100,9 +112,12 @@ from helpers import (
     parse_type_by_deltas,
     rand_concrete_category,
     rand_dag_category,
+    rand_discrete_fibration,
+    rand_fibration_over_mcg,
     rand_functor,
     rand_presheaf,
     scan_build_category,
+    scan_check_iso_over,
     scan_cloven_fibration,
     scan_comma,
     scan_discrete_opfibration,
@@ -508,6 +523,45 @@ def test_validate_set_valued_matches_the_full_walk(rng, mutation, kept):
     W = SetValuedFunctor(base, W.variance, W.eltset, action)
     _keep_reports(kept, base)
     assert validate_set_valued(W).violations == scan_validate_set_valued(W)
+
+
+def _outcome(check, *args):
+    """None if check(*args) returns, else the type and text of what it raised."""
+    try:
+        check(*args)
+    except FibcatError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# The witnesses that roundtrip_fibration and classify_over_mcg build, on
+# random discrete fibrations over free DAG categories and over MCGs, as
+# built and with one value of one map of H, Hinv, p or q changed.
+@given(st.randoms(use_true_random=False), st.sampled_from(("none", "H", "Hinv", "p", "q")),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_check_iso_over_agrees_with_both_triangles_composed(rng, part, over_mcg):
+    if over_mcg:
+        p, _ = rand_fibration_over_mcg(rng, n_objects=rng.randint(1, 3))
+        cls = classify_over_mcg(p)
+        witness = {"H": cls.iso, "Hinv": cls.inverse, "p": p, "q": cls.product_projection}
+    else:
+        p = rand_discrete_fibration(rng)
+        iso = roundtrip_fibration(p)
+        q = elements(straighten(p)).projection
+        witness = {"H": iso.backward, "Hinv": iso.forward, "p": p, "q": q}
+    F = witness.get(part)
+    fields = [f for f in ("omap", "mmap") if F is not None and getattr(F, f)]
+    if fields:
+        field = rng.choice(fields)
+        images = F.cod.objects if field == "omap" else [m.id for m in F.cod.morphisms]
+        changed = dict(getattr(F, field))
+        changed[rng.choice(list(changed))] = rng.choice([*images, "zzz"])
+        witness[part] = dataclasses.replace(F, **{field: changed})
+    args = witness["H"], witness["Hinv"], witness["p"], witness["q"]
+    outcome = _outcome(check_iso_over, *args)
+    assert outcome == _outcome(scan_check_iso_over, *args)
+    assert outcome is None or part != "none"
 
 
 @given(concrete_categories)
