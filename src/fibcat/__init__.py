@@ -52,7 +52,7 @@ from .factor import (
     is_initial,
     pi0_functor,
 )
-from .mcg import MCGClassification, classify_over_mcg, is_mcg, mcg, product_with_mcg
+from .mcg import MCGClassification, classify_over_mcg, is_mcg, product_with_mcg
 from . import pregroup
 from . import errors
 

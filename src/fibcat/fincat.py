@@ -478,21 +478,30 @@ def compose_functors(G: FunctorSpec, F: FunctorSpec) -> FunctorSpec:
     )
 
 
-def check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: FunctorSpec):
-    """Raise WitnessFailure unless H: dom(p) -> dom(q) and Hinv are inverse
-    functors over the base: q . H = p and p . Hinv = q.  The second is not
-    composed: given Hinv . H = id, H . Hinv = id and q . H = p, p . Hinv =
-    q . H . Hinv = q, if q's maps hold only dom(q)'s keys, as those of a
-    validated functor, an elements projection and a product projection do."""
-    for F in (H, Hinv):
-        if not validate_functor(F).ok:
-            raise WitnessFailure("witness map is not a functor")
-    if compose_functors(Hinv, H) != identity_functor(p.dom):
+def check_iso_over(H: FunctorSpec, p: FunctorSpec, q: FunctorSpec) -> FunctorSpec:
+    """Return the inverse Hinv of H: dom(p) -> dom(q), its maps in dom(q)'s
+    declaration order, if H is an isomorphism over the base: a functor,
+    bijective on objects and morphisms, whose inverse is a functor, with
+    q . H = p; else raise WitnessFailure.  p . Hinv = q is not composed:
+    given Hinv . H = id, H . Hinv = id and q . H = p, p . Hinv = q . H .
+    Hinv = q, if q's maps hold only dom(q)'s keys, as those of a validated
+    functor, an elements projection and a product projection do."""
+    if not validate_functor(H).ok:
+        raise WitnessFailure("witness map is not a functor")
+    # validated, so H's maps hold exactly dom(H)'s keys, and images in cod(H)
+    omap = {y: x for x, y in H.omap.items()}
+    mmap = {v: u for u, v in H.mmap.items()}
+    if len(omap) != len(H.omap) or len(mmap) != len(H.mmap):
         raise WitnessFailure("H has no left inverse")
-    if compose_functors(H, Hinv) != identity_functor(q.dom):
+    if len(omap) != len(H.cod._object_set) or len(mmap) != len(H.cod._by_id):
         raise WitnessFailure("H has no right inverse")
+    Hinv = FunctorSpec(H.cod, H.dom, {c: omap[c] for c in H.cod.objects},
+                       {m.id: mmap[m.id] for m in H.cod.morphisms})
+    if not validate_functor(Hinv).ok:
+        raise WitnessFailure("witness map is not a functor")
     if compose_functors(q, H) != p:
         raise WitnessFailure("triangle over the base fails")
+    return Hinv
 
 
 def constant_functor(dom: FinCat, cod: FinCat, at: str) -> FunctorSpec:

@@ -2,8 +2,8 @@
 
 ``elements`` turns a set-valued functor into its category of elements with
 the forgetful projection; ``straighten`` recovers a presheaf from a
-discrete fibration via reindexing.  The two roundtrip operations construct
-and verify the canonical isomorphism witnesses in both directions.
+discrete fibration via reindexing.  The two roundtrip operations build
+one canonical isomorphism witness each, and verify it with its inverse.
 """
 
 from __future__ import annotations
@@ -113,17 +113,12 @@ def roundtrip_presheaf(W: SetValuedFunctor) -> IsoWitness:
 
 def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
     """Isomorphism of categories over the base:
-    elements(straighten(p)) = dom(p)."""
+    elements(straighten(p)) = dom(p); forward is backward's inverse."""
     built = elements(straighten(p))
     E = p.dom
-    fw_omap = {oid: e for (_, e), oid in built.obj_id.items()}
-    fw_mmap = {}
     for (u, y), mid in built.mor_id.items():
-        cands = p.lifts(u, y)
-        if len(cands) != 1:
+        if len(p.lifts(u, y)) != 1:
             raise WitnessFailure(f"no unique lift for {mid}")
-        fw_mmap[mid] = cands[0]
-    forward = FunctorSpec(built.total, E, fw_omap, fw_mmap)
     omap = {e: built.obj_id[p.omap[e], e] for e in E.objects}
     try:
         mmap = {m.id: built.mor_id[p.mmap[m.id], m.tgt] for m in E.morphisms}
@@ -132,5 +127,5 @@ def roundtrip_fibration(p: FunctorSpec) -> IsoWitness:
         u = p.mmap[m.id]
         raise MalformedSpec(f"mmap.{m.id}", f"unknown morphism {tuple_id(u, m.tgt)}") from None
     backward = FunctorSpec(E, built.total, omap, mmap)
-    check_iso_over(backward, forward, p, built.projection)
+    forward = check_iso_over(backward, p, built.projection)
     return IsoWitness(forward=forward, backward=backward)

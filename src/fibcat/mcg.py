@@ -103,9 +103,9 @@ def product_with_mcg(X, base: FinCat):
 def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     """Exhibit a discrete fibration over an MCG as a product projection.
 
-    Every total object is transported to the fibre over the least base
-    object along the unique connecting morphism; that fibre is the set X
-    and pairing with the base object gives the isomorphism.
+    Every total object is transported along the unique connecting morphism
+    to the fibre X over the least base object; pairing with the base object
+    gives the isomorphism, which check_iso_over inverts.
     """
     base = p.cod
     if not is_mcg(base):
@@ -123,11 +123,7 @@ def classify_over_mcg(p: FunctorSpec) -> MCGClassification:
     omap = {e: obj[transport[e], p.omap[e]] for e in p.dom.objects}
     mmap = {h.id: mor[transport[h.src], p.mmap[h.id]].id for h in p.dom.morphisms}
     H = FunctorSpec(p.dom, product, omap, mmap)
-    back = {a: _reindex(p, base.hom(a, a0)[0]) for a in base.objects}
-    inv_omap = {oid: back[a][x] for (x, a), oid in obj.items()}
-    inv_mmap = {m.id: p.lifts(u, back[base.tgt(u)][x])[0] for (x, u), m in mor.items()}
-    Hinv = FunctorSpec(product, p.dom, inv_omap, inv_mmap)
-    check_iso_over(H, Hinv, p, projection)
+    Hinv = check_iso_over(H, p, projection)
     return MCGClassification(
         fibre_set=tuple(X), iso=H, inverse=Hinv, product_projection=projection
     )

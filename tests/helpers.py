@@ -822,7 +822,8 @@ def scan_validate_functor(F: FunctorSpec):
 
 def scan_check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: FunctorSpec):
     """fincat.check_iso_over by its former four comparisons, which compose
-    both triangles over the base."""
+    both triangles over the base, with the inverse Hinv given, not computed;
+    Hinv is returned when they pass."""
     for F in (H, Hinv):
         if not validate_functor(F).ok:
             raise WitnessFailure("witness map is not a functor")
@@ -832,6 +833,34 @@ def scan_check_iso_over(H: FunctorSpec, Hinv: FunctorSpec, p: FunctorSpec, q: Fu
         raise WitnessFailure("H has no right inverse")
     if compose_functors(q, H) != p or compose_functors(p, Hinv) != q:
         raise WitnessFailure("triangle over the base fails")
+    return Hinv
+
+
+def scan_roundtrip_forward(p: FunctorSpec, built: ElementsResult):
+    """roundtrip_fibration's forward, elements(straighten(p)) -> dom(p), built
+    from lifts as the library built it before check_iso_over computed it:
+    (c|e) goes to e, and (u|y) to the lift of u with target y."""
+    omap = {oid: e for (_, e), oid in built.obj_id.items()}
+    mmap = {mid: scan_lifts(p, u, y)[0] for (u, y), mid in built.mor_id.items()}
+    return FunctorSpec(built.total, p.dom, omap, mmap)
+
+
+def scan_mcg_inverse(p: FunctorSpec, X, product: FinCat):
+    """classify_over_mcg's inverse, X x base -> dom(p), built by reindexing
+    as the library built it before check_iso_over computed it: (x|a) goes to
+    x reindexed along a -> a0, the least base object, and (x|u) to the lift
+    of u at the image of (x|tgt(u))."""
+    base = p.cod
+    a0 = base.objects[0] if base.objects else None
+    back = {
+        a: {x: p.dom.src(scan_lifts(p, scan_hom(base, a, a0)[0], x)[0]) for x in X}
+        for a in base.objects
+    }
+    obj = zip([(x, a) for x in X for a in base.objects], product.objects)
+    mor = zip([(x, m.id) for x in X for m in base.morphisms], product.morphisms)
+    omap = {oid: back[a][x] for (x, a), oid in obj}
+    mmap = {m.id: scan_lifts(p, u, back[base.tgt(u)][x])[0] for (x, u), m in mor}
+    return FunctorSpec(product, p.dom, omap, mmap)
 
 
 def scan_validate_set_valued(W: SetValuedFunctor):

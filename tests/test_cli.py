@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import fibcat.mcg
 from fibcat import cli, factor, fincat
 from fibcat.errors import MalformedSpec, SchemaError, ValidationError
 from fibcat.fib import is_discrete_fibration
@@ -333,9 +334,8 @@ class TestCommands:
     def test_mcg_builds_no_table(self, monkeypatch):
         # it prints n + n^2 lines, so the one category it builds keeps its
         # empty table rather than mcg's n^3 composites
-        module = sys.modules[mcg.__module__]  # fibcat.mcg names the function
-        built, real_cat = [], module.FinCat
-        monkeypatch.setattr(module, "FinCat", lambda *a, **k: built.append(real_cat(*a, **k)) or built[-1])
+        built, real_cat = [], fibcat.mcg.FinCat
+        monkeypatch.setattr(fibcat.mcg, "FinCat", lambda *a, **k: built.append(real_cat(*a, **k)) or built[-1])
         code, text = run(["mcg", "3"])
         assert (code, len(text.splitlines())) == (0, 3 + 6)
         assert [c.objects for c in built] == [("0", "1", "2")]

@@ -29,7 +29,7 @@ from fibcat.fincat import (
     validate_functor,
     validate_set_valued,
 )
-from fibcat.mcg import mcg, mcg_on_function
+from fibcat.mcg import classify_over_mcg, mcg, mcg_on_function
 
 from conftest import FIXTURES
 from helpers import (
@@ -775,37 +775,70 @@ class TestReferencePaths:
 
 
 class TestCheckIsoOver:
+    """One case per message, a pass returning the inverse, and a pass on an
+    iso other than the one classify_over_mcg builds."""
+
     def test_identity_is_an_iso_over_the_base(self):
         p = fig2_fibration()
         one = identity_functor(p.dom)
-        check_iso_over(one, one, p, p)
+        inverse = check_iso_over(one, p, p)
+        assert inverse == one and list(inverse.mmap) == list(one.mmap)
 
     def test_a_broken_triangle_is_refused(self):
         p = fig2_fibration()
         one = identity_functor(p.dom)
         q = FunctorSpec(p.dom, p.cod, {**p.omap, "A0": "B"}, p.mmap)
         with pytest.raises(WitnessFailure, match="triangle over the base fails"):
-            check_iso_over(one, one, p, q)
+            check_iso_over(one, p, q)
 
     def test_a_witness_that_is_no_functor_is_refused(self):
         c = chain_base()
         p = identity_functor(c)
         bad = FunctorSpec(c, c, p.omap, {**p.mmap, "f": "g"})
         with pytest.raises(WitnessFailure, match="witness map is not a functor"):
-            check_iso_over(p, bad, p, p)
+            check_iso_over(bad, p, p)
+
+    def test_an_inverse_that_is_no_functor_is_refused(self):
+        # H is the identity maps into a copy of the chain whose table has one
+        # more entry, f after g, which do not compose: H keeps every composite
+        # of the chain and q . H = p, but the inverse does not keep that entry
+        c = chain_base()
+        table = {**c.compose, "f": {**c.compose["f"], "g": "gf"}}
+        wider = FinCat(c.objects, c.morphisms, c.identity, table)
+        one = identity_functor(c)
+        H, q = FunctorSpec(c, wider, one.omap, one.mmap), FunctorSpec(wider, c, one.omap, one.mmap)
+        assert validate_functor(H).ok and compose_functors(q, H) == one
+        with pytest.raises(WitnessFailure, match="witness map is not a functor"):
+            check_iso_over(H, one, q)
 
     def test_a_witness_without_a_left_inverse_is_refused(self):
         c = chain_base()
         p = identity_functor(c)
         with pytest.raises(WitnessFailure, match="H has no left inverse"):
-            check_iso_over(p, constant_functor(c, c, "A"), p, p)
+            check_iso_over(constant_functor(c, c, "A"), p, p)
 
     def test_a_witness_without_a_right_inverse_is_refused(self):
-        # the point includes into the chain at A, and the chain collapses back
+        # the point includes into the chain at A, which it does not cover
         one, c = terminal_category(), chain_base()
-        H, Hinv = constant_functor(one, c, "A"), constant_functor(c, one, "*")
+        H, p, q = constant_functor(one, c, "A"), identity_functor(one), identity_functor(c)
         with pytest.raises(WitnessFailure, match="H has no right inverse"):
-            check_iso_over(H, Hinv, identity_functor(one), identity_functor(c))
+            check_iso_over(H, p, q)
+
+    def test_a_fibre_swap_after_the_classification_is_an_iso_over_the_base(self):
+        # X = {x0, x1}, and X x base lists x0's copy of the base, then x1's:
+        # swapping the two copies is an automorphism over the base, its own
+        # inverse, so the swap after the iso has the iso's inverse after it
+        p = cli.load(os.path.join(FIXTURES, "mcg_fibration.json")).functors["p"]
+        cls = classify_over_mcg(p)
+        q = cls.product_projection
+        objects, arrows = q.dom.objects, [m.id for m in q.dom.morphisms]
+        n, k = len(objects) // 2, len(arrows) // 2
+        swap = FunctorSpec(q.dom, q.dom, dict(zip(objects, objects[n:] + objects[:n])),
+                           dict(zip(arrows, arrows[k:] + arrows[:k])))
+        assert len(cls.fibre_set) == 2 and validate_functor(swap).ok
+        inverse = check_iso_over(compose_functors(swap, cls.iso), p, q)
+        assert inverse == compose_functors(cls.inverse, swap) != cls.inverse
+        assert (list(inverse.omap), list(inverse.mmap)) == (list(objects), arrows)
 
 
 class TestOpposite:

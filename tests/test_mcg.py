@@ -1,8 +1,11 @@
+import collections
 import os
 import sys
 
 import pytest
 
+import fibcat.fincat
+import fibcat.mcg
 from fibcat.errors import MalformedSpec, NotDiscreteFibration, NotOverMCG
 from fibcat.fib import fibre, is_discrete_fibration
 from fibcat.fincat import (
@@ -179,16 +182,43 @@ def test_classify_over_a_one_object_category_with_its_own_ids():
     assert cls.iso.omap["(x1|*)"] == "((x1|*)|*)"
 
 
+def test_the_package_attribute_mcg_is_the_module():
+    assert fibcat.mcg is sys.modules["fibcat.mcg"]
+    assert fibcat.mcg.mcg is mcg
+
+
 def test_classify_renders_each_product_id_once(fixtures_dir, monkeypatch):
     from fibcat import cli
 
-    mcg_module = sys.modules[classify_over_mcg.__module__]  # fibcat.mcg is also a function
     p = cli.load(os.path.join(fixtures_dir, "mcg_fibration.json")).functors["p"]
-    rendered, tuple_id = [], mcg_module.tuple_id
+    rendered, tuple_id = [], fibcat.mcg.tuple_id
     def counted(*parts):
         rendered.append(parts)
         return tuple_id(*parts)
 
-    monkeypatch.setattr(mcg_module, "tuple_id", counted)
+    monkeypatch.setattr(fibcat.mcg, "tuple_id", counted)
     product = classify_over_mcg(p).product_projection.dom
     assert len(rendered) == len(product.objects) + len(product.morphisms) > 0
+
+
+def test_classify_composes_one_functor_and_reindexes_once_per_base_object(
+    fixtures_dir, monkeypatch
+):
+    # check_iso_over computes the iso's inverse and composes one triangle,
+    # the projection after the iso, with no identity functor to compare;
+    # the iso transports each fibre once, along a0 -> a
+    from fibcat import cli
+
+    p = cli.load(os.path.join(fixtures_dir, "mcg_fibration.json")).functors["p"]
+    calls = collections.Counter()
+    names = ((fibcat.fincat, "compose_functors"), (fibcat.fincat, "identity_functor"),
+             (fibcat.mcg, "_reindex"))
+    for module, name in names:
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    classify_over_mcg(p)
+    assert len(p.cod.objects) == 3
+    assert calls == {"compose_functors": 1, "_reindex": 3}

@@ -20,10 +20,13 @@ the unit laws settle; they are compared with their former full walks
 random functors and presheaves, as drawn and with a wrong unit composite,
 an identity that is no loop, a broken identity image or a broken identity
 action, with and without kept reports on the categories.  ``check_iso_over``
-composes one triangle over the base, not two; it is compared with its
-former four comparisons (``helpers.scan_check_iso_over``) on the witnesses
-of ``roundtrip_fibration`` and ``classify_over_mcg``, as built and with one
-value of one map changed.
+computes the inverse of its witness and composes one triangle over the
+base, not two; it is compared with its former four comparisons
+(``helpers.scan_check_iso_over``), given the inverse built from lifts and
+reindexing as the library built it before, on the witnesses of
+``roundtrip_fibration`` and ``classify_over_mcg``, as built and with one
+value of one map changed, and on a pass returns that inverse, its maps in
+the same key order.
 
 The loader's category builder is compared with the one it replaced,
 ``helpers.scan_build_category``, on generated category documents whose ids,
@@ -124,6 +127,8 @@ from helpers import (
     scan_elements,
     scan_is_plain_id,
     scan_longest_match,
+    scan_mcg_inverse,
+    scan_roundtrip_forward,
     scan_semantics,
     scan_semantics_verdict,
     scan_validate_category,
@@ -526,30 +531,32 @@ def test_validate_set_valued_matches_the_full_walk(rng, mutation, kept):
 
 
 def _outcome(check, *args):
-    """None if check(*args) returns, else the type and text of what it raised."""
+    """What check(*args) returns, else the type and text of what it raised."""
     try:
-        check(*args)
+        return check(*args)
     except FibcatError as exc:
         return type(exc), str(exc)
-    return None
 
 
 # The witnesses that roundtrip_fibration and classify_over_mcg build, on
 # random discrete fibrations over free DAG categories and over MCGs, as
-# built and with one value of one map of H, Hinv, p or q changed.
-@given(st.randoms(use_true_random=False), st.sampled_from(("none", "H", "Hinv", "p", "q")),
-       st.booleans())
+# built and with one value of one map of H, p or q changed.  The oracle is
+# given the inverse that the library built from lifts and reindexing before
+# check_iso_over computed it (helpers.scan_roundtrip_forward and
+# helpers.scan_mcg_inverse).
+@given(st.randoms(use_true_random=False), st.sampled_from(("none", "H", "p", "q")), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_check_iso_over_agrees_with_both_triangles_composed(rng, part, over_mcg):
     if over_mcg:
         p, _ = rand_fibration_over_mcg(rng, n_objects=rng.randint(1, 3))
         cls = classify_over_mcg(p)
-        witness = {"H": cls.iso, "Hinv": cls.inverse, "p": p, "q": cls.product_projection}
+        q = cls.product_projection
+        witness, Hinv = {"H": cls.iso, "p": p, "q": q}, scan_mcg_inverse(p, cls.fibre_set, q.dom)
     else:
         p = rand_discrete_fibration(rng)
-        iso = roundtrip_fibration(p)
-        q = elements(straighten(p)).projection
-        witness = {"H": iso.backward, "Hinv": iso.forward, "p": p, "q": q}
+        built = elements(straighten(p))
+        witness = {"H": roundtrip_fibration(p).backward, "p": p, "q": built.projection}
+        Hinv = scan_roundtrip_forward(p, built)
     F = witness.get(part)
     fields = [f for f in ("omap", "mmap") if F is not None and getattr(F, f)]
     if fields:
@@ -558,10 +565,13 @@ def test_check_iso_over_agrees_with_both_triangles_composed(rng, part, over_mcg)
         changed = dict(getattr(F, field))
         changed[rng.choice(list(changed))] = rng.choice([*images, "zzz"])
         witness[part] = dataclasses.replace(F, **{field: changed})
-    args = witness["H"], witness["Hinv"], witness["p"], witness["q"]
-    outcome = _outcome(check_iso_over, *args)
-    assert outcome == _outcome(scan_check_iso_over, *args)
-    assert outcome is None or part != "none"
+    H, p, q = witness["H"], witness["p"], witness["q"]
+    outcome = _outcome(check_iso_over, H, p, q)
+    assert outcome == _outcome(scan_check_iso_over, H, Hinv, p, q)
+    if isinstance(outcome, FunctorSpec):  # the inverse, its maps in the oracle's key order
+        assert (list(outcome.omap), list(outcome.mmap)) == (list(Hinv.omap), list(Hinv.mmap))
+    else:
+        assert part != "none"
 
 
 @given(concrete_categories)
