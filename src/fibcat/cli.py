@@ -2,12 +2,12 @@
 
 A workspace is a single JSON document with named categories, functors,
 presheaves, lexicons and corpora.  Identity morphisms may be omitted in
-files and are synthesized on load (named "id:<object>"), together with the
-composition entries forced by the unit laws; any other missing composite
-is a SchemaError, as is any id that fails ``fincat.is_plain_id``.  The id
-rule is checked once per list of ids (a category's objects, its morphism
-ids, an element set, a sentence), and each id on its own only where the
-list fails, to name the first that does.
+files and are synthesized on load (named "id:<object>"), and the
+composites forced by the unit laws may be omitted, as they are read by
+rule; any other missing composite is a SchemaError, as is any id that
+fails ``fincat.is_plain_id``.  The id rule is checked once per list of ids
+(a category's objects, its morphism ids, an element set, a sentence), and
+each id on its own only where the list fails, to name the first that does.
 
 ``load`` builds each category, functor and presheaf and validates it before
 it builds the next.  Each record field has one check, whose raise alone
@@ -17,11 +17,10 @@ that gives a lone surrogate, which no output could encode.
 Besides the category names a functor or presheaf refers to, it resolves
 only the ``compose`` keys; every other reference is resolved once, by the
 fincat validator of the structure, which for a functor resolves the keys of
-its ``omap`` and ``mmap`` too.  Each ``compose`` row of the file is
-kept, uncopied, as the category's row, with the unit composites filled in
-after the file's entries.  When every identity has the right ends, the
-filled composites are lawful by construction, so the category's check reads
-only the file's own entries.
+its ``omap`` and ``mmap`` too.  Each non-empty ``compose`` row of the
+file is kept, uncopied, as the category's row, and the table holds nothing
+else.  When every identity has the right ends, the unit composites are
+lawful by rule, so the category's check reads only the file's own entries.
 ``load`` prefixes the path of the validator's MalformedSpec with the
 structure's place in the workspace, reads a missing composite off its
 composition-totality violations, and raises the law violations of all
@@ -32,9 +31,9 @@ as ``check-fib --cloven`` does, reads the kept report.  Each
 distinct lexicon type text is parsed, each phrase split, and each
 lexicon's pregroup.Lexicon built, once per load; a phrase or string
 sentence without "(", ")" or "|" needs none of its words checked against
-the id rule.  ``save`` writes the lexicon
-entries as the file wrote them, and emits a canonical form, with sorted
-rows, so save . load is byte-stable.  Each command writes its output to
+the id rule.  ``save`` writes the lexicon entries as the file wrote them,
+and emits a canonical form, with sorted rows that hold the unit composites
+too, so save . load is byte-stable.  Each command writes its output to
 ``out``, one write per line.
 """
 
@@ -69,8 +68,6 @@ from .fib import (
 )
 from .fincat import (
     _ID_RULE,
-    _TABLE_LAWS,
-    _validate_category,
     CONTRAVARIANT,
     FinCat,
     FunctorSpec,
@@ -78,10 +75,11 @@ from .fincat import (
     SetValuedFunctor,
     ValidationReport,
     _first_bad_id,
+    _with_unit_pairs,
     comma_walk,
-    complete_units,
     is_plain_id,
     pullback_walk,
+    validate_category,
     validate_functor,
     validate_set_valued,
 )
@@ -136,22 +134,14 @@ def _id_list(value, path):
     return value
 
 
-def _validated(where, validate, x, violations, filled):
+def _validated(where, validate, x, violations):
     """The report of validate(x), after appending its law violations,
     prefixed by where, to violations; a MalformedSpec becomes a SchemaError
-    at where.  Of the violations found in the walk over the table, those at
-    the pairs in filled, which complete_units filled in, follow the others,
-    in filled's order, as if the table listed the file's entries first."""
+    at where."""
     try:
         report = validate(x)
     except MalformedSpec as exc:
         raise SchemaError(f"{where}.{exc.path}", exc.message) from exc
-    walk = [i for i, v in enumerate(report.violations) if v["law"] in _TABLE_LAWS]
-    if walk and filled:
-        rank = {pair: i for i, pair in enumerate(filled)}
-        vs, at = list(report.violations), slice(walk[0], walk[-1] + 1)
-        vs[at] = sorted(vs[at], key=lambda v: rank.get(v["witness"][:2], -1))  # stable
-        report = ValidationReport(tuple(vs))
     violations.extend(
         {"law": f"{where}: {v['law']}", "witness": v["witness"]} for v in report.violations
     )
@@ -182,8 +172,8 @@ def _require_morphism_ids(morphisms, path):
         raise SchemaError(f"{path}[{i}].id", _ID_RULE)
 
 
-def _build_category(name, doc, violations, filled):
-    """The category of doc; filled[name] is what complete_units filled in."""
+def _build_category(name, doc, violations):
+    """The category of doc, its table the file's non-empty rows."""
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
@@ -212,13 +202,10 @@ def _build_category(name, doc, violations, filled):
                 raise SchemaError(f"{path}.compose.{g}.{f}", "unknown composite")
         if row:
             cat.compose[g] = row
-    written = {g: len(row) for g, row in cat.compose.items()}
-    units = filled[name] = complete_units(cat)
-    # every composite the unit laws force is in the table now, so a missing
-    # one is not forced; validate_category checks references before laws,
-    # so a dangling end is reported as such, not as a missing composite
-    validate = functools.partial(_validate_category, written=written)
-    report = _validated(path, validate, cat, violations, units)
+    # validate_category reads the composites the unit laws force by rule, so
+    # a missing one is not forced; it checks references before laws, so a
+    # dangling end is reported as such, not as a missing composite
+    report = _validated(path, validate_category, cat, violations)
     totality = (v["witness"] for v in report.violations if v["law"] == "composition-totality")
     missing = next(totality, None)
     if missing is not None:
@@ -229,7 +216,7 @@ def _build_category(name, doc, violations, filled):
     return cat
 
 
-def _build_functor(name, doc, categories, violations, filled):
+def _build_functor(name, doc, categories, violations):
     path = f"functors.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     for key in ("dom", "cod", "omap", "mmap"):
@@ -245,11 +232,11 @@ def _build_functor(name, doc, categories, violations, filled):
         if i not in mmap and dom.is_identity(i) and omap.get(dom.src(i)) in cod.identity:
             mmap[i] = cod.identity[omap[dom.src(i)]]
     F = FunctorSpec(dom, cod, omap, mmap)
-    _validated(path, validate_functor, F, violations, filled[doc["dom"]])
+    _validated(path, validate_functor, F, violations)
     return F
 
 
-def _build_presheaf(name, doc, categories, violations, filled):
+def _build_presheaf(name, doc, categories, violations):
     path = f"presheaves.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     base_name = doc.get("base")
@@ -269,7 +256,7 @@ def _build_presheaf(name, doc, categories, violations, filled):
         if i not in action and base.is_identity(i) and base.src(i) in eltset:
             action[i] = {x: x for x in eltset[base.src(i)]}
     W = SetValuedFunctor(base=base, variance=variance, eltset=eltset, action=action)
-    _validated(path, validate_set_valued, W, violations, filled[base_name])
+    _validated(path, validate_set_valued, W, violations)
     return W
 
 
@@ -341,13 +328,13 @@ def load(path) -> Workspace:
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     version = doc.get("format")  # JSON true equals 1 in Python
     _require(version == FORMAT_VERSION and version is not True, "format", "expected format 1")
-    ws, violations, parsed, filled = Workspace(), [], {}, {}
+    ws, violations, parsed = Workspace(), [], {}
     for name, cdoc in _object(doc, "categories", "categories").items():
-        ws.categories[name] = _build_category(name, cdoc, violations, filled)
+        ws.categories[name] = _build_category(name, cdoc, violations)
     for name, fdoc in _object(doc, "functors", "functors").items():
-        ws.functors[name] = _build_functor(name, fdoc, ws.categories, violations, filled)
+        ws.functors[name] = _build_functor(name, fdoc, ws.categories, violations)
     for name, pdoc in _object(doc, "presheaves", "presheaves").items():
-        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations, filled)
+        ws.presheaves[name] = _build_presheaf(name, pdoc, ws.categories, violations)
     for name, entries in _object(doc, "lexicons", "lexicons").items():
         ws.lexicons[name] = _build_lexicon(name, entries, parsed)
     for name, sentences in _object(doc, "corpora", "corpora").items():
@@ -364,11 +351,12 @@ def save(ws: Workspace, path):
            "presheaves": {}, "lexicons": {}, "corpora": {}}
     for name in sorted(ws.categories):
         c = ws.categories[name]
+        table = _with_unit_pairs(c)
         doc["categories"][name] = {
             "objects": list(c.objects),
             "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt} for m in c.morphisms],
             "identity": {o: c.identity[o] for o in sorted(c.identity)},
-            "compose": {g: dict(sorted(c.compose[g].items())) for g in sorted(c.compose)},
+            "compose": {g: dict(sorted(table[g].items())) for g in sorted(table)},
         }
     for name in sorted(ws.functors):
         F = ws.functors[name]

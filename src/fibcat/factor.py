@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import WitnessFailure
 from .fib import is_discrete_fibration, is_discrete_opfibration
 from .fincat import (
+    _NO_ROW,
     CONTRAVARIANT,
     COVARIANT,
     FinCat,
@@ -48,12 +49,13 @@ def _comma_blocks(F: FunctorSpec, contra=False):
     D = F.cod
     out = D.into if contra else D.out_of
     pairs = [(c, f.id) for c in F.dom.objects for f in out(F.omap[c])]
-    edges = []
+    edges, rows, units = [], D.compose, D._identity_set
     for u in F.dom.morphisms:
         (a, b), Fu = (u.tgt, u.src) if contra else (u.src, u.tgt), F.mmap[u.id]
-        row = D.compose[Fu]  # Fu's row: with contra the composite is Fu . f2
         for f2 in out(F.omap[b]):
-            edges.append(((a, row[f2.id] if contra else D.compose[f2.id][Fu]), (b, f2.id)))
+            unit = f2.id if Fu in units else Fu  # the composite, where a row lacks it
+            row = rows.get(Fu if contra else f2.id, _NO_ROW)  # with contra it is Fu . f2
+            edges.append(((a, row.get(f2.id if contra else Fu, unit)), (b, f2.id)))
     blocks = {d: [] for d in D.objects}
     for blk in connected_components(pairs, edges):
         blocks[(D.src if contra else D.tgt)(blk[0][1])].append(blk)
@@ -70,12 +72,14 @@ def _pi0_data(F: FunctorSpec, contra=False):
         eltset[d] = tuple(tuple_id(blk[0][0], "*", blk[0][1]) for blk in blks)
         for blk, name in zip(blks, eltset[d]):
             block_of.update(dict.fromkeys(blk, name))
-    action = {}
+    action, rows, units = {}, D.compose, D._identity_set
     for g in D.morphisms:
-        table, d, row = {}, g.tgt if contra else g.src, D.compose[g.id]
+        table, d, row = {}, g.tgt if contra else g.src, rows.get(g.id, _NO_ROW)
         for blk, src_block in zip(blocks[d], eltset[d]):
             for c, f in blk:
-                target_block = block_of[(c, D.compose[f][g.id] if contra else row[f])]
+                unit = f if g.id in units else g.id  # the composite, where a row lacks it
+                gf = (rows.get(f, _NO_ROW) if contra else row).get(g.id if contra else f, unit)
+                target_block = block_of[(c, gf)]
                 if table.setdefault(src_block, target_block) != target_block:
                     raise WitnessFailure(f"block map not well-defined along {g.id}")
         action[g.id] = table

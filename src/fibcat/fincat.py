@@ -2,10 +2,10 @@
 
 Everything downstream (fibrations, the Grothendieck construction, the
 comprehensive factorization, the pregroup semantics) is phrased in terms of
-the three types defined here.  Categories carry an explicit, total
-composition table so every law is exhaustively checkable.  Values are
-immutable once built, except that a constructor may fill a new category's
-``compose`` in place before handing it out.
+the three types defined here.  Categories carry an explicit composition
+table, its unit composites read by rule, so every law is exhaustively
+checkable.  Values are immutable once built, except that a constructor may
+fill a new category's ``compose`` in place before handing it out.
 
 A value is immutable once validated, too: ``validate_category``,
 ``validate_functor`` and ``validate_set_valued`` keep their report on the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import islice
+from itertools import chain
 
 from .errors import CodMismatch, MalformedSpec, WitnessFailure
 
@@ -91,9 +91,7 @@ class _Unkept:
         return {k: v for k, v in self.__dict__.items() if k != "_report"}
 
 
-# the laws a validator checks at each entry of a composition table, in one walk
-_TABLE_LAWS = {"composition-composability", "endpoint-coherence",
-               "composition-preservation", "composition-action"}
+_NO_ROW = {}  # the row of a morphism with no composites; never written
 
 
 def _grouped(pairs):
@@ -111,7 +109,9 @@ class FinCat(_Unkept):
     objects and morphisms are kept in declaration order; every enumeration
     in the library iterates in that order, so constructions are
     deterministic.  ``compose`` holds a non-empty row ``{f: g after f}`` per
-    g, for the f with tgt(f) = src(g), so a reader indexes a row it holds.
+    g, with the composites a file or a construction wrote; those of the
+    unit pairs, the composable pairs with an identity in them, that it
+    lacks are read by rule, by ``composite`` or, in a hot loop, inline.
     The indexes read ``objects``, ``morphisms`` and ``identity`` only, so a
     constructor may fill ``compose``, never ``identity``, after building the
     category; the ``out_of`` and ``hom`` indexes are built on first use.
@@ -170,9 +170,18 @@ class FinCat(_Unkept):
         return self._hom.get((a, b), ())
 
     def composable_pairs(self):
+        """Every (g, f) with tgt(f) = src(g), unit pairs too, in declaration order."""
         for g in self.morphisms:
             for f in self.into(g.src):
                 yield g.id, f.id
+
+    def composite(self, g, f):
+        """g . f: the table's entry, else, at a unit pair, g if f is an
+        identity and f if not; None at any other pair the table lacks."""
+        h, units = self.compose.get(g, _NO_ROW).get(f), self._identity_set
+        if h is None and (f in units or g in units) and self._by_id[f].tgt == self._by_id[g].src:
+            h = g if f in units else f
+        return h
 
 
 def tuple_id(*parts):
@@ -236,29 +245,31 @@ def _first_bad_id(ids):
     return next((i for i, s in enumerate(ids) if not is_plain_id(s)), None)
 
 
-_NO_ROW = {}  # the row of a morphism with no composites; never written
-
-
-def complete_units(cat: FinCat):
-    """Fill in, in place and each into its row, the composites the unit laws
-    force, in the order of ``composable_pairs``: g . i = g and i . f = f for
-    an identity i.  Each goes after the entries its row held, and a row it
-    makes after the rows the table held.  Returns the pairs filled, in that
-    order.
-
-    Only the pairs with an identity in them are visited.  A composite that
-    is still missing is validate_category's composition-totality."""
-    identities = cat._identity_set
-    units_into = _grouped((m.tgt, m) for m in cat.morphisms if m.id in identities)
-    compose, filled = cat.compose, []
-    for g in cat.morphisms:
-        fs = cat.into(g.src) if g.id in identities else units_into.get(g.src, ())
-        row = compose.setdefault(g.id, {}) if fs else _NO_ROW  # so no row is empty
-        for f in fs:
+def _unit_rows(c: FinCat):
+    """{g: {f: g . f}} over the unit pairs that c's table does not hold,
+    g . f by rule: g in declaration order, then f among the morphisms into
+    src(g), in declaration order, all if g is an identity, else those."""
+    units, rows = c._identity_set, {}
+    units_into = _grouped((m.tgt, m) for m in c.morphisms if m.id in units)
+    for g in c.morphisms:
+        row = c.compose.get(g.id, _NO_ROW)
+        for f in c.into(g.src) if g.id in units else units_into.get(g.src, ()):
             if f.id not in row:
-                row[f.id] = g.id if f.id in identities else f.id
-                filled.append((g.id, f.id))
-    return filled
+                rows.setdefault(g.id, {})[f.id] = g.id if f.id in units else f.id
+    return rows
+
+
+def _lawful_units(c: FinCat):
+    """True if c keeps a valid report, or if each identity of c has the right
+    ends and each entry of its table with an identity in it is as the unit
+    laws force, so that ``composite`` reads every unit composite so."""
+    by_id, units = c._by_id, c._identity_set
+    return _kept_valid(c) or all(
+        i in by_id and by_id[i].src == o == by_id[i].tgt for o, i in c.identity.items()
+    ) and all(
+        h == (g if f in units else f)
+        for g, row in c.compose.items() for f, h in row.items() if g in units or f in units
+    )
 
 
 def _repeated(ids, path, what):
@@ -270,33 +281,25 @@ def _repeated(ids, path, what):
         seen.add(x)
 
 
+@_kept
 def validate_category(c: FinCat) -> ValidationReport:
     """Check the category laws; a dangling or repeated id raises MalformedSpec.
 
     The ends of the morphisms and the identities are checked first.  Then
     one walk over the table, a row at a time, resolves each entry's ids,
     raising at the first that does not resolve, checks composability and
-    endpoint coherence, and counts the composable entries.  The composable
-    pairs are walked only when there are more of them than that count, to
-    list the missing ones.  Repeated ids are checked last.  Once every other
-    law holds, the table is total, so a row with fewer than two entries
-    holds only its unit entry; a triple with an identity in it, or through
-    such a row, is associative by the unit laws, so it is skipped.  If the
-    category is thin, with at most one arrow per hom-set, no triple is
-    walked, since both composites of each lie in one hom-set."""
-    return _validate_category(c)
-
-
-@_kept
-def _validate_category(c: FinCat, written=None) -> ValidationReport:
-    """validate_category, which passes no written.  cli.load passes the
-    length of each row as the file wrote it, before complete_units appended
-    the unit composites to it and the rows it made after the file's rows.
-    Once every object's identity has the right ends, each filled entry
-    composes, its ends cohere and it obeys the unit laws, so the walk reads
-    only the file's entries and counts the filled ones as composable, and
-    the unit laws are checked only if a file entry at a unit position is
-    wrong.  The report is the one validate_category gives."""
+    endpoint coherence, and counts the composable entries.  When every
+    identity has the right ends, the unit pairs are lawful by rule, so the
+    walk reads only the table's entries, counts the 2|morphisms| - |objects|
+    unit pairs, and the unit laws are checked only if an entry at a unit
+    pair is wrong; otherwise it goes on over the unit pairs the table lacks
+    (``_unit_rows``).  The composable pairs are walked only when there are
+    more of them than that count, to list the missing ones.  Repeated ids
+    are checked last.  Once every other law holds, the table is total, so a
+    triple with an identity in it, or through a row the table lacks, is
+    associative by the unit laws and is skipped.  If the category is thin,
+    with at most one arrow per hom-set, no triple is walked, since both
+    composites of each lie in one hom-set."""
     objects, by_id, identity = c._object_set, c._by_id, c.identity
     for i, m in enumerate(c.morphisms):
         if m.src not in objects:
@@ -317,19 +320,14 @@ def _validate_category(c: FinCat, written=None) -> ValidationReport:
         m = by_id[mid]
         if m.src != obj or m.tgt != obj:
             violations.append(_violation("identity-endpoints", (obj, mid)))
-    compose, composable, entry_violations = c.compose, 0, []
-    trusted = written is not None and not violations  # the filled entries are lawful
-    if trusted:
-        rows, units = written, c._identity_set
-        composable = sum(map(len, compose.values())) - sum(written.values())
-    else:
-        rows, units = dict.fromkeys(compose), ()
-    unit_laws = not trusted  # whether the unit laws can fail
-    for g, n in rows.items():
+    compose, units, composable, entry_violations = c.compose, c._identity_set, 0, []
+    by_rule = not violations  # the unit pairs are lawful by rule
+    unit_laws = not by_rule  # whether the unit laws can fail
+    for g, row in chain(compose.items(), () if by_rule else _unit_rows(c).items()):
         mg, g_unit = by_id.get(g), g in units
         if mg is None:
             raise MalformedSpec(f"compose.{g}", "unknown morphism")
-        for f, h in islice(compose[g].items(), n):
+        for f, h in row.items():
             try:
                 mf, mh = by_id[f], by_id[h]
             except KeyError:
@@ -338,51 +336,60 @@ def _validate_category(c: FinCat, written=None) -> ValidationReport:
             if mf.tgt != mg.src:
                 entry_violations.append(_violation("composition-composability", (g, f)))
                 continue
-            composable += 1
             if mh.src != mf.src or mh.tgt != mg.tgt:
                 entry_violations.append(_violation("endpoint-coherence", (g, f, h)))
-            if (g_unit and h != f) or (f in units and h != g):
+            if not by_rule or not (g_unit or f in units):
+                composable += 1
+            elif (g_unit and h != f) or (f in units and h != g):
                 unit_laws = True
     if len(by_id) != len(c.morphisms):
         raise _repeated([m.id for m in c.morphisms], "morphisms[{}].id", "morphism")
     if len(objects) != len(c.objects):
         raise _repeated(c.objects, "objects[{}]", "object")
+    composable += (2 * len(c.morphisms) - len(c.objects)) if by_rule else 0
     if composable != sum(len(c._into.get(g.src, ())) for g in c.morphisms):
-        missing = (p for p in c.composable_pairs() if p[1] not in compose.get(p[0], _NO_ROW))
+        missing = (p for p in c.composable_pairs() if c.composite(*p) is None)
         violations += (_violation("composition-totality", pair) for pair in missing)
     violations += entry_violations
     if unit_laws:
         for m in c.morphisms:
             lid = identity.get(m.tgt)
             rid = identity.get(m.src)
-            if rid is not None and compose.get(m.id, _NO_ROW).get(rid, m.id) != m.id:
+            if rid is not None and c.composite(m.id, rid) not in (None, m.id):
                 violations.append(_violation("right-unit", (m.id, rid)))
-            if lid is not None and compose.get(lid, _NO_ROW).get(m.id, m.id) != m.id:
+            if lid is not None and c.composite(lid, m.id) not in (None, m.id):
                 violations.append(_violation("left-unit", (lid, m.id)))
     # associativity, only meaningful where the table is total enough
     if not violations and len({(m.src, m.tgt) for m in c.morphisms}) == len(c.morphisms):
         return ValidationReport()
-    # once every other law holds, a row shorter than 2 holds only its unit entry
-    skip, least = ((), 0) if violations else (c._identity_set, 2)
+    # with other violations, a copy of the table holds the unit pairs too, and a
+    # triple with a composite missing from it says nothing
+    rule = not violations
+    table, skip = (compose, units) if rule else (_with_unit_pairs(c), ())
     for h in c.morphisms:
-        row_h = compose.get(h.id, _NO_ROW)
-        if h.id in skip or len(row_h) < least:
+        row_h = table.get(h.id)
+        if not row_h or h.id in skip:
             continue
+        h_rule = h.id if rule else None  # h . i for an identity i
         for g in c.into(h.src):
-            row_g = compose.get(g.id, _NO_ROW)
-            if g.id in skip or len(row_g) < least:
+            row_g = table.get(g.id)
+            if not row_g or g.id in skip:
                 continue
-            row_hg = compose.get(row_h.get(g.id), _NO_ROW)
+            row_hg = table.get(row_h.get(g.id), _NO_ROW)
             for f in c.into(g.src):
                 if f.id in skip:
                     continue
-                try:
-                    left, right = row_h[row_g[f.id]], row_hg[f.id]
-                except KeyError:  # a composite is missing, so the triple says nothing
-                    continue
-                if left != right:
+                left = row_h.get(row_g.get(f.id), h_rule)
+                right = row_hg.get(f.id, f.id if rule else None)  # f if h . g is an identity
+                if left != right and left is not None and right is not None:
                     violations.append(_violation("associativity", (h.id, g.id, f.id)))
     return ValidationReport(tuple(violations))
+
+
+def _with_unit_pairs(c: FinCat):
+    """A copy of c's table with the unit pairs it does not hold added."""
+    units = _unit_rows(c)
+    return {g: {**c.compose.get(g, _NO_ROW), **units.get(g, _NO_ROW)} for g in {**c.compose, **units}}
 
 
 @dataclass(frozen=True)
@@ -416,10 +423,10 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     mmap outside F.dom, raises MalformedSpec.  Like the other two validators,
     it keeps its report on F, where fib.is_fibration's theorem reads it.
 
-    Once F preserves endpoints and identities, and F.dom and F.cod each
-    keep a report with no violation, the entries of the domain's table with
-    an identity in them are preserved by the unit laws of both, so only
-    the others are walked."""
+    The walk covers the entries of the domain's table, then its unit pairs
+    by rule, which F preserves once it preserves endpoints and identities
+    and F.cod reads its unit composites by the unit laws (_lawful_units):
+    then those are not walked."""
     omap, mmap, cod = F.omap, F.mmap, F.cod
     for c in F.dom.objects:
         if c not in omap:
@@ -445,14 +452,12 @@ def validate_functor(F: FunctorSpec) -> ValidationReport:
     for c in F.dom.objects:
         if mmap[F.dom.identity[c]] != cod.identity[omap[c]]:
             violations.append(_violation("identity-preservation", (c,)))
-    settled = not violations and _kept_valid(F.dom) and _kept_valid(cod)
-    units = F.dom._identity_set if settled else ()
-    for g, row in F.dom.compose.items():
-        if g in units:
-            continue
-        cod_row = cod.compose.get(mmap[g], _NO_ROW)
+    unit_rows = _unit_rows(F.dom) if violations or not _lawful_units(cod) else {}
+    for g, row in chain(F.dom.compose.items(), unit_rows.items()):
+        Fg = mmap[g]
+        cod_row = cod.compose.get(Fg, _NO_ROW)
         for f, h in row.items():
-            if f not in units and cod_row.get(mmap[f]) != mmap[h]:
+            if cod_row.get(mmap[f]) != mmap[h] and cod.composite(Fg, mmap[f]) != mmap[h]:
                 violations.append(_violation("composition-preservation", (g, f)))
     return ValidationReport(tuple(violations))
 
@@ -518,7 +523,7 @@ def terminal_category() -> FinCat:
         objects=("*",),
         morphisms=(Morphism("id:*", "*", "*"),),
         identity={"*": "id:*"},
-        compose={"id:*": {"id:*": "id:*"}},
+        compose={},
     )
 
 
@@ -545,10 +550,10 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
     """Check the functor laws; a malformed presheaf raises MalformedSpec.
 
     The composition action is walked only where every action is a function
-    between the right sets.  Once each identity also acts as one, on a base
-    that keeps a report with no violation, the entries of the base's table
-    with an identity in them act rightly by the unit laws, so only the
-    others are walked."""
+    between the right sets, over the entries of the base's table, then its
+    unit pairs by rule, which act rightly once each identity acts as one
+    and the base reads its unit composites by the unit laws
+    (_lawful_units): then those are not walked."""
     if W.variance not in (CONTRAVARIANT, COVARIANT):
         raise MalformedSpec("variance", "bad variance")
     for c, elts in W.eltset.items():
@@ -577,27 +582,18 @@ def validate_set_valued(W: SetValuedFunctor) -> ValidationReport:
         table = W.action[W.base.identity[c]]
         if any(table.get(x) != x for x in W.eltset[c]):
             violations.append(_violation("identity-action", (c,)))
-    settled = not violations and _kept_valid(W.base)
-    units = W.base._identity_set if settled else ()
-    return ValidationReport(tuple(violations + _composition_action(W, units)))
-
-
-def _composition_action(W: SetValuedFunctor, units):
-    """The composition-action violations of W at the entries of its base's
-    table that have no morphism of units in them."""
-    base, action, contra, violations = W.base, W.action, W.variance == CONTRAVARIANT, []
-    for g, row in base.compose.items():
-        if g in units:
-            continue
+    base, action, contra = W.base, W.action, W.variance == CONTRAVARIANT
+    unit_rows = _unit_rows(base) if violations or not _lawful_units(base) else {}
+    for g, row in chain(base.compose.items(), unit_rows.items()):
         src, action_g = base.src(g), action[g]
         for f, h in row.items():
-            if f in units or base.tgt(f) != src:
+            if base.tgt(f) != src:
                 continue  # validate_category reports a pair that does not compose
             # over the domain of the action applied first: h may have wrong endpoints
             first, then = (action_g, action[f]) if contra else (action[f], action_g)
             if {x: then[y] for x, y in first.items()} != action[h]:
                 violations.append(_violation("composition-action", (g, f)))
-    return violations
+    return ValidationReport(tuple(violations))
 
 
 def opposite(c: FinCat) -> FinCat:
@@ -655,26 +651,34 @@ def _walk(F: FunctorSpec, G: FunctorSpec, arrows):
     (F/G) on the objects whose comparison arrow Fa -> Gb is one of
     arrows(Fa, Gb), as a FinCat with an empty table; with {(a, b, f): object
     id} and the parts (u, v, f, f2) of each morphism, in declaration order.
-    An identity is recorded as the morphism (id_a, id_b, f, f) is made."""
+    An identity is recorded as the morphism (id_a, id_b, f, f) is made.
+    A composite of C that a row does not hold has an identity in it, and is
+    read by rule."""
     if F.cod != G.cod:
         raise CodMismatch("comma requires a common codomain")
     C, id_a, id_b = F.cod, F.dom.identity, G.dom.identity
+    rows, units = C.compose, C._identity_set
     pairs = ((a, b) for a in F.dom.objects for b in G.dom.objects)
     arrows_at = {(a, b): arrows(F.omap[a], G.omap[b]) for a, b in pairs}
     obj_id = {(a, b, f): tuple_id(a, b, f) for (a, b), fs in arrows_at.items() for f in fs}
     morphisms, parts, identity = [], [], {}
+    vs = [(v, G.mmap[v.id], rows.get(G.mmap[v.id], _NO_ROW), G.mmap[v.id] in units,
+           id_b[v.src] == v.id) for v in G.dom.morphisms]
     for u in F.dom.morphisms:
         Fu, u_is_id = F.mmap[u.id], id_a[u.src] == u.id
-        for v in G.dom.morphisms:
+        after_Fu = {  # b -> [(f2, f2 . Fu) for the f2 of the objects (u.tgt, b, f2)]
+            b: [(f2, rows.get(f2, _NO_ROW).get(Fu, f2 if Fu in units else Fu))
+                for f2 in arrows_at[u.tgt, b]] for b in G.dom.objects
+        }
+        for v, Gv, row_v, Gv_unit, v_is_id in vs:
             sources = arrows_at[u.src, v.src]
             if not sources:
                 continue
-            row_v, targets = C.compose[G.mmap[v.id]], arrows_at[u.tgt, v.tgt]
-            both_ids = u_is_id and id_b[v.src] == v.id
+            targets, both_ids = after_Fu[v.tgt], u_is_id and v_is_id
             for f in sources:
-                left = row_v[f]
-                for f2 in targets:
-                    if C.compose[f2][Fu] != left:
+                left = row_v.get(f, f if Gv_unit else Gv)
+                for f2, right in targets:
+                    if right != left:
                         continue
                     mid = tuple_id(u.id, v.id, f, f2)
                     src = obj_id[u.src, v.src, f]
@@ -688,15 +692,16 @@ def _walk(F: FunctorSpec, G: FunctorSpec, arrows):
 def _with_table(F: FunctorSpec, G: FunctorSpec, cat, obj_id, parts) -> CommaResult:
     """The walked category with its table filled in place, and both
     projections: the composite of (u1, v1, f1, f2) and (u2, v2, f2, f3) is
-    (u2 . u1, v2 . v1, f1, f3)."""
+    (u2 . u1, v2 . v1, f1, f3).  The table holds no unit pair."""
     ids = [m.id for m in cat.morphisms]
     mor_data, mor_id = dict(zip(ids, parts)), dict(zip(parts, ids))
+    units = cat._identity_set
     for g, (u2, v2, _, f3) in zip(cat.morphisms, parts):
-        row_u, row_v, row = F.dom.compose[u2], G.dom.compose[v2], {}
-        for f in cat.into(g.src):
-            u1, v1, f1, _ = mor_data[f.id]
-            row[f.id] = mor_id[row_u[u1], row_v[v1], f1, f3]
-        cat.compose[g.id] = row
+        for f in () if g.id in units else cat.into(g.src):
+            if f.id not in units:
+                u1, v1, f1, _ = mor_data[f.id]
+                uv = F.dom.composite(u2, u1), G.dom.composite(v2, v1)
+                cat.compose.setdefault(g.id, {})[f.id] = mor_id[(*uv, f1, f3)]
 
     def projection(i, D):
         omap = {oid: key[i] for key, oid in obj_id.items()}

@@ -61,12 +61,16 @@ def elements(W: SetValuedFunctor) -> ElementsResult:
             mor_id[f.id, key] = mid
     identity = {oid: mor_id[base.identity[c], x] for (c, x), oid in obj_id.items()}
     # the arrows over g and f that meet at val compose to (g.f|key), for each
-    # key -> val of the action applied first: g's when contra, else f's
-    compose = {}
-    for g, f in base.composable_pairs():
-        for key, val in W.action[g if contra else f].items():
-            kg, kf = (key, val) if contra else (val, key)
-            compose.setdefault(mor_id[g, kg], {})[mor_id[f, kf]] = mor_id[base.compose[g][f], key]
+    # key -> val of the action applied first: g's when contra, else f's; over
+    # a unit pair of the base lies a unit pair, read by rule
+    compose, units = {}, base._identity_set
+    for g, row in base.compose.items():
+        for f, h in row.items():
+            if g in units or f in units or base.tgt(f) != base.src(g):
+                continue
+            for key, val in W.action[g if contra else f].items():
+                kg, kf = (key, val) if contra else (val, key)
+                compose.setdefault(mor_id[g, kg], {})[mor_id[f, kf]] = mor_id[h, key]
     total = FinCat(tuple(obj_id.values()), tuple(morphisms), identity, compose)
     omap = {oid: c for (c, _), oid in obj_id.items()}
     projection = FunctorSpec(total, base, omap, {mid: f for (f, _), mid in mor_id.items()})

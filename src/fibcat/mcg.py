@@ -20,7 +20,8 @@ from .fincat import (
 
 def mcg(A) -> FinCat:
     """The groupoid with object set A and exactly one morphism per ordered
-    pair; n objects give n^2 morphisms and n^3 composites.
+    pair; n objects give n^2 morphisms, and n(n-1)^2 composites of two
+    non-identities, which the table holds.
 
     The morphism from a to b is named "(a->b)", so the names of A must be
     distinct, nonempty and plain ids, and none may contain "->"; otherwise
@@ -30,7 +31,8 @@ def mcg(A) -> FinCat:
     cat = mcg_walk(A)
     A, arrow = cat.objects, {(m.src, m.tgt): m.id for m in cat.morphisms}
     cat.compose.update(
-        (arrow[b, c], {arrow[a, b]: arrow[a, c] for a in A}) for b in A for c in A
+        (arrow[b, c], {arrow[a, b]: arrow[a, c] for a in A if a != b})
+        for b in A for c in A if b != c
     )
     return cat
 

@@ -34,7 +34,6 @@ from .fincat import (
     FinCat,
     Morphism,
     SetValuedFunctor,
-    complete_units,
     tuple_id,
 )
 
@@ -393,11 +392,9 @@ def build_semantics(corpus, lex: Lexicon, target, convention="paper") -> SetValu
         morphisms.append(Morphism(mid, tid, sent_obj))
         action[mid] = {sid: _tuple_elt((sid,) * len(cids))}
     # reductions run tensor -> sentence and nothing leaves a sentence
-    # object, so the only composites involve identities
+    # object, so the only composites involve identities, read by rule
     cat = FinCat(tuple(eltset), tuple(morphisms), identity, {})
-    complete_units(cat)
-    rows = cat.compose
-    missing = next((p for p in cat.composable_pairs() if p[1] not in rows.get(p[0], ())), None)
+    missing = next((p for p in cat.composable_pairs() if not cat._identity_set.intersection(p)), None)
     if missing is not None:
         g, f = missing
         raise ValueError(

@@ -1,6 +1,7 @@
 """Shared fixtures, random generators, and independent oracles."""
 
 import copy
+import dataclasses
 import re
 from collections import deque
 from itertools import product as iproduct
@@ -68,11 +69,12 @@ def chain_base():
 
 
 def scan_complete_units(cat):
-    """fincat.complete_units as it was: a walk over every composable pair,
-    found by scanning the morphism list, that fills in place the composites
-    the unit laws force, up to the first pair whose composite is missing
-    and not forced.  Returns that pair, or None when the table is total."""
-    identities = set(cat.identity.values())
+    """The composites the unit laws force, written into cat's table, as
+    load wrote them before the library read them by rule: a walk over every
+    composable pair, found by scanning the morphism list, that fills them in
+    place.  Returns the first pair whose composite is missing and not
+    forced, or None when the table is total."""
+    identities, missing = set(cat.identity.values()), None
     for g in cat.morphisms:
         for f in cat.morphisms:
             if f.tgt != g.src or f.id in cat.compose.get(g.id, {}):
@@ -81,9 +83,43 @@ def scan_complete_units(cat):
                 cat.compose.setdefault(g.id, {})[f.id] = g.id
             elif g.id in identities:
                 cat.compose.setdefault(g.id, {})[f.id] = f.id
-            else:
-                return g.id, f.id
-    return None
+            elif missing is None:
+                missing = g.id, f.id
+    return missing
+
+
+def scan_composite(cat, g, f):
+    """g . f for a composable pair: the entry of cat's table, else, by the
+    unit laws, g if f is an identity and f if g is one."""
+    row = cat.compose.get(g, {})
+    if f in row:
+        return row[f]
+    identities = set(cat.identity.values())
+    if f in identities:
+        return g
+    if g in identities:
+        return f
+    raise KeyError((g, f))
+
+
+def scan_filled(cat):
+    """A copy of cat whose table also holds the composites the unit laws
+    force, filled by scan_complete_units."""
+    table = {g: dict(row) for g, row in cat.compose.items()}
+    filled = FinCat(cat.objects, cat.morphisms, dict(cat.identity), table)
+    scan_complete_units(filled)
+    return filled
+
+
+def scan_filled_result(r):
+    """r, a CommaResult or an ElementsResult, with its category replaced by
+    scan_filled's copy, in its projections too."""
+    if isinstance(r, CommaResult):
+        cat = scan_filled(r.cat)
+        return CommaResult(cat, dataclasses.replace(r.projA, dom=cat),
+                           dataclasses.replace(r.projB, dom=cat))
+    total = scan_filled(r.total)
+    return dataclasses.replace(r, total=total, projection=dataclasses.replace(r.projection, dom=total))
 
 
 def fig2_total():
@@ -284,7 +320,7 @@ def rand_functor(rng, dom: DagCategory, cod: FinCat, tries=60):
     for m in dom.cat.morphisms:
         img = cod.identity[omap[m.src]]
         for eid in dom.path_edges[m.id]:
-            img = cod.compose[edge_image[eid]][img]
+            img = scan_composite(cod, edge_image[eid], img)
         mmap[m.id] = img
     return FunctorSpec(dom.cat, cod, omap, mmap)
 
@@ -444,7 +480,7 @@ def factor_fib_via_opposite(F: FunctorSpec):
 def strict_pullback(F: FunctorSpec, G: FunctorSpec):
     """The full subcategory of comma(F, G) on its objects (a, b, id), with
     the projections restricted to it."""
-    cm = comma(F, G)
+    cm = scan_filled_result(comma(F, G))
     keep = {
         tuple_id(a, b, F.cod.identity[F.omap[a]])
         for a in F.dom.objects
@@ -576,12 +612,12 @@ def scan_fillers(p: FunctorSpec, f):
         if g.tgt != f.tgt:
             continue
         for w in C.morphisms:
-            if (w.src, w.tgt) != (p.omap[g.src], u_src) or C.compose[u][w.id] != p.mmap[g.id]:
+            if (w.src, w.tgt) != (p.omap[g.src], u_src) or scan_composite(C, u, w.id) != p.mmap[g.id]:
                 continue
             hs = [
                 h.id for h in E.morphisms
                 if (h.src, h.tgt) == (g.src, f.src) and p.mmap[h.id] == w.id
-                and E.compose[f.id][h.id] == g.id
+                and scan_composite(E, f.id, h.id) == g.id
             ]
             if len(hs) != 1:
                 return None
@@ -644,7 +680,7 @@ def scan_comma(F: FunctorSpec, G: FunctorSpec):
             targets = [f2 for a, b, f2 in objects if (a, b) == (u.tgt, v.tgt)]
             for f in sources:
                 for f2 in targets:
-                    if C.compose[G.mmap[v.id]][f] == C.compose[f2][F.mmap[u.id]]:
+                    if scan_composite(C, G.mmap[v.id], f) == scan_composite(C, f2, F.mmap[u.id]):
                         parts[tuple_id(u.id, v.id, f, f2)] = (u, v, f, f2)
     morphisms = tuple(
         Morphism(mid, tuple_id(u.src, v.src, f), tuple_id(u.tgt, v.tgt, f2))
@@ -658,7 +694,7 @@ def scan_comma(F: FunctorSpec, G: FunctorSpec):
         u1, v1, f1, _ = parts[m.id]
         for g in leaving.get(m.tgt, ()):
             u2, v2, _, f3 = parts[g]
-            u, v = F.dom.compose[u2.id][u1.id], G.dom.compose[v2.id][v1.id]
+            u, v = scan_composite(F.dom, u2.id, u1.id), scan_composite(G.dom, v2.id, v1.id)
             compose.setdefault(g, {})[m.id] = tuple_id(u, v, f1, f3)
     identity = {
         tuple_id(a, b, f): tuple_id(F.dom.identity[a], G.dom.identity[b], f, f)
@@ -696,7 +732,7 @@ def scan_elements(W: SetValuedFunctor):
     for g, f in scan_composable_pairs(total):
         f2, k2 = mor_data[g]
         f1, k1 = mor_data[f]
-        total.compose.setdefault(g, {})[f] = mor_id[base.compose[f2][f1], k2 if contra else k1]
+        total.compose.setdefault(g, {})[f] = mor_id[scan_composite(base, f2, f1), k2 if contra else k1]
     omap = {oid: c for (c, _), oid in obj_id.items()}
     projection = FunctorSpec(total, base, omap, {mid: f for mid, (f, _) in mor_data.items()})
     return ElementsResult(total, projection, obj_id, mor_id)
@@ -781,6 +817,21 @@ def scan_validate_category(c: FinCat, entries=None):
                 if left is not None and right is not None and left != right:
                     flag("associativity", (h.id, g.id, f.id))
     return tuple(violations)
+
+
+def scan_validate_by_rule(c: FinCat):
+    """scan_validate_category on scan_filled(c), over the entries of c's
+    table, row by row, then the filled ones, in pair order."""
+    filled = scan_filled(c)
+    entries = [(g, f, h) for g, row in c.compose.items() for f, h in row.items()]
+    given = {(g, f) for g, f, _ in entries}
+    entries += [
+        (g.id, f.id, filled.compose[g.id][f.id])
+        for g in c.morphisms
+        for f in c.morphisms
+        if f.tgt == g.src and (g.id, f.id) not in given and f.id in filled.compose.get(g.id, {})
+    ]
+    return scan_validate_category(filled, entries)
 
 
 def scan_validate_functor(F: FunctorSpec):
@@ -931,13 +982,13 @@ def _require(cond, path, message):
         raise SchemaError(path, message)
 
 
-def scan_build_category(name, doc, violations, filled):
+def scan_build_category(name, doc, violations):
     """cli._build_category as it was before the loader resolved each table
     entry once: every check in its old order, the unit composites filled by
-    scan_complete_units and the laws checked by scan_validate_category.
-    Returns the category, appends its law violations, prefixed by its place
-    in the workspace, to violations and sets filled[name] to the pairs
-    filled in; a defect raises SchemaError."""
+    scan_complete_units and the laws checked by scan_validate_category, over
+    the file's entries, then the filled ones.  Returns the category, with
+    its table filled, and appends its law violations, prefixed by its place
+    in the workspace, to violations; a defect raises SchemaError."""
     path = f"categories.{name}"
     _require(isinstance(doc, dict), path, "expected an object")
     _require("objects" in doc, path, "missing 'objects'")
@@ -970,28 +1021,17 @@ def scan_build_category(name, doc, violations, filled):
     cat = FinCat(tuple(objects), tuple(morphisms), identity, {})
     table = doc.get("compose", {})
     _require(isinstance(table, dict), f"{path}.compose", "expected an object")
-    entries = []  # (g, f, g.f) in the order of the file
     for g, inner in table.items():
         _require(g in declared, f"{path}.compose.{g}", "unknown morphism")
         _require(isinstance(inner, dict), f"{path}.compose.{g}", "expected an object")
         for f, h in inner.items():
             _require(isinstance(h, str), f"{path}.compose.{g}.{f}", "unknown composite")
             cat.compose.setdefault(g, {})[f] = h
-            entries.append((g, f, h))
-    given = {(g, f) for g, f, _ in entries}
-    missing = scan_complete_units(cat)
-    # the file's entries come first, then the filled ones in pair order
-    filled[name] = [
-        (g.id, f.id)
-        for g in cat.morphisms
-        for f in cat.morphisms
-        if f.tgt == g.src and (g.id, f.id) not in given and f.id in cat.compose.get(g.id, {})
-    ]
-    entries += [(g, f, cat.compose[g][f]) for g, f in filled[name]]
     try:
-        found = scan_validate_category(cat, entries)
+        found = scan_validate_by_rule(cat)
     except MalformedSpec as exc:
         raise SchemaError(f"{path}.{exc.path}", exc.message) from exc
+    missing = scan_complete_units(cat)
     if missing is not None:
         message = "missing composite for ({}, {}) not forced by unit laws".format(*missing)
         raise SchemaError(f"{path}.compose", message)
@@ -1001,16 +1041,16 @@ def scan_build_category(name, doc, violations, filled):
 
 def built_category(build, doc):
     """What build (cli._build_category or scan_build_category) makes of a
-    category document: the category's parts in insertion order, its
-    prefixed law violations and the pairs filled in, or the path and
+    category document: the category's parts in insertion order, its table
+    filled by scan_filled, and its prefixed law violations, or the path and
     message of its SchemaError."""
-    violations, filled = [], {}
+    violations = []
     try:
-        c = build("C", copy.deepcopy(doc), violations, filled)
+        c = scan_filled(build("C", copy.deepcopy(doc), violations))
     except SchemaError as exc:
         return "schema", exc.path, exc.message
     parts = c.objects, c.morphisms, list(c.identity.items()), list(c.compose.items())
-    return ("built", *parts, violations, filled["C"])
+    return ("built", *parts, violations)
 
 
 # --- pregroup oracles -------------------------------------------------------

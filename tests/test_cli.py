@@ -38,7 +38,7 @@ class TestLoadSave:
         ws = cli.load(fig2)
         cat = ws.categories["ABC"]
         assert cat.identity == {"A": "id:A", "B": "id:B", "C": "id:C"}
-        assert cat.compose["g"]["id:B"] == "g"
+        assert cat.composite("g", "id:B") == "g" and "id:B" not in cat.compose["g"]
 
     def test_missing_nonunit_composite_is_a_schema_error(self, tmp_path):
         doc = {
@@ -529,14 +529,16 @@ class TestCommands:
         assert run(argv)[0] == 0 and len(calls) == 4  # main loads once
 
     def test_elements_walks_the_composition_action_once_at_load(self, fig2, monkeypatch):
-        calls, walk = [], fincat._composition_action
-        monkeypatch.setattr(fincat, "_composition_action", lambda *a: calls.append(a) or walk(*a))
+        # before its walk, each of validate_functor and validate_set_valued asks
+        # whether the codomain or base reads its unit composites by the unit laws
+        walks, walk = [], fincat._lawful_units
+        monkeypatch.setattr(fincat, "_lawful_units", lambda c: walks.append(c) or walk(c))
         ws = cli.load(fig2)
-        assert len(calls) == 1  # W's, at load
+        assert walks == [ws.functors["p"].cod, ws.presheaves["W"].base]  # p's and W's, at load
         args = cli.build_parser().parse_args(["elements", fig2, "W"])
         args.fn(args, ws, io.StringIO())
-        assert len(calls) == 1  # none in the command: elements reads the kept report
-        assert run(["elements", fig2, "W"])[0] == 0 and len(calls) == 2  # main loads once
+        assert len(walks) == 2  # none in the command: elements reads the kept report
+        assert run(["elements", fig2, "W"])[0] == 0 and len(walks) == 4  # main loads once
 
     def test_check_fib_cloven_checks_the_functor_laws_once_at_load(self, fig2, monkeypatch):
         walks, build = [], cli._build_category
@@ -586,9 +588,9 @@ class TestCommands:
         written = sum(len(row) for doc in categories for row in doc.get("compose", {}).values())
         ws = cli.load(str(path))
         assert sum(category_reads) == written > 0
-        # the unit entries load filled in are not read
+        # and the tables hold only them: the unit composites are read by rule
         rows = [row for c in ws.categories.values() for row in c.compose.values()]
-        assert sum(map(len, rows)) > written
+        assert sum(map(len, rows)) == written
 
     @pytest.mark.parametrize(
         "lexicons, error",
@@ -868,6 +870,14 @@ def test_a_lexicon_phrase_whose_word_breaks_the_id_rule(tmp_path, phrases, i):
     assert (exc.value.path, exc.value.message) == (f"lexicons.L[{i}].phrase", problem)
 
 
+@pytest.mark.parametrize("entry", [{"phrase": "cat"}, {"type": "n"}])
+def test_a_lexicon_entry_without_its_phrase_or_its_type_exits_two(tmp_path, entry):
+    doc = {"format": 1, "lexicons": {"L": [{"phrase": "dog", "type": "n"}, entry]}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == (2, "ERROR: lexicons.L[1]: expected {phrase, type}\n")
+
+
 class TestUnknownNames:
     def test_reindex_along_an_unknown_morphism(self, fig2):
         from fibcat.errors import UnknownMorphism
@@ -1066,9 +1076,9 @@ def test_a_lawless_base_composite_is_reported(fig2, tmp_path, compose, violation
 
 
 def test_violations_at_filled_composites_follow_those_at_the_files_entries(tmp_path):
-    # the composites the unit laws force go into their rows, as e.id:y
-    # does into e's, yet their violations are listed after every entry of
-    # the file, in the order of the composable pairs
+    # the composites the unit laws force, such as e.id:y, are read by rule
+    # after the file's entries, so their violations are listed after every
+    # entry of the file, in the order of the composable pairs
     dom = {
         "objects": ["x", "y"],
         "morphisms": [
@@ -1166,7 +1176,7 @@ def test_every_composite_of_the_fixtures_can_be_swapped(fixtures_dir, tmp_path):
                         assert run(["validate", str(ws)])[0] in (0, 1, 2), (path, f, mid)
                         swaps += 1
                     inner[f] = h
-    assert swaps == 1681
+    assert swaps == 1682
 
 
 def test_each_structure_is_checked_before_the_next_is_built(tmp_path):

@@ -17,7 +17,6 @@ from fibcat.fincat import (
     FunctorSpec,
     Morphism,
     comma,
-    complete_units,
     compose_functors,
     connected_components,
     constant_functor,
@@ -29,6 +28,7 @@ from fibcat.fincat import (
 from fibcat.mcg import mcg
 
 from helpers import (
+    scan_complete_units,
     bfs_components,
     chain_base,
     comma_under,
@@ -70,7 +70,7 @@ def category(objects, arrows, composites=()):
     )
     for g, f, h in composites:
         cat.compose.setdefault(g, {})[f] = h
-    complete_units(cat)
+    scan_complete_units(cat)
     return cat
 
 

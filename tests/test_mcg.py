@@ -39,8 +39,8 @@ class TestMcg:
         g = mcg("abc")
         for m in g.morphisms:
             back = f"({m.tgt}->{m.src})"
-            assert g.compose[back][m.id] == g.identity[m.src]
-            assert g.compose[m.id][back] == g.identity[m.tgt]
+            assert g.composite(back, m.id) == g.identity[m.src]
+            assert g.composite(m.id, back) == g.identity[m.tgt]
 
     def test_recognition(self):
         assert is_mcg(mcg("abcd"))

@@ -14,8 +14,8 @@ refuses, on lists of ids nested up to depth 6 with line breaks inside and
 outside brackets, and checks a list of plain ids without calling
 ``is_plain_id``.
 
-``validate_functor`` and ``validate_set_valued`` skip the table entries that
-the unit laws settle; they are compared with their former full walks
+``validate_functor`` and ``validate_set_valued`` walk the unit pairs, read
+by rule, only where one can fail; they are compared with their former full walks
 (``helpers.scan_validate_functor``, ``helpers.scan_validate_set_valued``) on
 random functors and presheaves, as drawn and with a wrong unit composite,
 an identity that is no loop, a broken identity image or a broken identity
@@ -36,7 +36,10 @@ entry redirected, which take each path of load's category check.
 
 Random categories of functions between small sets
 (``helpers.rand_concrete_category``) have loops, idempotents and parallel
-arrows; ``validate_category``, the fibration checks on the elements of
+arrows.  Written without their unit entries, and with one entry dropped,
+redirected or written at a unit pair, ``validate_category`` must give the
+violations, in order, that ``helpers.scan_validate_category`` gives on the
+copy that ``helpers.scan_complete_units`` fills.  ``validate_category``, the fibration checks on the elements of
 their inclusion into sets, ``elements`` and ``comma`` are compared with the
 scans in tests/helpers.py, and the paper's results on that projection (the
 roundtrips, both factorizations, the legs of a comma square) are checked,
@@ -123,8 +126,11 @@ from helpers import (
     scan_check_iso_over,
     scan_cloven_fibration,
     scan_comma,
+    scan_complete_units,
     scan_discrete_opfibration,
     scan_elements,
+    scan_filled,
+    scan_filled_result,
     scan_is_plain_id,
     scan_longest_match,
     scan_mcg_inverse,
@@ -411,6 +417,37 @@ def test_validate_category_matches_the_scan_on_concrete_categories(W, data):
 
 
 @given(concrete_categories, st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_table_without_its_unit_entries_validates_as_the_filled_scan(W, data):
+    # the table holds no entry with an identity in it, as a file may write
+    # it, or one entry changed: dropped, redirected, or a unit entry written
+    # with any morphism as its composite
+    c = W.base
+    identities = set(c.identity.values())
+    table = {
+        g: {f: h for f, h in row.items() if f not in identities}
+        for g, row in c.compose.items() if g not in identities
+    }
+    table = {g: row for g, row in table.items() if row}
+    written = [(g, f) for g, row in table.items() for f in row]
+    kind = data.draw(st.sampled_from(["none", "drop", "redirect", "unit"]))
+    if kind in ("drop", "redirect") and written:
+        g, f = data.draw(st.sampled_from(written))
+        if kind == "drop":
+            del table[g][f]
+        else:
+            table[g][f] = data.draw(st.sampled_from([m.id for m in c.morphisms]))
+    elif kind == "unit":
+        m = data.draw(st.sampled_from(c.morphisms))
+        g, f = data.draw(st.sampled_from([(m.id, c.identity[m.src]), (c.identity[m.tgt], m.id)]))
+        table.setdefault(g, {})[f] = data.draw(st.sampled_from([m.id for m in c.morphisms]))
+    bare = FinCat(c.objects, c.morphisms, c.identity, table)
+    filled = FinCat(c.objects, c.morphisms, c.identity, copy.deepcopy(table))
+    scan_complete_units(filled)
+    assert validate_category(bare).violations == scan_validate_category(filled)
+
+
+@given(concrete_categories, st.data())
 @settings(max_examples=150, deadline=None)
 def test_a_document_with_one_redirected_entry_loads_as_the_scan_builds_it(W, data):
     # some identities are left out, with the entries through them, for load
@@ -613,13 +650,13 @@ def test_comma_and_elements_match_the_scans_on_concrete_categories(W):
     V = SetValuedFunctor(opposite(W.base), CONTRAVARIANT, W.eltset, W.action)
     for X in (W, V):
         built, oracle = elements(X), scan_elements(X)
-        assert built == oracle
+        assert scan_filled_result(built) == oracle
         assert (built.obj_id, built.mor_id) == (oracle.obj_id, oracle.mor_id)
         assert built.total.morphisms == oracle.total.morphisms
     I, p = identity_functor(W.base), elements(W).projection
     for F, G in ((I, I), (p, I), (I, p)):
         cm, oracle = comma(F, G), scan_comma(F, G)
-        assert cm == oracle
+        assert scan_filled_result(cm) == oracle
         assert (cm.cat.objects, cm.cat.morphisms) == (oracle.cat.objects, oracle.cat.morphisms)
 
 
@@ -900,7 +937,7 @@ def test_semantics_prints_the_verdict_and_fibres_of_the_category_of_elements(doc
                 except UnparsedSentence:
                     continue
                 W = build_semantics(corpus, lex, parse_type(target), convention)
-                assert W.base == scan.base
+                assert scan_filled(W.base) == scan.base
                 assert {c: tuple(elts) for c, elts in W.eltset.items()} == scan.eltset
                 assert {m: dict(table) for m, table in W.action.items()} == scan.action
                 p, ok = elements(scan).projection, scan_semantics_verdict(scan)
@@ -926,7 +963,15 @@ def test_no_command_raises_on_a_saved_concrete_category(W):
         path = os.path.join(tmp, "ws.json")
         cli.save(ws, path)
         loaded = cli.load(path)
-        assert (loaded.categories, loaded.functors) == (categories, functors)
+        # the file holds the unit composites that the built categories read by rule
+
+        def filled(F):
+            return scan_filled(F.dom), scan_filled(F.cod), F.omap, F.mmap
+
+        assert loaded.categories == {name: scan_filled(c) for name, c in categories.items()}
+        assert {n: filled(F) for n, F in loaded.functors.items()} == {
+            n: filled(F) for n, F in functors.items()
+        }
         argvs = [["validate", path], ["elements", path, "W"], ["roundtrip", path, "W"]]
         argvs += [["dot", path, name] for name in [*categories, *functors]]
         for name, F in functors.items():
